@@ -3,12 +3,18 @@
 The filter averages each pixel's ring-shaped neighborhood with weights that
 fall off both with spatial distance and with photometric difference, scaled
 so that a chosen fraction of the local noise deviation survives.  The
-package bundles the filter itself (compiled core with a pure-Python
-fallback), a Monte-Carlo estimator of the deviation-reduction function, a
-threshold solver, a dose-to-noise model for planning filter strength on
-low-dose CT-style images, and empirical calibration from image pairs.
+package bundles the filter itself, a Monte-Carlo estimator of the
+deviation-reduction function, a threshold solver, a dose-to-noise model for
+planning filter strength on low-dose CT-style images, and empirical
+calibration from image pairs.
+
+Images and Monte-Carlo trial ensembles go through one numpy compute path
+(``ringbf._core_py``).  It walks images in cache-sized row strips on one
+thread per available core, and trial ensembles in fixed-size chunks, so
+temporaries stay in cache rather than streaming whole-image arrays through
+memory.  Each pixel keeps a pinned operation order, so results are
+bit-identical whatever the tiling or the thread count.
 """
-from ._backend import backend_name, set_backend
 from .analysis import (
     CurveExtrema,
     CurveFingerprint,
@@ -17,12 +23,10 @@ from .analysis import (
     NoiseDistribution,
     compute_curve,
     curve_to_csv,
-    default_patch_half_width,
     estimate_K,
     estimate_linear_K,
     find_extrema,
     linear_k0,
-    sample_patch,
     solve_threshold,
 )
 from .calibrate import (
@@ -66,7 +70,6 @@ from .filter import (
     filter_iterate,
     filter_iterate_values,
     filter_pixel_dense,
-    filter_pixel_ringed,
     local_stats,
     quantize_to_int16,
 )
@@ -89,9 +92,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # backends
-    "backend_name",
-    "set_backend",
     # kernel
     "VFamily",
     "WVariant",
@@ -110,7 +110,6 @@ __all__ = [
     "LocalStats",
     "quantize_to_int16",
     "filter_pixel_dense",
-    "filter_pixel_ringed",
     "filter_image",
     "filter_image_values",
     "filter_iterate",
@@ -122,8 +121,6 @@ __all__ = [
     "KCurve",
     "CurveFingerprint",
     "CurveExtrema",
-    "sample_patch",
-    "default_patch_half_width",
     "estimate_K",
     "estimate_linear_K",
     "linear_k0",

@@ -1,7 +1,19 @@
-"""Pure-numpy compute kernels (fallback backend).
+"""Compute kernels: the ring-separated filter over images and trial ensembles.
 
-Both backends implement the same three entry points with a pinned arithmetic
-contract so results are directly comparable:
+There is one compute path.  Both entry points cut their input into tiles and
+hand every tile to ``_filter_tile``, which reuses one fixed set of buffers
+through ``out=`` ufuncs and writes into a preallocated output:
+
+- ``filter_values`` walks the image in row strips of about ``_STRIP_ELEMS``
+  pixels, so the per-offset temporaries stay in cache instead of streaming
+  whole-image arrays through memory once per support offset.  The strips run
+  on one thread per available core (capped at the strip count); numpy
+  releases the GIL inside each ufunc, and every strip writes its own rows.
+- ``ensemble_filter`` walks the trial rows in chunks of ``_TRIAL_CHUNK`` on
+  the calling thread.
+
+Every pixel or trial keeps a pinned operation sequence, so results do not
+depend on the tiling or the thread count:
 
 - intensity differences are formed in float64, reduced to float32, scaled by
   float32(t), and the photometric family is evaluated in float32;
@@ -16,26 +28,82 @@ Border codes: 0 = clamp (edge replication), 1 = skip (copy the margin).
 """
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-BACKEND_NAME = "python"
-
 _ONE = np.float32(1.0)
+
+_STRIP_ELEMS = 1 << 16  # pixels per image strip (32 rows at 2048 wide)
+_TRIAL_CHUNK = 4096  # trial rows per ensemble chunk
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _v_in_place(u: np.ndarray, v_code: int) -> np.ndarray:
+    """Turn float32 scaled differences ``u`` into photometric weights, in place."""
+    if v_code == 0:
+        np.abs(u, out=u)
+    elif v_code == 1 or v_code == 2:
+        np.multiply(u, u, out=u)
+        if v_code == 2:
+            np.multiply(u, u, out=u)
+    elif v_code == 3:
+        np.multiply(u, u, out=u)
+        np.negative(u, out=u)
+        return np.exp(u, out=u)
+    else:
+        raise ValueError(f"unknown V family code {v_code}")
+    np.add(_ONE, u, out=u)
+    return np.divide(_ONE, u, out=u)
 
 
 def v_weights(d: np.ndarray, t: float, v_code: int) -> np.ndarray:
     """Float32 photometric weights for float32 differences ``d`` at scale ``t``."""
-    u = np.float32(t) * d
-    if v_code == 0:
-        return _ONE / (_ONE + np.abs(u))
-    if v_code == 1:
-        return _ONE / (_ONE + u * u)
-    if v_code == 2:
-        u2 = u * u
-        return _ONE / (_ONE + u2 * u2)
-    if v_code == 3:
-        return np.exp(-(u * u))
-    raise ValueError(f"unknown V family code {v_code}")
+    return _v_in_place(np.float32(t) * d, v_code)
+
+
+def _buffers(shape) -> tuple[np.ndarray, ...]:
+    """Work buffers for one tile: float32 weights, six float64 sums, one mask."""
+    return ((np.empty(shape, np.float32),)
+            + tuple(np.empty(shape, np.float64) for _ in range(6))
+            + (np.empty(shape, np.bool_),))
+
+
+def _filter_tile(center, neighbours, out, buffers, t32, v_code, ring_starts, ring_weights):
+    """Filter one tile of centers into ``out``.
+
+    ``neighbours[j]`` holds the tile's values at support offset ``j`` (ring
+    order); ``buffers`` come from ``_buffers`` with a first axis at least as
+    long as the tile's.
+    """
+    u, sv, sfv, num, den, supsum, tmp, safe = (b[: len(center)] for b in buffers)
+    num.fill(0.0)
+    den.fill(0.0)
+    supsum.fill(0.0)
+    for i in range(len(ring_weights)):
+        sv.fill(0.0)
+        sfv.fill(0.0)
+        for j in range(int(ring_starts[i]), int(ring_starts[i + 1])):
+            nb = neighbours[j]
+            np.subtract(nb, center, out=u)  # in float64, rounded once to float32
+            np.multiply(u, t32, out=u)
+            _v_in_place(u, v_code)
+            np.add(sv, u, out=sv)
+            np.multiply(u, nb, out=tmp)
+            np.add(sfv, tmp, out=sfv)
+            np.add(supsum, nb, out=supsum)
+        wi = float(ring_weights[i])
+        np.multiply(sfv, wi, out=tmp)
+        np.add(num, tmp, out=num)
+        np.multiply(sv, wi, out=tmp)
+        np.add(den, tmp, out=den)
+    np.greater(den, 0.0, out=safe)
+    np.divide(num, den, out=out, where=safe)
+    np.logical_not(safe, out=safe)
+    np.divide(supsum, int(ring_starts[len(ring_weights)]), out=out, where=safe)
 
 
 def filter_values(
@@ -62,34 +130,33 @@ def filter_values(
     h, w = f.shape
     margin = int(max(np.max(np.abs(dxs)), np.max(np.abs(dys))))
     pad = np.pad(f, margin, mode="edge")
+    out = np.empty((h, w), dtype=np.float64)
+    t32 = np.float32(t)
+    offsets = [(margin + int(dy), margin + int(dx)) for dx, dy in zip(dxs, dys)]
+    rows = max(1, _STRIP_ELEMS // w)
+    strips = [(y, min(y + rows, h)) for y in range(0, h, rows)]
 
-    num = np.zeros((h, w), dtype=np.float64)
-    den = np.zeros((h, w), dtype=np.float64)
-    supsum = np.zeros((h, w), dtype=np.float64)
-    n_rings = len(ring_weights)
-    for i in range(n_rings):
-        sv = np.zeros((h, w), dtype=np.float64)
-        sfv = np.zeros((h, w), dtype=np.float64)
-        for j in range(int(ring_starts[i]), int(ring_starts[i + 1])):
-            dx = int(dxs[j])
-            dy = int(dys[j])
-            nb = pad[margin + dy : margin + dy + h, margin + dx : margin + dx + w]
-            d32 = (nb - f).astype(np.float32)
-            v64 = v_weights(d32, t, v_code).astype(np.float64)
-            sv += v64
-            sfv += v64 * nb
-            supsum += nb
-        wi = float(ring_weights[i])
-        num += wi * sfv
-        den += wi * sv
+    def run(part):
+        buffers = _buffers((rows, w))
+        for y0, y1 in part:
+            center = f[y0:y1]
+            neighbours = [pad[oy + y0 : oy + y1, ox : ox + w] for oy, ox in offsets]
+            _filter_tile(center, neighbours, out[y0:y1], buffers, t32, v_code,
+                         ring_starts, ring_weights)
+            if has_gate:
+                np.copyto(out[y0:y1], center, where=~((center >= gate_lo) & (center <= gate_hi)))
 
-    support_size = int(ring_starts[n_rings])
-    safe = den > 0.0
-    out = np.where(safe, num / np.where(safe, den, 1.0), supsum / support_size)
+    workers = min(_WORKERS, len(strips))
+    if workers == 1:
+        run(strips)
+    else:
+        # each worker runs in a copy of the caller's context, so np.errstate holds there too
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, run, strips[k::workers])
+                       for k in range(workers)]
+            for future in futures:
+                future.result()
 
-    if has_gate:
-        in_gate = (f >= gate_lo) & (f <= gate_hi)
-        out = np.where(in_gate, out, f)
     if border_code == 1 and margin > 0:
         out[:margin, :] = f[:margin, :]
         out[-margin:, :] = f[-margin:, :]
@@ -112,26 +179,12 @@ def ensemble_filter(
     filtered center per trial (float64).
     """
     vals = np.ascontiguousarray(vals, dtype=np.float64)
-    f0 = vals[:, 0]
     n_trials = vals.shape[0]
-    num = np.zeros(n_trials, dtype=np.float64)
-    den = np.zeros(n_trials, dtype=np.float64)
-    supsum = np.zeros(n_trials, dtype=np.float64)
-    n_rings = len(ring_weights)
-    for i in range(n_rings):
-        sv = np.zeros(n_trials, dtype=np.float64)
-        sfv = np.zeros(n_trials, dtype=np.float64)
-        for j in range(int(ring_starts[i]), int(ring_starts[i + 1])):
-            nb = vals[:, 1 + j]
-            d32 = (nb - f0).astype(np.float32)
-            v64 = v_weights(d32, t, v_code).astype(np.float64)
-            sv += v64
-            sfv += v64 * nb
-            supsum += nb
-        wi = float(ring_weights[i])
-        num += wi * sfv
-        den += wi * sv
-
-    support_size = int(ring_starts[n_rings])
-    safe = den > 0.0
-    return np.where(safe, num / np.where(safe, den, 1.0), supsum / support_size)
+    out = np.empty(n_trials, dtype=np.float64)
+    buffers = _buffers(min(_TRIAL_CHUNK, n_trials))
+    t32 = np.float32(t)
+    for start in range(0, n_trials, _TRIAL_CHUNK):
+        block = vals[start : start + _TRIAL_CHUNK]
+        _filter_tile(block[:, 0], block[:, 1:].T, out[start : start + _TRIAL_CHUNK],
+                     buffers, t32, v_code, ring_starts, ring_weights)
+    return out

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._backend import get_backend
+from . import _core_py
 from .errors import BracketError, ConvergenceError, NumericalError
-from .filter import V_CODES
+from .filter import V_CODES, _ring_arrays
 from .kernel import KernelSpec, WFamily, build_rings
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "CurveExtrema",
     "DEFAULT_TRIALS_TABLE",
     "DEFAULT_TRIALS_CURVE",
-    "default_patch_half_width",
-    "sample_patch",
     "estimate_K",
     "estimate_linear_K",
     "linear_k0",
@@ -149,23 +147,6 @@ def _unit_draws(dist: NoiseDistribution, count: int, seed: int, offset: int) -> 
     return _SQRT3 * (2.0 * u - 1.0)
 
 
-def default_patch_half_width(n: int) -> int:
-    """Half-width such that every support pixel of the center can itself be filtered."""
-    rings = build_rings(n, WFamily.power())
-    return 2 * math.ceil(max(r.radius for r in rings.rings))
-
-
-def sample_patch(dist: NoiseDistribution, t: float, half_width: int, seed: int) -> np.ndarray:
-    """An i.i.d. patch of t*Q on a (2*half_width+1)^2 grid, deterministic per seed."""
-    if not isinstance(half_width, int) or half_width < 1:
-        raise ValueError(f"half_width must be a positive integer, got {half_width!r}")
-    if not t >= 0:
-        raise ValueError(f"scale t must be >= 0, got {t}")
-    side = 2 * half_width + 1
-    draws = _unit_draws(dist, side * side, seed, 0)
-    return (t * draws).reshape(side, side)
-
-
 def _draw_support_values(
     dist: NoiseDistribution, support_size: int, trials: int, seed: int
 ) -> np.ndarray:
@@ -208,16 +189,8 @@ def _ratio_estimate(f0: np.ndarray, h: np.ndarray, t: float, n: int) -> KEstimat
 def _estimate_from_values(
     vals: np.ndarray, spec: KernelSpec, t: float, starts: np.ndarray, ring_w: np.ndarray
 ) -> KEstimate:
-    backend = get_backend()
-    h = backend.ensemble_filter(vals, float(t), V_CODES[spec.v], starts, ring_w)
+    h = _core_py.ensemble_filter(vals, float(t), V_CODES[spec.v], starts, ring_w)
     return _ratio_estimate(vals[:, 0], np.asarray(h), t, spec.n)
-
-
-def _spec_arrays(spec: KernelSpec):
-    rings = build_rings(spec.n, spec.w)
-    starts = np.cumsum([0] + [len(r.offsets) for r in rings.rings]).astype(np.int32)
-    ring_w = np.array([r.weight for r in rings.rings], dtype=np.float64)
-    return rings, starts, ring_w
 
 
 def _check_trials(trials: int):
@@ -240,8 +213,8 @@ def estimate_K(
     _check_trials(trials)
     if not t >= 0:
         raise ValueError(f"scale t must be >= 0, got {t}")
-    rings, starts, ring_w = _spec_arrays(spec)
-    vals = _draw_support_values(dist, rings.size, trials, seed)
+    _, _, starts, ring_w = _ring_arrays(build_rings(spec.n, spec.w))
+    vals = _draw_support_values(dist, int(starts[-1]), trials, seed)
     return _estimate_from_values(vals, spec, t, starts, ring_w)
 
 
@@ -287,8 +260,8 @@ def compute_curve(
         raise ValueError("t grid values must be non-negative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t grid must be strictly ascending")
-    rings, starts, ring_w = _spec_arrays(spec)
-    vals = _draw_support_values(dist, rings.size, trials, seed)
+    _, _, starts, ring_w = _ring_arrays(build_rings(spec.n, spec.w))
+    vals = _draw_support_values(dist, int(starts[-1]), trials, seed)
     points = tuple(_estimate_from_values(vals, spec, t, starts, ring_w) for t in grid)
     fp = CurveFingerprint(
         v=spec.v.value,
@@ -323,8 +296,8 @@ def solve_threshold(
         raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    rings, starts, ring_w = _spec_arrays(spec)
-    vals = _draw_support_values(dist, rings.size, trials, seed)
+    _, _, starts, ring_w = _ring_arrays(build_rings(spec.n, spec.w))
+    vals = _draw_support_values(dist, int(starts[-1]), trials, seed)
 
     def k_at(t: float) -> float:
         return _estimate_from_values(vals, spec, t, starts, ring_w).k_hat

@@ -16,7 +16,7 @@ from scipy.ndimage import uniform_filter
 from scipy.special import betainc
 
 from .errors import DegenerateFitError
-from .filter import Image
+from .filter import _as_values
 
 __all__ = [
     "PolyFit",
@@ -31,15 +31,6 @@ __all__ = [
 ]
 
 S_L_FLOOR = 1e-6  # HU; below this a local deviation is treated as zero
-
-
-def _as_values(img) -> np.ndarray:
-    if isinstance(img, Image):
-        return img.values()
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("image must be a non-empty 2-D array")
-    return arr
 
 
 def local_std_map(img, half: int = 2) -> np.ndarray:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
+from .analysis import NoiseDistribution, _unit_draws
 from .errors import FormatError, OutOfDomainError
 from .filter import FilterConfig, Image
 from .kernel import KernelSpec, VFamily, WFamily
@@ -152,10 +152,7 @@ def synth_phantom_values(
     base = dens[layout]
     if sigma == 0.0:
         return base
-    bg = np.random.Philox(key=seed)
-    raw = bg.random_raw(layout.size)
-    u = ((raw >> np.uint64(11)) + 0.5) * (2.0 ** -53)
-    noise = ndtri(u).reshape(layout.shape)
+    noise = _unit_draws(NoiseDistribution.Normal, layout.size, seed, 0).reshape(layout.shape)
     return base + sigma * noise
 
 

@@ -3,7 +3,7 @@
 Two algebraically equivalent forms are provided:
 
 - the production ring-separated form (per-ring photometric sums combined with
-  precomputed ring weights), dispatched to the active compute backend;
+  precomputed ring weights), computed by the tiled kernels in ``_core_py``;
 - the dense reference form (flat accumulation over every support offset with
   its per-offset weight), kept deliberately independent in summation
   structure and used as the equivalence oracle.
@@ -22,7 +22,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._backend import get_backend
+from . import _core_py
 from .kernel import KernelSpec, RingNeighborhood, VFamily, build_rings
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "V_CODES",
     "quantize_to_int16",
     "filter_pixel_dense",
-    "filter_pixel_ringed",
     "filter_image",
     "filter_image_values",
     "filter_iterate",
@@ -165,11 +164,8 @@ def filter_pixel_dense(img, p0: tuple[int, int], cfg: FilterConfig) -> float:
     rings = cfg.rings()
     support = _support_values(f, p0[0], p0[1], rings, cfg.border)
     f0 = f[p0[1], p0[0]]
-    backend = get_backend()
     d32 = (support - f0).astype(np.float32)
-    v = np.asarray(
-        backend.v_weights(d32, float(cfg.spec.t), V_CODES[cfg.spec.v]), dtype=np.float64
-    )
+    v = _core_py.v_weights(d32, float(cfg.spec.t), V_CODES[cfg.spec.v]).astype(np.float64)
     w = rings.offset_weights()
     num = 0.0
     den = 0.0
@@ -180,23 +176,6 @@ def filter_pixel_dense(img, p0: tuple[int, int], cfg: FilterConfig) -> float:
     if den > 0.0:
         return num / den
     return float(support.sum() / support.size)
-
-
-def filter_pixel_ringed(img, p0: tuple[int, int], cfg: FilterConfig) -> float:
-    """Production filtered value at ``p0 = (x, y)``: ring-separated accumulation.
-
-    Matches :func:`filter_pixel_dense` within 1e-9 relative; shares its
-    arithmetic (and hence its results, bit for bit) with :func:`filter_image`.
-    """
-    f = _as_values(img)
-    rings = cfg.rings()
-    support = _support_values(f, p0[0], p0[1], rings, cfg.border)
-    f0 = f[p0[1], p0[0]]
-    _, _, starts, ring_w = _ring_arrays(rings)
-    row = np.concatenate(([f0], support))[np.newaxis, :]
-    backend = get_backend()
-    out = backend.ensemble_filter(row, float(cfg.spec.t), V_CODES[cfg.spec.v], starts, ring_w)
-    return float(out[0])
 
 
 def filter_image_values(values: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -211,8 +190,7 @@ def filter_image_values(values: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     rings = cfg.rings()
     dxs, dys, starts, ring_w = _ring_arrays(rings)
     gate = cfg.hu_gate
-    backend = get_backend()
-    return backend.filter_values(
+    return _core_py.filter_values(
         f,
         float(cfg.spec.t),
         V_CODES[cfg.spec.v],

@@ -90,7 +90,11 @@ def _read_raw(path: Path) -> Image:
     meta = _meta_path(path)
     if not meta.exists():
         raise FormatError(f"missing sidecar {meta} for {path}")
-    header = _parse_meta(meta.read_text(encoding="ascii"), meta)
+    try:
+        text = meta.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{meta}: not ASCII text", offset=exc.start) from None
+    header = _parse_meta(text, meta)
     expected = header.width * header.height * 2
     if len(data) != expected:
         raise FormatError(

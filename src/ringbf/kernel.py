@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 MAX_SUPPORT_SIZE = 5
+_T_MAX = float(np.finfo(np.float32).max)  # largest scale the float32 kernels can hold
 
 
 class VFamily(enum.Enum):
@@ -113,8 +114,10 @@ class KernelSpec:
     n: int = 3
 
     def __post_init__(self):
-        if not self.t >= 0:
-            raise ValueError(f"scale t must be >= 0, got {self.t}")
+        # The kernels scale differences by float32(t): a larger t overflows to
+        # inf, and inf * 0 turns the weight of an equal neighbour into NaN.
+        if not 0 <= self.t <= _T_MAX:
+            raise ValueError(f"scale t must be finite, >= 0 and <= {_T_MAX:.6g}, got {self.t}")
         if not 1 <= self.n <= MAX_SUPPORT_SIZE:
             raise ValueError(f"support size n must be in 1..{MAX_SUPPORT_SIZE}, got {self.n}")
 
@@ -123,8 +126,8 @@ class KernelSpec:
 
 
 # Ring geometry: offsets at fixed Euclidean distance from the center, in a
-# fixed declaration order (the accumulation order is part of the numeric
-# contract between backends).  The fifth ring merges the radius-2*sqrt(2) and
+# fixed declaration order (the accumulation order is part of the pinned numeric
+# contract of the kernels).  The fifth ring merges the radius-2*sqrt(2) and
 # radius-3 lattice shells into one ring with the representative radius
 # 2*sqrt(2), the smaller (larger-weight) of the two.
 _RING_RADII = (1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 2.0 * math.sqrt(2.0))

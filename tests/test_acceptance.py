@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import record_acceptance
 
-from ringbf._backend import get_backend
+from ringbf import _core_py
 from ringbf.analysis import (
     NoiseDistribution,
     compute_curve,
@@ -167,7 +167,6 @@ def test_06_support_growth_has_diminishing_returns():
 
 def _dense_reference(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Direct per-offset evaluation over the full image, clamped borders."""
-    backend = get_backend()
     code = V_CODES[spec.v]
     f = vals.astype(np.float64)
     height, width = f.shape
@@ -182,7 +181,7 @@ def _dense_reference(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
             sx = np.clip(xx + dx, 0, width - 1)
             s = f[sy, sx]
             v = np.asarray(
-                backend.v_weights((s - f).astype(np.float32), spec.t, code),
+                _core_py.v_weights((s - f).astype(np.float32), spec.t, code),
                 dtype=np.float64,
             )
             num += ring.weight * v * s

@@ -12,12 +12,10 @@ from ringbf.analysis import (
     NoiseDistribution,
     compute_curve,
     curve_to_csv,
-    default_patch_half_width,
     estimate_K,
     estimate_linear_K,
     find_extrema,
     linear_k0,
-    sample_patch,
     solve_threshold,
 )
 from ringbf.errors import BracketError, ConvergenceError, NumericalError
@@ -41,46 +39,26 @@ def test_distribution_parse():
         NoiseDistribution.parse("poisson")
 
 
-def test_sample_patch_shape_and_determinism():
-    a = sample_patch(NORMAL, 2.0, 3, seed=9)
-    b = sample_patch(NORMAL, 2.0, 3, seed=9)
-    assert a.shape == (7, 7)
+def test_unit_draws_shape_and_determinism():
+    a = analysis._unit_draws(NORMAL, 49, 9, 0)
+    b = analysis._unit_draws(NORMAL, 49, 9, 0)
+    assert a.shape == (49,)
     assert np.array_equal(a, b)
-    c = sample_patch(NORMAL, 2.0, 3, seed=10)
+    c = analysis._unit_draws(NORMAL, 49, 10, 0)
     assert not np.array_equal(a, c)
 
 
-def test_sample_patch_scales_linearly():
-    base = sample_patch(NORMAL, 1.0, 2, seed=4)
-    scaled = sample_patch(NORMAL, 2.5, 2, seed=4)
-    assert np.allclose(scaled, 2.5 * base, rtol=1e-15)
-    assert np.array_equal(sample_patch(NORMAL, 0.0, 2, seed=4), np.zeros((5, 5)))
+def test_unit_draws_uniform_support_and_moments():
+    draws = analysis._unit_draws(UNIFORM, 81 * 81, 0, 0)
+    assert np.all(np.abs(draws) <= math.sqrt(3.0))
+    assert abs(draws.mean()) < 0.03
+    assert draws.std() == pytest.approx(1.0, abs=0.02)
 
 
-def test_sample_patch_uniform_support_and_moments():
-    patch = sample_patch(UNIFORM, 1.0, 40, seed=0)
-    assert np.all(np.abs(patch) <= math.sqrt(3.0))
-    assert abs(patch.mean()) < 0.03
-    assert patch.std() == pytest.approx(1.0, abs=0.02)
-
-
-def test_sample_patch_normal_moments():
-    patch = sample_patch(NORMAL, 1.0, 40, seed=0)
-    assert abs(patch.mean()) < 0.03
-    assert patch.std() == pytest.approx(1.0, abs=0.02)
-
-
-def test_sample_patch_validation():
-    with pytest.raises(ValueError):
-        sample_patch(NORMAL, -1.0, 3, seed=0)
-    with pytest.raises(ValueError):
-        sample_patch(NORMAL, 1.0, 0, seed=0)
-
-
-def test_default_patch_half_width():
-    assert default_patch_half_width(1) == 2
-    assert default_patch_half_width(3) == 4
-    assert default_patch_half_width(5) == 6
+def test_unit_draws_normal_moments():
+    draws = analysis._unit_draws(NORMAL, 81 * 81, 0, 0)
+    assert abs(draws.mean()) < 0.03
+    assert draws.std() == pytest.approx(1.0, abs=0.02)
 
 
 # --- estimator fundamentals ------------------------------------------------

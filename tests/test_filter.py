@@ -13,7 +13,6 @@ from ringbf.filter import (
     filter_iterate,
     filter_iterate_values,
     filter_pixel_dense,
-    filter_pixel_ringed,
     local_stats,
     quantize_to_int16,
 )
@@ -93,9 +92,7 @@ def test_filter_pixel_matches_inline_arithmetic():
     expected = (0.5 * sfv) / (0.5 * sv)
 
     cfg = _cfg(v=VFamily.Frac, t=t, n=1)
-    got = filter_pixel_ringed(f, (2, 2), cfg)
-    assert got == pytest.approx(expected, rel=1e-15)
-    assert filter_image_values(f, cfg)[2, 2] == got
+    assert filter_image_values(f, cfg)[2, 2] == pytest.approx(expected, rel=1e-15)
 
 
 def test_center_pixel_carries_no_weight():
@@ -104,8 +101,8 @@ def test_center_pixel_carries_no_weight():
     f = np.full((5, 5), 50.0)
     f[2, 2] = 30000.0
     for v in (VFamily.Abs, VFamily.Frac, VFamily.Quad, VFamily.Exp):
-        out = filter_pixel_ringed(f, (2, 2), _cfg(v=v, t=0.01, n=2))
-        assert out == pytest.approx(50.0, rel=1e-12)
+        out = filter_image_values(f, _cfg(v=v, t=0.01, n=2))
+        assert out[2, 2] == pytest.approx(50.0, rel=1e-12)
 
 
 # --- exactness and algebraic properties -----------------------------------
@@ -144,19 +141,24 @@ def test_dense_and_ringed_forms_agree():
     ):
         f = _random_image(seed, (14, 14))
         cfg = _cfg(v=v, t=0.07, n=n, w=w)
+        ringed = filter_image_values(f, cfg)
         for x in range(4, 10):
             for y in range(4, 10):
                 dense = filter_pixel_dense(f, (x, y), cfg)
-                ringed = filter_pixel_ringed(f, (x, y), cfg)
-                assert ringed == pytest.approx(dense, rel=1e-9)
+                assert ringed[y, x] == pytest.approx(dense, rel=1e-9)
 
 
 def test_ringed_pixel_matches_full_image_bitwise():
+    # a pixel's ring-filtered value depends on its support alone: filtering
+    # just the window around it reproduces the full-image value bit for bit
     f = _random_image(11, (18, 18))
     cfg = _cfg(v=VFamily.Exp, t=0.04, n=4)
+    margin = cfg.rings().margin()
     out = filter_image_values(f, cfg)
     for x, y in ((5, 5), (9, 12), (3, 14)):
-        assert filter_pixel_ringed(f, (x, y), cfg) == out[y, x]
+        window = f[max(0, y - margin) : y + margin + 1, max(0, x - margin) : x + margin + 1]
+        local = filter_image_values(window, cfg)
+        assert local[min(y, margin), min(x, margin)] == out[y, x]
 
 
 def test_output_within_input_range():
@@ -201,10 +203,22 @@ def test_photometric_collapse_falls_back_to_support_mean():
     cfg = _cfg(v=VFamily.Exp, t=5.0, n=1)
     rings = build_rings(1, WFamily.power())
     neighbors = np.array([f[3, 4], f[3, 2], f[4, 3], f[2, 3]])
-    out = filter_pixel_ringed(f, (3, 3), cfg)
+    out = filter_image_values(f, cfg)[3, 3]
     assert out == pytest.approx(neighbors.mean(), rel=1e-12)
-    shifted = filter_pixel_ringed(f + 100.0, (3, 3), cfg)
+    shifted = filter_image_values(f + 100.0, cfg)[3, 3]
     assert shifted == pytest.approx(out + 100.0, abs=1e-9)
+
+
+def test_scale_beyond_float32_is_rejected_not_averaged():
+    # float32(1e39) is inf, and inf * 0 made the weight of every equal
+    # neighbour NaN, so the center silently became the support mean (25.0)
+    f = np.zeros((3, 3))
+    f[1, 2] = 100.0
+    with pytest.raises(ValueError):
+        _cfg(v=VFamily.Frac, t=1e39, n=1)
+    with np.errstate(over="ignore"):
+        out = filter_image_values(f, _cfg(v=VFamily.Frac, t=float(np.finfo(np.float32).max), n=1))
+    assert out[1, 1] == 0.0
 
 
 # --- gating ----------------------------------------------------------------
@@ -262,7 +276,7 @@ def test_pixel_filter_skip_raises_off_margin():
     f = _random_image(32, (9, 9))
     cfg = _cfg(n=3, border="skip")
     with pytest.raises(ValueError):
-        filter_pixel_ringed(f, (1, 4), cfg)
+        filter_pixel_dense(f, (1, 4), cfg)
     with pytest.raises(ValueError):
         filter_pixel_dense(f, (8, 8), cfg)
 
@@ -347,4 +361,4 @@ def test_pixel_out_of_bounds():
     with pytest.raises(ValueError):
         local_stats(f, (5, 0), rings)
     with pytest.raises(ValueError):
-        filter_pixel_ringed(f, (0, -1), _cfg())
+        filter_pixel_dense(f, (0, -1), _cfg())

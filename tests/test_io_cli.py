@@ -51,6 +51,18 @@ def test_raw_meta_errors(tmp_path):
     assert read_image(path).width == 2
 
 
+def test_raw_meta_non_ascii_exits_two(tmp_path, capsys):
+    path = tmp_path / "img.raw"
+    path.write_bytes(b"\x00" * 8)
+    (tmp_path / "img.meta").write_bytes(b"width=2\nheight=2\n# caf\xe9\n")
+    with pytest.raises(FormatError, match="img.meta"):
+        read_image(path)
+    rc = cli_dispatch(["filter", "--in", str(path), "--out", str(tmp_path / "o.raw"),
+                       "--v", "frac", "--t", "1", "--n", "3"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_raw_data_size_mismatch(tmp_path):
     path = tmp_path / "img.raw"
     (tmp_path / "img.meta").write_text("width=3\nheight=2\n")
@@ -268,6 +280,17 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert cli_dispatch(["plan", "--dose-fraction", "1.0",
                          "--in", "x.raw"]) == 1
     capsys.readouterr()
+
+
+def test_cli_filter_scale_beyond_float32_exits_one(tmp_path, capsys):
+    inp = tmp_path / "in.raw"
+    write_image(inp, _img([[0, 0, 0], [0, 0, 100], [0, 0, 0]]))
+    out = tmp_path / "out.raw"
+    rc = cli_dispatch(["filter", "--in", str(inp), "--out", str(out),
+                       "--v", "frac", "--t", "1e39", "--n", "1"])
+    assert rc == 1
+    assert "scale t" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_file_exits_two(tmp_path, capsys):

@@ -204,6 +204,14 @@ def test_kernel_spec_validation():
         KernelSpec(v=VFamily.Frac, t=1.0, n=6)
 
 
+def test_kernel_spec_rejects_scales_float32_cannot_hold():
+    t_max = float(np.finfo(np.float32).max)
+    assert KernelSpec(v=VFamily.Frac, t=t_max).t == t_max
+    for t in (math.inf, math.nan, 1e39, math.nextafter(t_max, math.inf)):
+        with pytest.raises(ValueError):
+            KernelSpec(v=VFamily.Frac, t=t)
+
+
 # --- axiom validation ------------------------------------------------------
 
 
