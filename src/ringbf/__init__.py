@@ -30,14 +30,19 @@ from .analysis import (
     solve_threshold,
 )
 from .calibrate import (
+    LocalMaps,
+    PointSummary,
     PolyFit,
     PredictorStats,
     RegressionReport,
     empirical_K_points,
     fit_polynomial,
     format_calibration_report,
+    format_points,
+    local_maps,
     local_std_map,
     regress_noise,
+    summarize_points,
 )
 from .ctmodel import (
     DEFAULT_DOSE_MODEL,
@@ -142,12 +147,17 @@ __all__ = [
     "load_dose_model",
     # calibration
     "local_std_map",
+    "LocalMaps",
+    "local_maps",
     "empirical_K_points",
+    "PointSummary",
+    "summarize_points",
     "PolyFit",
     "fit_polynomial",
     "PredictorStats",
     "RegressionReport",
     "regress_noise",
+    "format_points",
     "format_calibration_report",
     # io
     "read_image",

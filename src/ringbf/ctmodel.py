@@ -8,6 +8,7 @@ far outside the soft-tissue range pass through untouched.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,11 +45,24 @@ class DoseNoiseModel:
     x_hi: float
 
     def __post_init__(self):
+        fields = (self.a, self.b, self.c, self.x_lo, self.x_hi)
+        if not all(math.isfinite(v) for v in fields):
+            raise ValueError(f"noise model fields must be finite, got {fields}")
         if not self.x_lo < self.x_hi:
             raise ValueError(f"invalid dose interval [{self.x_lo}, {self.x_hi}]")
-        grid = np.linspace(self.x_lo, self.x_hi, 101)
-        if np.any(self.a * grid * grid + self.b * grid + self.c <= 0):
-            raise ValueError("noise model must be positive on its valid interval")
+        # a quadratic takes its extremes on an interval at the ends or the vertex
+        xs = [self.x_lo, self.x_hi]
+        if self.a != 0.0:
+            vertex = -self.b / (2.0 * self.a)
+            if self.x_lo < vertex < self.x_hi:
+                xs.append(vertex)
+        for x in xs:
+            s = self.a * x * x + self.b * x + self.c
+            if not (s > 0.0 and math.isfinite(s)):
+                raise ValueError(
+                    f"noise model must be positive and finite on its valid interval; "
+                    f"sigma({x!r}) = {s!r}"
+                )
 
 
 DEFAULT_DOSE_MODEL = DoseNoiseModel(a=313.33, b=-673.4, c=423.9, x_lo=0.25, x_hi=1.0)

@@ -10,14 +10,32 @@ Two on-disk image formats are supported, both 16-bit:
   for viewing in standard tools.  Values must fit in [0, 32767]; writing a
   negative image raises ``RangeError`` directing the caller to ``.raw``.
 
+Every file is written to a temporary file in its target's directory and then
+renamed into place, so a failure part-way (a full disk, say) leaves any
+earlier file of that name, or ``.raw``/``.meta`` pair, as it was.  The rename
+is atomic; nothing is synced to disk, so this does not guard against a power
+loss.
+
 The CLI (``ringbf <subcommand>``) exposes filtering, deviation-reduction
 curves, threshold solving, dose planning, calibration reports, and phantom
-synthesis.  Exit codes: 0 success, 1 usage/validation error, 2 malformed
-file, 3 numerical failure (bracket, convergence, or degenerate fit).
+synthesis.  ``ringbf calibrate`` writes a text report of blank-line separated
+CSV sections:
+
+* ``t_lo,t_hi,count,t_mean,ratio_mean,ratio_std`` — the per-pixel
+  (t, ratio) points in up to 32 equal-count bins over ``t``;
+* ``degree,c0..cd,r_squared`` — the polynomial trend fit, one row;
+* ``term,coefficient,std_error,t_stat,p_value`` — the noise regression, rows
+  ``intercept``, ``s_L`` and ``f_a``, then ``samples,N`` and ``dof,N``.
+
+``--points FILE`` also writes every point as a ``t,ratio`` list.
+
+Exit codes: 0 success, 1 usage/validation error, 2 malformed file, 3 numerical
+failure (bracket, convergence, or degenerate fit).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +47,10 @@ from .calibrate import (
     empirical_K_points,
     fit_polynomial,
     format_calibration_report,
+    format_points,
+    local_maps,
     regress_noise,
+    summarize_points,
 )
 from .ctmodel import DEFAULT_DOSE_MODEL, load_dose_model, plan_filter, synth_phantom
 from .errors import FormatError, NumericalError, RangeError
@@ -58,6 +79,24 @@ class RawImageHeader:
 
 def _meta_path(raw_path: Path) -> Path:
     return raw_path.with_suffix(".meta")
+
+
+def _write_files(contents: dict[Path, bytes]) -> None:
+    """Write ``{path: bytes}``, each through a temporary file beside its path.
+
+    All temporary files are written before any is renamed over its target,
+    so a failed write changes no target and leaves no temporary file behind.
+    """
+    staged = {}
+    try:
+        for path, data in contents.items():
+            staged[path] = tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            tmp.write_bytes(data)
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
 
 
 def _parse_meta(text: str, path: Path) -> RawImageHeader:
@@ -106,8 +145,10 @@ def _read_raw(path: Path) -> Image:
 
 
 def _write_raw(path: Path, img: Image) -> None:
-    path.write_bytes(np.ascontiguousarray(img.pixels, dtype="<i2").tobytes())
-    _meta_path(path).write_text(f"width={img.width}\nheight={img.height}\n", encoding="ascii")
+    _write_files({
+        path: np.ascontiguousarray(img.pixels, dtype="<i2").tobytes(),
+        _meta_path(path): f"width={img.width}\nheight={img.height}\n".encode("ascii"),
+    })
 
 
 def _read_pgm(path: Path) -> Image:
@@ -194,7 +235,7 @@ def _write_pgm(path: Path, img: Image) -> None:
             f"cannot write {path}: pixel value {hi} exceeds the supported range [0, {_PGM_MAX}]"
         )
     header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
-    path.write_bytes(header + np.ascontiguousarray(img.pixels, dtype=">u2").tobytes())
+    _write_files({path: header + np.ascontiguousarray(img.pixels, dtype=">u2").tobytes()})
 
 
 def read_image(path) -> Image:
@@ -290,7 +331,7 @@ def _cmd_curve(args) -> int:
     grid = _parse_grid(args.t_grid)
     curve = compute_curve(spec, grid, NoiseDistribution.parse(args.dist),
                           trials=args.trials, seed=args.seed)
-    Path(args.out).write_text(curve_to_csv(curve), encoding="ascii", newline="\n")
+    _write_files({Path(args.out): curve_to_csv(curve).encode("ascii")})
     return 0
 
 
@@ -335,13 +376,15 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    high = read_image(args.high)
-    low = read_image(args.low)
-    points = empirical_K_points(high, low, args.window)
+    maps = local_maps(read_image(args.high), read_image(args.low), args.window)
+    points = empirical_K_points(maps)
     fit = fit_polynomial(points, args.degree)
-    regression = regress_noise(high, low, args.window)
-    text = format_calibration_report(points, fit, regression)
-    Path(args.out).write_text(text, encoding="ascii", newline="\n")
+    regression = regress_noise(maps)
+    report = format_calibration_report(summarize_points(points), fit, regression)
+    files = {Path(args.out): report.encode("ascii")}
+    if args.points:
+        files[Path(args.points)] = format_points(points).encode("ascii")
+    _write_files(files)
     return 0
 
 
@@ -432,6 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=2, help="window half-size (default 2)")
     p.add_argument("--degree", type=int, default=4, help="trend polynomial degree (default 4)")
     p.add_argument("--out", required=True, help="output report path")
+    p.add_argument("--points", default=None,
+                   help="also write every per-pixel 't,ratio' point to this file")
     p.set_defaults(handler=_cmd_calibrate)
 
     p = sub.add_parser("phantom", help="synthesize a banded test image")

@@ -1,6 +1,7 @@
 """The tiled compute kernels: oracle agreement, invariants, tiling independence."""
 import hashlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ def test_gated_out_and_margin_pixels_pass_through_bit_exactly(case):
     _, gated_out, margin = _masks(f, cfg)
     copied = gated_out | margin
     assert out[copied].tobytes() == f[copied].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("v", list(VFamily))
+@settings(max_examples=8, deadline=None)
+@given(case=cases(), c=st.integers(-30000, 30000))
+def test_filter_commutes_with_intensity_offsets(v, n, case, c):
+    f, cfg = case
+    cfg = replace(cfg, spec=replace(cfg.spec, v=v, n=n))
+    base = filter_image_values(f, cfg)
+    if cfg.hu_gate is not None:  # the gate moves with the intensities
+        cfg = replace(cfg, hu_gate=(cfg.hu_gate[0] + c, cfg.hu_gate[1] + c))
+    shifted = filter_image_values(f + c, cfg)
+    # integer differences are exact, so only the weighted sums' rounding differs
+    scale = 1.0 + np.abs(f).max() + abs(c)
+    assert np.abs(shifted - (base + c)).max() <= 1e-12 * scale
 
 
 @settings(max_examples=25, deadline=None)

@@ -59,6 +59,38 @@ def test_model_validation():
         DoseNoiseModel(a=0.0, b=-2.0, c=1.0, x_lo=0.0, x_hi=1.0)
 
 
+@pytest.mark.parametrize("field", ["a", "b", "c", "x_lo", "x_hi"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_model_rejects_non_finite_fields(field, bad):
+    fields = dict(a=0.0, b=0.0, c=1.0, x_lo=0.0, x_hi=1.0)
+    fields[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DoseNoiseModel(**fields)
+
+
+def test_model_rejects_dip_between_grid_points():
+    # the vertex lies between the points of a 101-point grid over [0, 1]
+    a, x_v = 1e6, 0.5025
+    with pytest.raises(ValueError, match="positive"):
+        DoseNoiseModel(a=a, b=-2 * a * x_v, c=a * x_v * x_v - 1, x_lo=0.0, x_hi=1.0)
+    # the same parabola lifted clear of zero is valid
+    DoseNoiseModel(a=a, b=-2 * a * x_v, c=a * x_v * x_v + 1, x_lo=0.0, x_hi=1.0)
+
+
+def test_model_positivity_is_checked_at_the_interval_ends():
+    # zero exactly at an end (vertex outside or at the end) is rejected
+    with pytest.raises(ValueError):
+        DoseNoiseModel(a=1.0, b=-2.0, c=1.0, x_lo=0.0, x_hi=1.0)
+    with pytest.raises(ValueError):
+        DoseNoiseModel(a=0.0, b=1.0, c=0.0, x_lo=0.0, x_hi=1.0)
+    DoseNoiseModel(a=0.0, b=1.0, c=0.0, x_lo=1e-9, x_hi=1.0)
+
+
+def test_model_rejects_overflowing_sigma():
+    with pytest.raises(ValueError):
+        DoseNoiseModel(a=1e308, b=0.0, c=1.0, x_lo=0.0, x_hi=10.0)
+
+
 # --- filter planning --------------------------------------------------------
 
 
@@ -210,6 +242,17 @@ def test_load_dose_model_rejects_bad_interval_and_negativity(tmp_path):
         load_dose_model(p)
     # a model that goes non-positive on its interval is a config error too
     p.write_text("0.0 -2.0 1.0 0.0 1.0\n")
+    with pytest.raises(FormatError):
+        load_dose_model(p)
+
+
+@pytest.mark.parametrize("text", [
+    "nan 0 1 0 1\n",
+    f"1e6 {-2e6 * 0.5025!r} {1e6 * 0.5025 ** 2 - 1!r} 0 1\n",
+])
+def test_load_dose_model_rejects_nan_and_hidden_dip(tmp_path, text):
+    p = tmp_path / "model.txt"
+    p.write_text(text)
     with pytest.raises(FormatError):
         load_dose_model(p)
 

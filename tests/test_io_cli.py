@@ -1,7 +1,11 @@
 """Image container formats and the command-line interface."""
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ringbf.calibrate import empirical_K_points, local_maps, summarize_points
 from ringbf.errors import FormatError, RangeError
 from ringbf.filter import Image
 from ringbf.io_cli import cli_dispatch, read_image, write_image
@@ -24,6 +28,31 @@ def test_raw_roundtrip_and_exact_bytes(tmp_path):
     assert (tmp_path / "img.meta").read_text() == "width=2\nheight=2\n"
     back = read_image(path)
     assert np.array_equal(back.values(), img.values())
+
+
+def _fail_writes_to(monkeypatch, marker):
+    """Make every write to a file whose name contains ``marker`` fail part-way."""
+    real = Path.write_bytes
+
+    def write_bytes(self, data):
+        if marker in self.name:
+            real(self, data[:1])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+
+
+def test_raw_write_failure_keeps_existing_pair(tmp_path, monkeypatch):
+    path = tmp_path / "img.raw"
+    old = _img([[1, 2, 3], [4, 5, 6]])
+    write_image(path, old)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fail_writes_to(monkeypatch, ".meta")
+    with pytest.raises(OSError):
+        write_image(path, _img([[7, 8], [9, 10], [11, 12]]))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no temp file left
+    assert np.array_equal(read_image(path).values(), old.values())
 
 
 def test_raw_missing_sidecar_names_it(tmp_path):
@@ -244,7 +273,7 @@ def test_cli_plan_apply_filters_image(tmp_path, capsys):
     assert after.std() < before.std()
 
 
-def test_cli_calibrate_end_to_end(tmp_path):
+def _phantom_pair(tmp_path):
     low, high = tmp_path / "low.raw", tmp_path / "high.raw"
     assert cli_dispatch(
         ["phantom", "--densities", "80,160", "--sigma", "40", "--size", "32x32",
@@ -254,16 +283,70 @@ def test_cli_calibrate_end_to_end(tmp_path):
         ["phantom", "--densities", "80,160", "--sigma", "15", "--size", "32x32",
          "--seed", "4", "--out", str(high)]
     ) == 0
+    return high, low
+
+
+def test_cli_calibrate_end_to_end(tmp_path):
+    high, low = _phantom_pair(tmp_path)
     report = tmp_path / "report.txt"
     rc = cli_dispatch(
         ["calibrate", "--high", str(high), "--low", str(low), "--degree", "2",
          "--out", str(report)]
     )
     assert rc == 0
-    text = report.read_text()
-    assert text.startswith("t,ratio\n")
-    assert "degree,c0,c1,c2,r_squared" in text
-    assert "term,coefficient,std_error,t_stat,p_value" in text
+    lines = report.read_text().splitlines()
+    assert lines[0] == "t_lo,t_hi,count,t_mean,ratio_mean,ratio_std"
+    blank = lines.index("")
+    rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:blank]])
+    pts = empirical_K_points(local_maps(read_image(high), read_image(low)))
+    assert rows[:, 2].sum() == len(pts) == 32 * 32
+    # the report rounds edges to 9 digits, so bin membership uses the exact ones
+    summary = summarize_points(pts)
+    assert np.allclose(rows[:, 0], summary.t_lo, rtol=1e-8, atol=0)
+    assert np.allclose(rows[:, 1], summary.t_hi, rtol=1e-8, atol=0)
+    t, ratio = pts[:, 0], pts[:, 1]
+    last = len(rows) - 1
+    for i, (t_lo, t_hi, row) in enumerate(zip(summary.t_lo, summary.t_hi, rows)):
+        inside = (t >= t_lo) & ((t < t_hi) | ((i == last) & (t <= t_hi)))
+        assert inside.sum() == row[2]
+        assert row[3] == pytest.approx(t[inside].mean(), rel=1e-8)
+        assert row[4] == pytest.approx(ratio[inside].mean(), rel=1e-8)
+    assert not any(line.startswith(("samples,", "s_L,")) for line in lines[:blank])
+    assert lines[blank + 1] == "degree,c0,c1,c2,r_squared"
+    assert len(lines[blank + 2].split(",")) == 5
+    tbl = lines.index("term,coefficient,std_error,t_stat,p_value")
+    assert [line.split(",")[0] for line in lines[tbl + 1:tbl + 4]] == ["intercept", "s_L", "f_a"]
+    assert lines[-2:] == ["samples,1024", "dof,1021"]
+    assert not (tmp_path / "points.txt").exists()
+
+
+def test_cli_calibrate_points_file_is_the_full_point_list(tmp_path):
+    high, low = _phantom_pair(tmp_path)
+    report, points = tmp_path / "report.txt", tmp_path / "points.txt"
+    rc = cli_dispatch(
+        ["calibrate", "--high", str(high), "--low", str(low), "--out", str(report),
+         "--points", str(points)]
+    )
+    assert rc == 0
+    pts = empirical_K_points(local_maps(read_image(high), read_image(low)))
+    # the (t, ratio) block that earlier reports began with, byte for byte
+    rows = "".join(f"{t:.9g},{r:.9g}\n" for t, r in pts)
+    assert points.read_bytes() == ("t,ratio\n" + rows).encode("ascii")
+    assert report.read_text().startswith("t_lo,t_hi,count,")
+
+
+def test_cli_calibrate_write_failure_keeps_old_report(tmp_path, monkeypatch, capsys):
+    high, low = _phantom_pair(tmp_path)
+    report = tmp_path / "report.txt"
+    report.write_text("old report\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    _fail_writes_to(monkeypatch, "report.txt")
+    rc = cli_dispatch(["calibrate", "--high", str(high), "--low", str(low),
+                       "--out", str(report), "--points", str(tmp_path / "points.txt")])
+    assert rc == 1
+    assert "No space left" in capsys.readouterr().err
+    assert report.read_text() == "old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_cli_usage_errors_exit_one(tmp_path, capsys):
@@ -291,6 +374,18 @@ def test_cli_filter_scale_beyond_float32_exits_one(tmp_path, capsys):
     assert rc == 1
     assert "scale t" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coefficients", [
+    "nan 0 1",
+    # vertex at x = 0.5025, where sigma dips to -1 between grid points
+    f"1e6 {-2e6 * 0.5025!r} {1e6 * 0.5025 ** 2 - 1!r}",
+])
+def test_cli_plan_rejects_bad_model_file(tmp_path, capsys, coefficients):
+    model = tmp_path / "model.txt"
+    model.write_text(f"{coefficients} 0 1\n")
+    assert cli_dispatch(["plan", "--dose-fraction", "0.5", "--model", str(model)]) == 2
+    assert "noise model" in capsys.readouterr().err
 
 
 def test_cli_bad_file_exits_two(tmp_path, capsys):
