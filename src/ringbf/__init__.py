@@ -69,13 +69,11 @@ from .errors import (
 from .filter import (
     FilterConfig,
     Image,
-    LocalStats,
     filter_image,
     filter_image_values,
     filter_iterate,
     filter_iterate_values,
     filter_pixel_dense,
-    local_stats,
     quantize_to_int16,
 )
 from .io_cli import cli_dispatch, read_image, write_image
@@ -112,14 +110,12 @@ __all__ = [
     # filter
     "Image",
     "FilterConfig",
-    "LocalStats",
     "quantize_to_int16",
     "filter_pixel_dense",
     "filter_image",
     "filter_image_values",
     "filter_iterate",
     "filter_iterate_values",
-    "local_stats",
     # analysis
     "NoiseDistribution",
     "KEstimate",

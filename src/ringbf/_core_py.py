@@ -23,8 +23,8 @@ depend on the tiling or the thread count:
 - a pixel whose photometric weights all underflow to zero falls back to the
   unweighted mean of its support values.
 
-V family codes: 0 = Abs, 1 = Frac, 2 = Quad, 3 = Exp.
-Border codes: 0 = clamp (edge replication), 1 = skip (copy the margin).
+Both entry points take a ``KernelSpec`` and lower it here, and only here:
+the ring layout and weights come from ``build_rings(spec.n, spec.w)``.
 """
 from __future__ import annotations
 
@@ -34,6 +34,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .kernel import KernelSpec, RingNeighborhood, VFamily, build_rings
+
 _ONE = np.float32(1.0)
 
 _STRIP_ELEMS = 1 << 16  # pixels per image strip (32 rows at 2048 wide)
@@ -42,27 +44,27 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _v_in_place(u: np.ndarray, v_code: int) -> np.ndarray:
+def _v_in_place(u: np.ndarray, v: VFamily) -> np.ndarray:
     """Turn float32 scaled differences ``u`` into photometric weights, in place."""
-    if v_code == 0:
+    if v is VFamily.Abs:
         np.abs(u, out=u)
-    elif v_code == 1 or v_code == 2:
+    elif v is VFamily.Frac or v is VFamily.Quad:
         np.multiply(u, u, out=u)
-        if v_code == 2:
+        if v is VFamily.Quad:
             np.multiply(u, u, out=u)
-    elif v_code == 3:
+    elif v is VFamily.Exp:
         np.multiply(u, u, out=u)
         np.negative(u, out=u)
         return np.exp(u, out=u)
     else:
-        raise ValueError(f"unknown V family code {v_code}")
+        raise ValueError(f"unknown V family {v!r}")
     np.add(_ONE, u, out=u)
     return np.divide(_ONE, u, out=u)
 
 
-def v_weights(d: np.ndarray, t: float, v_code: int) -> np.ndarray:
+def v_weights(d: np.ndarray, t: float, v: VFamily) -> np.ndarray:
     """Float32 photometric weights for float32 differences ``d`` at scale ``t``."""
-    return _v_in_place(np.float32(t) * d, v_code)
+    return _v_in_place(np.float32(t) * d, v)
 
 
 def _buffers(shape) -> tuple[np.ndarray, ...]:
@@ -72,67 +74,61 @@ def _buffers(shape) -> tuple[np.ndarray, ...]:
             + (np.empty(shape, np.bool_),))
 
 
-def _filter_tile(center, neighbours, out, buffers, t32, v_code, ring_starts, ring_weights):
+def _filter_tile(center, neighbours, out, buffers, spec: KernelSpec, rings: RingNeighborhood):
     """Filter one tile of centers into ``out``.
 
-    ``neighbours[j]`` holds the tile's values at support offset ``j`` (ring
-    order); ``buffers`` come from ``_buffers`` with a first axis at least as
-    long as the tile's.
+    ``neighbours[j]`` holds the tile's values at support offset ``j`` of
+    ``rings.all_offsets()``; ``buffers`` come from ``_buffers`` with a first
+    axis at least as long as the tile's.
     """
     u, sv, sfv, num, den, supsum, tmp, safe = (b[: len(center)] for b in buffers)
+    t32 = np.float32(spec.t)
     num.fill(0.0)
     den.fill(0.0)
     supsum.fill(0.0)
-    for i in range(len(ring_weights)):
+    j = 0
+    for ring in rings.rings:
         sv.fill(0.0)
         sfv.fill(0.0)
-        for j in range(int(ring_starts[i]), int(ring_starts[i + 1])):
-            nb = neighbours[j]
+        for nb in neighbours[j : j + len(ring.offsets)]:
             np.subtract(nb, center, out=u)  # in float64, rounded once to float32
             np.multiply(u, t32, out=u)
-            _v_in_place(u, v_code)
+            _v_in_place(u, spec.v)
             np.add(sv, u, out=sv)
             np.multiply(u, nb, out=tmp)
             np.add(sfv, tmp, out=sfv)
             np.add(supsum, nb, out=supsum)
-        wi = float(ring_weights[i])
-        np.multiply(sfv, wi, out=tmp)
+        j += len(ring.offsets)
+        np.multiply(sfv, ring.weight, out=tmp)
         np.add(num, tmp, out=num)
-        np.multiply(sv, wi, out=tmp)
+        np.multiply(sv, ring.weight, out=tmp)
         np.add(den, tmp, out=den)
     np.greater(den, 0.0, out=safe)
     np.divide(num, den, out=out, where=safe)
     np.logical_not(safe, out=safe)
-    np.divide(supsum, int(ring_starts[len(ring_weights)]), out=out, where=safe)
+    np.divide(supsum, rings.size, out=out, where=safe)
 
 
 def filter_values(
     f: np.ndarray,
-    t: float,
-    v_code: int,
-    dxs: np.ndarray,
-    dys: np.ndarray,
-    ring_starts: np.ndarray,
-    ring_weights: np.ndarray,
-    border_code: int,
-    gate_lo: float,
-    gate_hi: float,
-    has_gate: bool,
+    spec: KernelSpec,
+    gate: tuple[float, float] | None = None,
+    skip: bool = False,
 ) -> np.ndarray:
     """Ring-separated bilateral filter over a float64 image.
 
-    ``dxs``/``dys`` are the support offsets flattened in ring order;
-    ``ring_starts`` delimits rings (length = ring count + 1);
-    ``ring_weights`` is the per-ring spatial weight.
+    Centers outside the closed interval ``gate`` keep their input value;
+    ``skip`` copies the input over the support's margin, where the clamped
+    (edge-replicated) support would leave the image.
     Returns the pre-rounding float64 output image.
     """
     f = np.ascontiguousarray(f, dtype=np.float64)
     h, w = f.shape
-    margin = int(max(np.max(np.abs(dxs)), np.max(np.abs(dys))))
+    rings = build_rings(spec.n, spec.w)
+    margin = rings.margin()
     pad = np.pad(f, margin, mode="edge")
     out = np.empty((h, w), dtype=np.float64)
-    t32 = np.float32(t)
-    offsets = [(margin + int(dy), margin + int(dx)) for dx, dy in zip(dxs, dys)]
+    offsets = [(margin + dy, margin + dx) for dx, dy in rings.all_offsets()]
     rows = max(1, _STRIP_ELEMS // w)
     strips = [(y, min(y + rows, h)) for y in range(0, h, rows)]
 
@@ -141,10 +137,9 @@ def filter_values(
         for y0, y1 in part:
             center = f[y0:y1]
             neighbours = [pad[oy + y0 : oy + y1, ox : ox + w] for oy, ox in offsets]
-            _filter_tile(center, neighbours, out[y0:y1], buffers, t32, v_code,
-                         ring_starts, ring_weights)
-            if has_gate:
-                np.copyto(out[y0:y1], center, where=~((center >= gate_lo) & (center <= gate_hi)))
+            _filter_tile(center, neighbours, out[y0:y1], buffers, spec, rings)
+            if gate is not None:
+                np.copyto(out[y0:y1], center, where=~((center >= gate[0]) & (center <= gate[1])))
 
     workers = min(_WORKERS, len(strips))
     if workers == 1:
@@ -157,7 +152,7 @@ def filter_values(
             for future in futures:
                 future.result()
 
-    if border_code == 1 and margin > 0:
+    if skip:
         out[:margin, :] = f[:margin, :]
         out[-margin:, :] = f[-margin:, :]
         out[:, :margin] = f[:, :margin]
@@ -165,26 +160,22 @@ def filter_values(
     return out
 
 
-def ensemble_filter(
-    vals: np.ndarray,
-    t: float,
-    v_code: int,
-    ring_starts: np.ndarray,
-    ring_weights: np.ndarray,
-) -> np.ndarray:
+def ensemble_filter(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Filter the center of each trial row.
 
     ``vals`` has one row per trial: column 0 is the center value, the
     remaining columns are the support values in ring order.  Returns the
     filtered center per trial (float64).
     """
+    rings = build_rings(spec.n, spec.w)
     vals = np.ascontiguousarray(vals, dtype=np.float64)
+    if vals.ndim != 2 or vals.shape[1] != 1 + rings.size:
+        raise ValueError(f"trial rows must hold 1 + {rings.size} values, got shape {vals.shape}")
     n_trials = vals.shape[0]
     out = np.empty(n_trials, dtype=np.float64)
     buffers = _buffers(min(_TRIAL_CHUNK, n_trials))
-    t32 = np.float32(t)
     for start in range(0, n_trials, _TRIAL_CHUNK):
         block = vals[start : start + _TRIAL_CHUNK]
         _filter_tile(block[:, 0], block[:, 1:].T, out[start : start + _TRIAL_CHUNK],
-                     buffers, t32, v_code, ring_starts, ring_weights)
+                     buffers, spec, rings)
     return out

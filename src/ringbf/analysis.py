@@ -30,7 +30,6 @@ from scipy.special import ndtri
 
 from . import _core_py
 from .errors import BracketError, ConvergenceError, NumericalError
-from .filter import V_CODES, _ring_arrays
 from .kernel import KernelSpec, WFamily, build_rings
 
 __all__ = [
@@ -186,11 +185,16 @@ def _ratio_estimate(f0: np.ndarray, h: np.ndarray, t: float, n: int) -> KEstimat
     return KEstimate(t=float(t), n=n, k_hat=k_hat, std_err=std_err, trials=trials)
 
 
-def _estimate_from_values(
-    vals: np.ndarray, spec: KernelSpec, t: float, starts: np.ndarray, ring_w: np.ndarray
-) -> KEstimate:
-    h = _core_py.ensemble_filter(vals, float(t), V_CODES[spec.v], starts, ring_w)
-    return _ratio_estimate(vals[:, 0], np.asarray(h), t, spec.n)
+def _support_draws(
+    spec: KernelSpec, dist: NoiseDistribution, trials: int, seed: int
+) -> np.ndarray:
+    """Unit-scale trial rows for the spec's support (its t plays no part)."""
+    return _draw_support_values(dist, build_rings(spec.n, spec.w).size, trials, seed)
+
+
+def _estimate_at(vals: np.ndarray, spec: KernelSpec) -> KEstimate:
+    """K at the spec's own t, from trial rows drawn by ``_support_draws``."""
+    return _ratio_estimate(vals[:, 0], _core_py.ensemble_filter(vals, spec), spec.t, spec.n)
 
 
 def _check_trials(trials: int):
@@ -211,11 +215,8 @@ def estimate_K(
     its draws across all t (common random numbers).
     """
     _check_trials(trials)
-    if not t >= 0:
-        raise ValueError(f"scale t must be >= 0, got {t}")
-    _, _, starts, ring_w = _ring_arrays(build_rings(spec.n, spec.w))
-    vals = _draw_support_values(dist, int(starts[-1]), trials, seed)
-    return _estimate_from_values(vals, spec, t, starts, ring_w)
+    spec = spec.with_t(t)
+    return _estimate_at(_support_draws(spec, dist, trials, seed), spec)
 
 
 def estimate_linear_K(
@@ -256,13 +257,11 @@ def compute_curve(
     grid = [float(t) for t in t_grid]
     if not grid:
         raise ValueError("t grid must be non-empty")
-    if any(t < 0 for t in grid):
-        raise ValueError("t grid values must be non-negative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t grid must be strictly ascending")
-    _, _, starts, ring_w = _ring_arrays(build_rings(spec.n, spec.w))
-    vals = _draw_support_values(dist, int(starts[-1]), trials, seed)
-    points = tuple(_estimate_from_values(vals, spec, t, starts, ring_w) for t in grid)
+    specs = [spec.with_t(t) for t in grid]  # checks every t before any draw
+    vals = _support_draws(spec, dist, trials, seed)
+    points = tuple(_estimate_at(vals, s) for s in specs)
     fp = CurveFingerprint(
         v=spec.v.value,
         w=spec.w.variant.value if spec.w.sigma_d is None else f"{spec.w.variant.value}:{spec.w.sigma_d}",
@@ -296,11 +295,11 @@ def solve_threshold(
         raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    _, _, starts, ring_w = _ring_arrays(build_rings(spec.n, spec.w))
-    vals = _draw_support_values(dist, int(starts[-1]), trials, seed)
+    spec.with_t(t_hi)  # every probe lies in [t_lo, t_hi]: reject an unusable t_hi before drawing
+    vals = _support_draws(spec, dist, trials, seed)
 
     def k_at(t: float) -> float:
-        return _estimate_from_values(vals, spec, t, starts, ring_w).k_hat
+        return _estimate_at(vals, spec.with_t(t)).k_hat
 
     k_lo = k_at(t_lo)
     k_hi = k_at(t_hi)

@@ -23,26 +23,20 @@ from typing import Literal
 import numpy as np
 
 from . import _core_py
-from .kernel import KernelSpec, RingNeighborhood, VFamily, build_rings
+from .kernel import KernelSpec, RingNeighborhood, build_rings
 
 __all__ = [
     "Image",
     "FilterConfig",
-    "LocalStats",
-    "V_CODES",
     "quantize_to_int16",
     "filter_pixel_dense",
     "filter_image",
     "filter_image_values",
     "filter_iterate",
     "filter_iterate_values",
-    "local_stats",
 ]
 
-V_CODES = {VFamily.Abs: 0, VFamily.Frac: 1, VFamily.Quad: 2, VFamily.Exp: 3}
-
 BorderPolicy = Literal["clamp", "skip"]
-_BORDER_CODES = {"clamp": 0, "skip": 1}
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ class FilterConfig:
             lo, hi = self.hu_gate
             if not lo <= hi:
                 raise ValueError(f"gate interval must satisfy lo <= hi, got [{lo}, {hi}]")
-        if self.border not in _BORDER_CODES:
+        if self.border not in ("clamp", "skip"):
             raise ValueError(f"border policy must be clamp or skip, got {self.border!r}")
 
     def rings(self) -> RingNeighborhood:
@@ -105,23 +99,6 @@ class FilterConfig:
 
     def with_t(self, t: float) -> "FilterConfig":
         return replace(self, spec=self.spec.with_t(t))
-
-
-@dataclass(frozen=True)
-class LocalStats:
-    """Mean and population deviation over a pixel's support window (center included)."""
-
-    mean: float
-    deviation: float
-
-
-def _ring_arrays(rings: RingNeighborhood):
-    offsets = rings.all_offsets()
-    dxs = np.array([dx for dx, _ in offsets], dtype=np.int32)
-    dys = np.array([dy for _, dy in offsets], dtype=np.int32)
-    starts = np.cumsum([0] + [len(r.offsets) for r in rings.rings]).astype(np.int32)
-    weights = np.array([r.weight for r in rings.rings], dtype=np.float64)
-    return dxs, dys, starts, weights
 
 
 def _as_values(img) -> np.ndarray:
@@ -165,7 +142,7 @@ def filter_pixel_dense(img, p0: tuple[int, int], cfg: FilterConfig) -> float:
     support = _support_values(f, p0[0], p0[1], rings, cfg.border)
     f0 = f[p0[1], p0[0]]
     d32 = (support - f0).astype(np.float32)
-    v = _core_py.v_weights(d32, float(cfg.spec.t), V_CODES[cfg.spec.v]).astype(np.float64)
+    v = _core_py.v_weights(d32, float(cfg.spec.t), cfg.spec.v).astype(np.float64)
     w = rings.offset_weights()
     num = 0.0
     den = 0.0
@@ -186,23 +163,8 @@ def filter_image_values(values: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     Borders follow the config policy (clamp replicates edges, skip copies the
     input margin).
     """
-    f = _as_values(values)
-    rings = cfg.rings()
-    dxs, dys, starts, ring_w = _ring_arrays(rings)
-    gate = cfg.hu_gate
-    return _core_py.filter_values(
-        f,
-        float(cfg.spec.t),
-        V_CODES[cfg.spec.v],
-        dxs,
-        dys,
-        starts,
-        ring_w,
-        _BORDER_CODES[cfg.border],
-        gate[0] if gate else 0.0,
-        gate[1] if gate else 0.0,
-        gate is not None,
-    )
+    return _core_py.filter_values(_as_values(values), cfg.spec, gate=cfg.hu_gate,
+                                  skip=cfg.border == "skip")
 
 
 def filter_image(img: Image, cfg: FilterConfig) -> Image:
@@ -233,13 +195,3 @@ def filter_iterate(img: Image, cfg: FilterConfig, k: int) -> Image:
         return img
     values = filter_iterate_values(img.values(), cfg, k)
     return Image.from_values(values)
-
-
-def local_stats(img, p0: tuple[int, int], rings: RingNeighborhood,
-                border: BorderPolicy = "clamp") -> LocalStats:
-    """Mean and population deviation over the support window plus the center."""
-    f = _as_values(img)
-    support = _support_values(f, p0[0], p0[1], rings, border)
-    window = np.concatenate(([f[p0[1], p0[0]]], support))
-    mean = float(window.mean())
-    return LocalStats(mean=mean, deviation=float(window.std(ddof=0)))

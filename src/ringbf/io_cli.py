@@ -35,6 +35,7 @@ failure (bracket, convergence, or degenerate fit).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -286,11 +287,16 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"--t-grid must be numeric 'lo:hi:step', got {text!r}") from None
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError(f"--t-grid lo, hi and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"--t-grid step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"--t-grid range is empty: {lo} > {hi}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ValueError(f"--t-grid has too many points: {text!r}")
+    count = int(np.floor(span + 1e-9)) + 1
     return lo + step * np.arange(count)
 
 

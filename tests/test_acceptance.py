@@ -31,7 +31,6 @@ from ringbf.ctmodel import (
 from ringbf.filter import (
     FilterConfig,
     Image,
-    V_CODES,
     filter_image,
     filter_image_values,
     filter_iterate_values,
@@ -167,7 +166,6 @@ def test_06_support_growth_has_diminishing_returns():
 
 def _dense_reference(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Direct per-offset evaluation over the full image, clamped borders."""
-    code = V_CODES[spec.v]
     f = vals.astype(np.float64)
     height, width = f.shape
     yy, xx = np.indices(f.shape)
@@ -181,7 +179,7 @@ def _dense_reference(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
             sx = np.clip(xx + dx, 0, width - 1)
             s = f[sy, sx]
             v = np.asarray(
-                _core_py.v_weights((s - f).astype(np.float32), spec.t, code),
+                _core_py.v_weights((s - f).astype(np.float32), spec.t, spec.v),
                 dtype=np.float64,
             )
             num += ring.weight * v * s

@@ -94,8 +94,11 @@ def test_estimate_fields_and_validation():
     e = estimate_K(_spec(n=2), 0.7, NORMAL, trials=1000, seed=5)
     assert (e.t, e.n, e.trials) == (0.7, 2, 1000)
     assert 0 < e.k_hat < 1 and e.std_err > 0
-    with pytest.raises(ValueError):
-        estimate_K(_spec(), -0.1, NORMAL, trials=1000)
+    # float32(1e39) is inf: every weight turned NaN and K silently read the
+    # support-mean fallback, 0.2794 for this spec
+    for t in (-0.1, 1e39, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale t"):
+            estimate_K(_spec(), t, NORMAL, trials=1000)
     with pytest.raises(ValueError):
         estimate_K(_spec(), 1.0, NORMAL, trials=99)
     with pytest.raises(ValueError):
@@ -220,7 +223,7 @@ def test_curve_fingerprint():
 
 
 def test_curve_grid_validation():
-    for bad in ([], [1.0, 1.0], [2.0, 1.0], [-0.5, 1.0]):
+    for bad in ([], [1.0, 1.0], [2.0, 1.0], [-0.5, 1.0], [0.0, 5e38, 1e39]):
         with pytest.raises(ValueError):
             compute_curve(_spec(), bad, NORMAL, trials=1000)
 
@@ -284,6 +287,8 @@ def test_solve_threshold_validation():
         solve_threshold(_spec(), NORMAL, bracket=(2.0, 1.0), trials=2000)
     with pytest.raises(ValueError):
         solve_threshold(_spec(), NORMAL, bracket=(-1.0, 2.0), trials=2000)
+    with pytest.raises(ValueError, match="scale t"):
+        solve_threshold(_spec(), NORMAL, bracket=(0.01, math.inf), trials=2000)
     with pytest.raises(ValueError):
         solve_threshold(_spec(), NORMAL, tol=0.0, trials=2000)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringbf import _core_py
-from ringbf.filter import FilterConfig, _ring_arrays, filter_image_values, filter_pixel_dense
+from ringbf.filter import FilterConfig, filter_image_values, filter_pixel_dense
 from ringbf.kernel import KernelSpec, VFamily, WFamily, build_rings
 
 @st.composite
@@ -129,12 +129,40 @@ def test_output_is_independent_of_strip_size_and_worker_count(case):
 
 @pytest.mark.parametrize("n_trials, chunk", [(1, 1), (300, 1), (300, 7), (9000, 4096), (9000, 4097)])
 def test_ensemble_is_independent_of_trial_chunk(n_trials, chunk, monkeypatch):
-    _, _, starts, ring_w = _ring_arrays(build_rings(3, WFamily.power()))
-    vals = np.random.default_rng(n_trials).normal(0.0, 1.0, (n_trials, 1 + int(starts[-1])))
+    spec = KernelSpec(v=VFamily.Exp, t=0.8, n=3)
+    width = 1 + build_rings(spec.n, spec.w).size
+    vals = np.random.default_rng(n_trials).normal(0.0, 1.0, (n_trials, width))
     monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", n_trials)
-    expected = _core_py.ensemble_filter(vals, 0.8, 3, starts, ring_w).tobytes()
+    expected = _core_py.ensemble_filter(vals, spec).tobytes()
     monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", chunk)
-    assert _core_py.ensemble_filter(vals, 0.8, 3, starts, ring_w).tobytes() == expected
+    assert _core_py.ensemble_filter(vals, spec).tobytes() == expected
+
+
+@pytest.mark.parametrize("w", [WFamily.power(), WFamily.gaussian(1.5)])
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("v", list(VFamily))
+def test_trial_rows_filter_like_the_image_pixels_they_copy(v, n, w, monkeypatch):
+    f = np.round(np.random.default_rng(n).normal(0.0, 150.0, (13, 11)))
+    h, wd = f.shape
+    ys, xs = np.indices(f.shape)
+    support = [f[np.clip(ys + dy, 0, h - 1), np.clip(xs + dx, 0, wd - 1)]
+               for dx, dy in build_rings(n, w).all_offsets()]
+    rows = np.stack([f] + support, axis=-1).reshape(h * wd, -1)  # clamped, ring order
+    monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", 7)
+    monkeypatch.setattr(_core_py, "_STRIP_ELEMS", wd)
+    # at 3e38 every family sends some pixels to the support-mean fallback
+    for t in (0.0, 0.004, 0.05, 5.0, 3e38):
+        spec = KernelSpec(v=v, t=t, w=w, n=n)
+        with np.errstate(over="ignore"):
+            image = _core_py.filter_values(f, spec)
+            trials = _core_py.ensemble_filter(rows, spec)
+        assert trials.tobytes() == image.ravel().tobytes()
+
+
+def test_ensemble_rejects_rows_of_another_support():
+    vals = np.zeros((5, 1 + 8))
+    with pytest.raises(ValueError, match="1 \\+ 12"):
+        _core_py.ensemble_filter(vals, KernelSpec(v=VFamily.Frac, t=1.0, n=3))
 
 
 # sha256 of filter_values on the image below (Frac n=3 spatial layout, t=0.02,
@@ -142,19 +170,18 @@ def test_ensemble_is_independent_of_trial_chunk(n_trials, chunk, monkeypatch):
 # Exp is left out: its float32 exp comes from numpy's SIMD code, which may
 # differ in the last bit between numpy builds.
 PINNED_DIGESTS = {
-    0: "db01f1abb1ce0978ef57d59be3fe1e49bf4ea5963fd996c8838fe37aa2cf51f0",  # Abs
-    1: "4ea9cb4ac82f55ff34ecc7eb99cd96127a10f516523da08b9e51a07633d08653",  # Frac
-    2: "23c6ede6c753596b696f27a52eadb8b1d0d7be1ff49a55052902dad9fc19bd1b",  # Quad
+    VFamily.Abs: "db01f1abb1ce0978ef57d59be3fe1e49bf4ea5963fd996c8838fe37aa2cf51f0",
+    VFamily.Frac: "4ea9cb4ac82f55ff34ecc7eb99cd96127a10f516523da08b9e51a07633d08653",
+    VFamily.Quad: "23c6ede6c753596b696f27a52eadb8b1d0d7be1ff49a55052902dad9fc19bd1b",
 }
 
 
-@pytest.mark.parametrize("v_code", sorted(PINNED_DIGESTS))
-def test_filter_values_output_is_pinned(v_code):
+@pytest.mark.parametrize("v", list(PINNED_DIGESTS))
+def test_filter_values_output_is_pinned(v):
     raw = np.random.Philox(key=67045).random_raw(67 * 45)
     f = (1000.0 + (raw % np.uint64(241)).astype(np.float64) - 120.0).reshape(67, 45)
-    dxs, dys, starts, ring_w = _ring_arrays(build_rings(3, WFamily.power()))
-    out = _core_py.filter_values(f, 0.02, v_code, dxs, dys, starts, ring_w, 0, 0.0, 0.0, False)
-    assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_DIGESTS[v_code]
+    out = _core_py.filter_values(f, KernelSpec(v=v, t=0.02, w=WFamily.power(), n=3))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_DIGESTS[v]
 
 
 def test_strip_workers_follow_the_callers_errstate(monkeypatch):

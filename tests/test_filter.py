@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from ringbf.filter import (
     FilterConfig,
     Image,
-    LocalStats,
     filter_image,
     filter_image_values,
     filter_iterate,
     filter_iterate_values,
     filter_pixel_dense,
-    local_stats,
     quantize_to_int16,
 )
 from ringbf.kernel import KernelSpec, VFamily, WFamily, build_rings
@@ -321,44 +319,8 @@ def test_iterate_validation():
             filter_iterate_values(img.values(), _cfg(), k)
 
 
-# --- local statistics ------------------------------------------------------
-
-
-def test_local_stats_center_plus_support_window():
-    f = np.zeros((5, 5))
-    f[2, 2] = 13.0
-    rings = build_rings(3, WFamily.power())
-    stats = local_stats(f, (2, 2), rings)
-    # window = center 13 plus twelve zeros: mean 1, population deviation
-    # sqrt(((13-1)^2 + 12*(0-1)^2)/13) = sqrt(12)
-    assert stats.mean == pytest.approx(1.0, rel=1e-15)
-    assert stats.deviation == pytest.approx(np.sqrt(12.0), rel=1e-12)
-
-
-def test_local_stats_shift():
-    f = _random_image(8, (9, 9))
-    rings = build_rings(2, WFamily.power())
-    a = local_stats(f, (4, 4), rings)
-    b = local_stats(f + 250.0, (4, 4), rings)
-    assert b.mean == pytest.approx(a.mean + 250.0, rel=1e-12)
-    assert b.deviation == pytest.approx(a.deviation, abs=1e-9)
-
-
-def test_local_stats_clamped_border():
-    f = np.arange(9.0).reshape(3, 3)
-    rings = build_rings(1, WFamily.power())
-    stats = local_stats(f, (0, 0), rings)
-    # clamp resolves (-1,0) and (0,-1) back to the corner: window is
-    # {f[0,0], f[0,1], f[0,0], f[1,0], f[0,0]} = {0, 1, 0, 3, 0}
-    window = np.array([0.0, 1.0, 0.0, 3.0, 0.0])
-    assert stats.mean == pytest.approx(window.mean(), rel=1e-15)
-    assert stats.deviation == pytest.approx(window.std(), rel=1e-12)
-
-
 def test_pixel_out_of_bounds():
     f = np.zeros((5, 5))
-    rings = build_rings(1, WFamily.power())
-    with pytest.raises(ValueError):
-        local_stats(f, (5, 0), rings)
-    with pytest.raises(ValueError):
-        filter_pixel_dense(f, (0, -1), _cfg())
+    for p0 in ((5, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            filter_pixel_dense(f, p0, _cfg())

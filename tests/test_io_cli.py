@@ -376,6 +376,33 @@ def test_cli_filter_scale_beyond_float32_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_curve_scale_beyond_float32_exits_one(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    rc = cli_dispatch(["curve", "--v", "frac", "--n", "3", "--dist", "normal",
+                       "--t-grid", "0:1e39:5e38", "--trials", "1000", "--out", str(out)])
+    assert rc == 1
+    assert "scale t" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_threshold_infinite_bracket_exits_one(capsys):
+    rc = cli_dispatch(["threshold", "--v", "frac", "--n", "3", "--dist", "normal",
+                       "--trials", "1000", "--bracket", "0.01:inf"])
+    assert rc == 1
+    assert "scale t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "0:nan:1", "0:1:inf", "nan:1:0.5",
+                                  "0:1.7e308:1e-300"])
+def test_cli_curve_non_finite_grid_is_a_usage_error(tmp_path, capsys, grid):
+    out = tmp_path / "k.csv"
+    rc = cli_dispatch(["curve", "--v", "frac", "--n", "3", "--dist", "normal",
+                       "--t-grid", grid, "--trials", "1000", "--out", str(out)])
+    assert rc == 1
+    assert "error: --t-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("coefficients", [
     "nan 0 1",
     # vertex at x = 0.5025, where sigma dips to -1 between grid points
