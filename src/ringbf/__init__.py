@@ -72,13 +72,11 @@ from .filter import (
     filter_image,
     filter_image_values,
     filter_iterate,
-    filter_iterate_values,
     filter_pixel_dense,
     quantize_to_int16,
 )
 from .io_cli import cli_dispatch, read_image, write_image
 from .kernel import (
-    AxiomReport,
     KernelSpec,
     Ring,
     RingNeighborhood,
@@ -86,9 +84,7 @@ from .kernel import (
     WFamily,
     WVariant,
     build_rings,
-    eval_V,
     eval_W,
-    validate_kernel,
 )
 
 __version__ = "0.1.0"
@@ -103,10 +99,7 @@ __all__ = [
     "Ring",
     "RingNeighborhood",
     "build_rings",
-    "eval_V",
     "eval_W",
-    "AxiomReport",
-    "validate_kernel",
     # filter
     "Image",
     "FilterConfig",
@@ -115,7 +108,6 @@ __all__ = [
     "filter_image",
     "filter_image_values",
     "filter_iterate",
-    "filter_iterate_values",
     # analysis
     "NoiseDistribution",
     "KEstimate",

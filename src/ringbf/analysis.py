@@ -295,6 +295,8 @@ def solve_threshold(
         raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     spec.with_t(t_hi)  # every probe lies in [t_lo, t_hi]: reject an unusable t_hi before drawing
     vals = _support_draws(spec, dist, trials, seed)
 

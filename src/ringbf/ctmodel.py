@@ -94,9 +94,9 @@ class FilterPlan:
     spec: KernelSpec
     hu_gate: tuple[float, float] | None
 
-    def config(self, border: str = "clamp") -> FilterConfig:
-        """The image-filter configuration this plan prescribes."""
-        return FilterConfig(spec=self.spec, hu_gate=self.hu_gate, border=border)
+    def config(self) -> FilterConfig:
+        """The image-filter configuration this plan prescribes (clamped borders)."""
+        return FilterConfig(spec=self.spec, hu_gate=self.hu_gate)
 
 
 def plan_filter(
@@ -154,8 +154,10 @@ def synth_phantom_values(
     dens = np.asarray(list(densities), dtype=np.float64)
     if dens.size == 0:
         raise ValueError("at least one density is required")
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not np.all(np.isfinite(dens)):
+        raise ValueError(f"densities must be finite, got {dens.tolist()}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if layout is None:
         layout = band_layout(size[0], size[1], dens.size)
     layout = np.asarray(layout)

@@ -17,7 +17,7 @@ are real; quantization to the signed-16-bit grid happens only when an
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "filter_image",
     "filter_image_values",
     "filter_iterate",
-    "filter_iterate_values",
 ]
 
 BorderPolicy = Literal["clamp", "skip"]
@@ -96,9 +95,6 @@ class FilterConfig:
 
     def rings(self) -> RingNeighborhood:
         return build_rings(self.spec.n, self.spec.w)
-
-    def with_t(self, t: float) -> "FilterConfig":
-        return replace(self, spec=self.spec.with_t(t))
 
 
 def _as_values(img) -> np.ndarray:
@@ -177,21 +173,16 @@ def filter_image(img: Image, cfg: FilterConfig) -> Image:
     return Image.from_values(filter_image_values(img.values(), cfg))
 
 
-def filter_iterate_values(values: np.ndarray, cfg: FilterConfig, k: int) -> np.ndarray:
-    """Apply the filter ``k`` times, carrying real values between iterations."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"iteration count must be a non-negative integer, got {k!r}")
-    f = _as_values(values)
-    for _ in range(k):
-        f = filter_image_values(f, cfg)
-    return f
-
-
 def filter_iterate(img: Image, cfg: FilterConfig, k: int) -> Image:
-    """Apply the filter ``k`` times; quantize once at the end (k=0 returns the input)."""
+    """Apply the filter ``k`` times, carrying real values between passes.
+
+    Quantizes once at the end; ``k = 0`` returns the input.
+    """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"iteration count must be a non-negative integer, got {k!r}")
     if k == 0:
         return img
-    values = filter_iterate_values(img.values(), cfg, k)
+    values = img.values()
+    for _ in range(k):
+        values = filter_image_values(values, cfg)
     return Image.from_values(values)

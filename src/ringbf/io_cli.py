@@ -38,12 +38,18 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import NoiseDistribution, compute_curve, curve_to_csv, solve_threshold
+from .analysis import (
+    DEFAULT_TRIALS_CURVE,
+    DEFAULT_TRIALS_TABLE,
+    NoiseDistribution,
+    compute_curve,
+    curve_to_csv,
+    solve_threshold,
+)
 from .calibrate import (
     empirical_K_points,
     fit_polynomial,
@@ -53,13 +59,18 @@ from .calibrate import (
     regress_noise,
     summarize_points,
 )
-from .ctmodel import DEFAULT_DOSE_MODEL, load_dose_model, plan_filter, synth_phantom
+from .ctmodel import (
+    DEFAULT_DOSE_MODEL,
+    DEFAULT_THRESHOLD,
+    load_dose_model,
+    plan_filter,
+    synth_phantom,
+)
 from .errors import FormatError, NumericalError, RangeError
 from .filter import FilterConfig, Image, filter_iterate
 from .kernel import KernelSpec, VFamily, WFamily
 
 __all__ = [
-    "RawImageHeader",
     "read_image",
     "write_image",
     "cli_dispatch",
@@ -68,14 +79,6 @@ __all__ = [
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _PGM_MAX = 32767  # largest value an int16 pipeline can round-trip
-
-
-@dataclass(frozen=True)
-class RawImageHeader:
-    """Dimensions parsed from a ``.meta`` sidecar."""
-
-    width: int
-    height: int
 
 
 def _meta_path(raw_path: Path) -> Path:
@@ -100,7 +103,8 @@ def _write_files(contents: dict[Path, bytes]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _parse_meta(text: str, path: Path) -> RawImageHeader:
+def _parse_meta(text: str, path: Path) -> tuple[int, int]:
+    """``(width, height)`` from a ``.meta`` sidecar's text."""
     fields: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -122,7 +126,7 @@ def _parse_meta(text: str, path: Path) -> RawImageHeader:
     for key in ("width", "height"):
         if key not in fields:
             raise FormatError(f"{path}: missing {key}=<int> line")
-    return RawImageHeader(width=fields["width"], height=fields["height"])
+    return fields["width"], fields["height"]
 
 
 def _read_raw(path: Path) -> Image:
@@ -134,14 +138,14 @@ def _read_raw(path: Path) -> Image:
         text = meta.read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{meta}: not ASCII text", offset=exc.start) from None
-    header = _parse_meta(text, meta)
-    expected = header.width * header.height * 2
+    width, height = _parse_meta(text, meta)
+    expected = width * height * 2
     if len(data) != expected:
         raise FormatError(
             f"{path}: raw data is {len(data)} bytes, expected {expected} "
-            f"({header.width}x{header.height} 16-bit samples)"
+            f"({width}x{height} 16-bit samples)"
         )
-    pixels = np.frombuffer(data, dtype="<i2").astype(np.int16).reshape(header.height, header.width)
+    pixels = np.frombuffer(data, dtype="<i2").astype(np.int16).reshape(height, width)
     return Image(pixels=pixels)
 
 
@@ -407,8 +411,12 @@ def _cmd_phantom(args) -> int:
     return 0
 
 
+_V_CHOICES = [v.value for v in VFamily]
+_DIST_CHOICES = [d.value for d in NoiseDistribution]
+
+
 def _add_kernel_options(sub, *, with_t: bool) -> None:
-    sub.add_argument("--v", required=True, choices=["abs", "frac", "quad", "exp"],
+    sub.add_argument("--v", required=True, choices=_V_CHOICES,
                      help="photometric weight family")
     if with_t:
         sub.add_argument("--t", required=True, type=float, help="photometric scale")
@@ -437,22 +445,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="tabulate the deviation-reduction curve K(t)")
     _add_kernel_options(p, with_t=False)
-    p.add_argument("--dist", required=True, choices=["normal", "uniform"],
+    p.add_argument("--dist", required=True, choices=_DIST_CHOICES,
                    help="noise distribution")
     p.add_argument("--t-grid", dest="t_grid", required=True, help="photometric scales 'lo:hi:step'")
-    p.add_argument("--trials", type=int, default=20000, help="Monte-Carlo trials per point")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_CURVE,
+                   help="Monte-Carlo trials per point")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("threshold", help="solve K(t0) = target for t0")
     _add_kernel_options(p, with_t=False)
-    p.add_argument("--dist", required=True, choices=["normal", "uniform"],
+    p.add_argument("--dist", required=True, choices=_DIST_CHOICES,
                    help="noise distribution")
     p.add_argument("--target", type=float, default=0.5, help="target reduction (default 0.5)")
     p.add_argument("--bracket", default="0.01:50.0", help="search bracket 'lo:hi'")
     p.add_argument("--tol", type=float, default=1e-3, help="bracket width tolerance")
-    p.add_argument("--trials", type=int, default=200000, help="Monte-Carlo trials")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_TABLE, help="Monte-Carlo trials")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(handler=_cmd_threshold)
 
@@ -460,14 +469,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dose-fraction", dest="dose_fraction", required=True, type=float,
                    help="dose fraction x in the model's domain")
     p.add_argument("--model", default=None, help="dose model file (default: built-in model)")
-    p.add_argument("--v", default="frac", choices=["abs", "frac", "quad", "exp"],
+    p.add_argument("--v", default="frac", choices=_V_CHOICES,
                    help="photometric weight family (default frac)")
     p.add_argument("--n", type=int, default=3, choices=range(1, 6),
                    help="number of rings (default 3)")
-    p.add_argument("--t0", type=float, default=1.40, help="unit-scale threshold (default 1.40)")
+    p.add_argument("--t0", type=float, default=DEFAULT_THRESHOLD,
+                   help=f"unit-scale threshold (default {DEFAULT_THRESHOLD:.2f})")
     p.add_argument("--solve-t0", dest="solve_t0", action="store_true",
                    help="re-derive t0 by Monte-Carlo instead of using --t0")
-    p.add_argument("--trials", type=int, default=200000,
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_TABLE,
                    help="Monte-Carlo trials for --solve-t0")
     p.add_argument("--seed", type=int, default=0, help="random seed for --solve-t0")
     p.add_argument("--apply", action="store_true", help="also filter an image with the plan")
@@ -540,7 +550,3 @@ def cli_dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

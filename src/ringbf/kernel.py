@@ -20,12 +20,9 @@ __all__ = [
     "KernelSpec",
     "Ring",
     "RingNeighborhood",
-    "AxiomReport",
     "MAX_SUPPORT_SIZE",
     "build_rings",
-    "eval_V",
     "eval_W",
-    "validate_kernel",
 ]
 
 MAX_SUPPORT_SIZE = 5
@@ -40,6 +37,11 @@ class VFamily(enum.Enum):
     ``Frac`` -> 1 / (1 + u^2)
     ``Quad`` -> 1 / (1 + u^4)
     ``Exp``  -> exp(-u^2)
+
+    The filter evaluates these in float32 (``_core_py.v_weights``).  There
+    Abs, Frac and Quad are exactly non-increasing in |u|, but numpy's float32
+    ``exp`` is not correctly rounded, so Exp may rise by one ulp between
+    neighbouring values of u.
     """
 
     Abs = "abs"
@@ -196,32 +198,6 @@ def build_rings(n: int, w: WFamily) -> RingNeighborhood:
     return RingNeighborhood(rings)
 
 
-def eval_V(v: VFamily, t: float, x):
-    """Photometric weight for intensity difference ``x`` at scale ``t``.
-
-    Total on reals; vectorizes over ``x``.  ``t = 0`` (or ``x = 0``) gives 1
-    for every family — the filter degenerates to the linear W-weighted
-    average.
-    """
-    if not t >= 0:
-        raise ValueError(f"scale t must be >= 0, got {t}")
-    u = np.multiply(t, x, dtype=np.float64)
-    if v is VFamily.Abs:
-        out = 1.0 / (1.0 + np.abs(u))
-    elif v is VFamily.Frac:
-        out = 1.0 / (1.0 + u * u)
-    elif v is VFamily.Quad:
-        u2 = u * u
-        out = 1.0 / (1.0 + u2 * u2)
-    elif v is VFamily.Exp:
-        out = np.exp(-(u * u))
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown V family {v!r}")
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def eval_W(w: WFamily, r):
     """Spatial weight at distance ``r >= 0``; W(0) = 1 for both families."""
     r_arr = np.asarray(r, dtype=np.float64)
@@ -235,48 +211,3 @@ def eval_W(w: WFamily, r):
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Numeric check of the four kernel axioms on a probe grid."""
-
-    normalized: bool  # V(0) = 1
-    monotone: bool  # non-increasing on the positive half-grid
-    symmetric: bool  # V(x) = V(-x) bit-exactly
-    vanishing: bool  # V at the largest |x| below tolerance
-    tail_value: float
-
-    @property
-    def all_pass(self) -> bool:
-        return self.normalized and self.monotone and self.symmetric and self.vanishing
-
-
-def validate_kernel(
-    v: VFamily, t: float, probe_grid, vanish_tol: float = 0.05
-) -> AxiomReport:
-    """Check the kernel axioms numerically on ``probe_grid``.
-
-    The grid must be non-empty and symmetric about 0.  Failures are reported,
-    not raised: a slowly-decaying family at small ``t`` legitimately fails the
-    vanishing check on a finite grid.
-    """
-    grid = np.sort(np.asarray(probe_grid, dtype=np.float64))
-    if grid.size == 0:
-        raise ValueError("probe grid must be non-empty")
-    if not np.allclose(np.sort(-grid), grid, rtol=0, atol=0):
-        raise ValueError("probe grid must be symmetric about 0")
-    pos = grid[grid >= 0]
-    vals_pos = np.atleast_1d(eval_V(v, t, pos))
-    vals_neg = np.atleast_1d(eval_V(v, t, -pos))
-    normalized = float(eval_V(v, t, 0.0)) == 1.0
-    monotone = bool(np.all(np.diff(vals_pos) <= 0))
-    symmetric = bool(np.all(vals_pos == vals_neg))
-    tail = float(vals_pos[-1]) if pos.size else 1.0
-    return AxiomReport(
-        normalized=normalized,
-        monotone=monotone,
-        symmetric=symmetric,
-        vanishing=tail < vanish_tol,
-        tail_value=tail,
-    )

@@ -33,7 +33,6 @@ from ringbf.filter import (
     Image,
     filter_image,
     filter_image_values,
-    filter_iterate_values,
 )
 from ringbf.kernel import KernelSpec, VFamily, WFamily, build_rings
 
@@ -278,10 +277,10 @@ def test_09_dose_planned_filter_halves_flat_region_noise():
 
 def test_10_iteration_drives_local_deviation_down():
     vals = synth_phantom_values([100], sigma=20.0, seed=3, size=(128, 128))
-    spec = _spec(VFamily.Frac, t=0.05)
-    out = filter_iterate_values(
-        Image.from_values(vals), FilterConfig(spec=spec), 10
-    )
+    cfg = FilterConfig(spec=_spec(VFamily.Frac, t=0.05))
+    out = Image.from_values(vals).values()
+    for _ in range(10):
+        out = filter_image_values(out, cfg)
     interior = (slice(4, -4), slice(4, -4))
     before = local_std_map(vals.round(), half=2)[interior].mean()
     after = local_std_map(out, half=2)[interior].mean()

@@ -10,7 +10,6 @@ from ringbf.filter import (
     filter_image,
     filter_image_values,
     filter_iterate,
-    filter_iterate_values,
     filter_pixel_dense,
     quantize_to_int16,
 )
@@ -290,8 +289,6 @@ def test_border_policy_validation():
 def test_iterate_zero_is_identity():
     img = Image(pixels=_random_image(3, (10, 10)).astype(np.int16))
     assert filter_iterate(img, _cfg(), 0) is img
-    f = img.values()
-    assert np.array_equal(filter_iterate_values(f, _cfg(), 0), f)
 
 
 def test_iterate_one_matches_single_application():
@@ -315,8 +312,6 @@ def test_iterate_validation():
     for k in (-1, 1.5):
         with pytest.raises(ValueError):
             filter_iterate(img, _cfg(), k)
-        with pytest.raises(ValueError):
-            filter_iterate_values(img.values(), _cfg(), k)
 
 
 def test_pixel_out_of_bounds():

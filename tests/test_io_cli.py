@@ -1,10 +1,14 @@
 """Image container formats and the command-line interface."""
 import errno
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringbf
 from ringbf.calibrate import empirical_K_points, local_maps, summarize_points
 from ringbf.errors import FormatError, RangeError
 from ringbf.filter import Image
@@ -163,6 +167,17 @@ def test_unsupported_extension(tmp_path):
 def test_cli_help_exits_zero(capsys):
     assert cli_dispatch(["--help"]) == 0
     assert "filter" in capsys.readouterr().out
+
+
+def test_python_m_ringbf_runs_the_cli_without_warnings():
+    src = str(Path(ringbf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ringbf", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "phantom" in proc.stdout
 
 
 def test_cli_filter_constant_image_is_fixed_point(tmp_path):
@@ -422,6 +437,26 @@ def test_cli_bad_file_exits_two(tmp_path, capsys):
                        "--v", "frac", "--t", "1", "--n", "3"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_cli_threshold_non_finite_target_exits_one(capsys, target):
+    rc = cli_dispatch(["threshold", "--v", "frac", "--n", "3", "--dist", "normal",
+                       "--trials", "1000", "--target", target])
+    assert rc == 1
+    assert "target must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--densities", "nan,0"], ["--densities", "0,inf"],
+                                    ["--densities", "0", "--sigma", "inf"],
+                                    ["--densities", "0", "--sigma", "nan"]],
+                         ids=["densities-nan", "densities-inf", "sigma-inf", "sigma-nan"])
+def test_cli_phantom_non_finite_input_exits_one(tmp_path, capsys, option):
+    out = tmp_path / "p.raw"
+    rc = cli_dispatch(["phantom", *option, "--size", "8x8", "--out", str(out)])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_numerical_failure_exits_three(capsys):
