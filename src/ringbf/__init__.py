@@ -16,8 +16,9 @@ memory.  Each pixel keeps a pinned operation order, so results are
 bit-identical whatever the tiling or the thread count.
 """
 from .analysis import (
+    DEFAULT_TRIALS_CURVE,
+    DEFAULT_TRIALS_TABLE,
     CurveExtrema,
-    CurveFingerprint,
     KCurve,
     KEstimate,
     NoiseDistribution,
@@ -30,6 +31,8 @@ from .analysis import (
     solve_threshold,
 )
 from .calibrate import (
+    S_L_FLOOR,
+    SUMMARY_BINS,
     LocalMaps,
     PointSummary,
     PolyFit,
@@ -50,7 +53,6 @@ from .ctmodel import (
     DEFAULT_THRESHOLD,
     DoseNoiseModel,
     FilterPlan,
-    band_layout,
     load_dose_model,
     noise_sigma,
     plan_filter,
@@ -71,18 +73,17 @@ from .filter import (
     Image,
     filter_image,
     filter_image_values,
-    filter_iterate,
     filter_pixel_dense,
     quantize_to_int16,
 )
 from .io_cli import cli_dispatch, read_image, write_image
 from .kernel import (
+    MAX_SUPPORT_SIZE,
     KernelSpec,
     Ring,
     RingNeighborhood,
     VFamily,
     WFamily,
-    WVariant,
     build_rings,
     eval_W,
 )
@@ -93,11 +94,11 @@ __all__ = [
     "__version__",
     # kernel
     "VFamily",
-    "WVariant",
     "WFamily",
     "KernelSpec",
     "Ring",
     "RingNeighborhood",
+    "MAX_SUPPORT_SIZE",
     "build_rings",
     "eval_W",
     # filter
@@ -107,13 +108,13 @@ __all__ = [
     "filter_pixel_dense",
     "filter_image",
     "filter_image_values",
-    "filter_iterate",
     # analysis
     "NoiseDistribution",
     "KEstimate",
     "KCurve",
-    "CurveFingerprint",
     "CurveExtrema",
+    "DEFAULT_TRIALS_TABLE",
+    "DEFAULT_TRIALS_CURVE",
     "estimate_K",
     "estimate_linear_K",
     "linear_k0",
@@ -129,11 +130,12 @@ __all__ = [
     "noise_sigma",
     "FilterPlan",
     "plan_filter",
-    "band_layout",
     "synth_phantom",
     "synth_phantom_values",
     "load_dose_model",
     # calibration
+    "S_L_FLOOR",
+    "SUMMARY_BINS",
     "local_std_map",
     "LocalMaps",
     "local_maps",

@@ -36,7 +36,6 @@ __all__ = [
     "NoiseDistribution",
     "KEstimate",
     "KCurve",
-    "CurveFingerprint",
     "CurveExtrema",
     "DEFAULT_TRIALS_TABLE",
     "DEFAULT_TRIALS_CURVE",
@@ -55,6 +54,7 @@ DEFAULT_TRIALS_CURVE = 20_000
 _BATCH_TRIALS = 2_000
 _CHUNK_VALUES = 1 << 23  # draws generated per chunk (memory bound)
 _SQRT3 = math.sqrt(3.0)
+_MAX_BISECTIONS = 80
 
 
 class NoiseDistribution(enum.Enum):
@@ -77,25 +77,13 @@ class NoiseDistribution(enum.Enum):
 @dataclass(frozen=True)
 class KEstimate:
     t: float
-    n: int
     k_hat: float
     std_err: float
     trials: int
 
 
 @dataclass(frozen=True)
-class CurveFingerprint:
-    v: str
-    w: str
-    n: int
-    dist: str
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class KCurve:
-    fingerprint: CurveFingerprint
     points: tuple[KEstimate, ...]
 
     def __post_init__(self):
@@ -171,7 +159,7 @@ def _batch_slices(trials: int) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _ratio_estimate(f0: np.ndarray, h: np.ndarray, t: float, n: int) -> KEstimate:
+def _ratio_estimate(f0: np.ndarray, h: np.ndarray, t: float) -> KEstimate:
     trials = f0.size
     ratios = []
     for sl in _batch_slices(trials):
@@ -182,7 +170,7 @@ def _ratio_estimate(f0: np.ndarray, h: np.ndarray, t: float, n: int) -> KEstimat
     ratios = np.array(ratios)
     k_hat = float(ratios.mean())
     std_err = float(ratios.std(ddof=1) / math.sqrt(len(ratios)))
-    return KEstimate(t=float(t), n=n, k_hat=k_hat, std_err=std_err, trials=trials)
+    return KEstimate(t=float(t), k_hat=k_hat, std_err=std_err, trials=trials)
 
 
 def _support_draws(
@@ -194,7 +182,7 @@ def _support_draws(
 
 def _estimate_at(vals: np.ndarray, spec: KernelSpec) -> KEstimate:
     """K at the spec's own t, from trial rows drawn by ``_support_draws``."""
-    return _ratio_estimate(vals[:, 0], _core_py.ensemble_filter(vals, spec), spec.t, spec.n)
+    return _ratio_estimate(vals[:, 0], _core_py.ensemble_filter(vals, spec), spec.t)
 
 
 def _check_trials(trials: int):
@@ -236,7 +224,7 @@ def estimate_linear_K(
     w_off = rings.offset_weights()
     vals = _draw_support_values(dist, rings.size, trials, seed)
     h = vals[:, 1:] @ w_off / w_off.sum()
-    return _ratio_estimate(vals[:, 0], h, 0.0, n)
+    return _ratio_estimate(vals[:, 0], h, 0.0)
 
 
 def linear_k0(w: WFamily, n: int) -> float:
@@ -252,7 +240,10 @@ def compute_curve(
     trials: int = DEFAULT_TRIALS_CURVE,
     seed: int = 0,
 ) -> KCurve:
-    """One KEstimate per grid point, sharing draws across the grid (CRN)."""
+    """One KEstimate per grid point, sharing draws across the grid (CRN).
+
+    The spec supplies V, W and n; its own t field is ignored.
+    """
     _check_trials(trials)
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -261,16 +252,7 @@ def compute_curve(
         raise ValueError("t grid must be strictly ascending")
     specs = [spec.with_t(t) for t in grid]  # checks every t before any draw
     vals = _support_draws(spec, dist, trials, seed)
-    points = tuple(_estimate_at(vals, s) for s in specs)
-    fp = CurveFingerprint(
-        v=spec.v.value,
-        w=spec.w.variant.value if spec.w.sigma_d is None else f"{spec.w.variant.value}:{spec.w.sigma_d}",
-        n=spec.n,
-        dist=dist.value,
-        trials=trials,
-        seed=seed,
-    )
-    return KCurve(fingerprint=fp, points=points)
+    return KCurve(points=tuple(_estimate_at(vals, s) for s in specs))
 
 
 def solve_threshold(
@@ -281,20 +263,23 @@ def solve_threshold(
     tol: float = 1e-3,
     trials: int = DEFAULT_TRIALS_TABLE,
     seed: int = 0,
-    max_iter: int = 80,
 ) -> float:
     """Solve K(t0) = target by bisection on the fixed-seed estimate.
 
-    The estimated K rises through the target as t grows, so the bracket must
-    satisfy K(t_lo) < target < K(t_hi) on this realization; all probes reuse
-    the same draws, making the bisected function deterministic.
+    The spec supplies V, W and n; its own t field is ignored.  The estimated
+    K rises through the target as t grows, so the bracket must satisfy
+    K(t_lo) < target < K(t_hi) on this realization; all probes reuse the same
+    draws, making the bisected function deterministic.  ``tol`` must lie
+    strictly between 0 and the bracket width; bisection stops once the
+    bracket is no wider than ``tol``, or fails after ``_MAX_BISECTIONS``
+    halvings.
     """
     _check_trials(trials)
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not 0 <= t_lo < t_hi:
         raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < t_hi - t_lo:
+        raise ValueError(f"tol must satisfy 0 < tol < bracket width {t_hi - t_lo}, got {tol}")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     spec.with_t(t_hi)  # every probe lies in [t_lo, t_hi]: reject an unusable t_hi before drawing
@@ -310,7 +295,7 @@ def solve_threshold(
             f"bracket [{t_lo}, {t_hi}] does not straddle target {target}: "
             f"K({t_lo}) = {k_lo:.4f}, K({t_hi}) = {k_hi:.4f}"
         )
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if t_hi - t_lo <= tol:
             return 0.5 * (t_lo + t_hi)
         t_mid = 0.5 * (t_lo + t_hi)
@@ -319,7 +304,7 @@ def solve_threshold(
         else:
             t_hi = t_mid
     raise ConvergenceError(
-        f"bisection did not reach tol={tol} within {max_iter} iterations "
+        f"bisection did not reach tol={tol} within {_MAX_BISECTIONS} iterations "
         f"(bracket [{t_lo}, {t_hi}])"
     )
 

@@ -163,11 +163,6 @@ class PolyFit:
     degree: int
     coefficients: tuple[float, ...]  # ascending powers
     r_squared: float
-    count: int
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=np.float64),
-                                                np.array(self.coefficients))
 
 
 def fit_polynomial(points, degree: int) -> PolyFit:
@@ -206,7 +201,6 @@ def fit_polynomial(points, degree: int) -> PolyFit:
         degree=degree,
         coefficients=tuple(float(c) for c in coeffs),
         r_squared=r_squared,
-        count=int(pts.shape[0]),
     )
 
 

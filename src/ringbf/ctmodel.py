@@ -27,7 +27,6 @@ __all__ = [
     "FilterPlan",
     "noise_sigma",
     "plan_filter",
-    "band_layout",
     "synth_phantom",
     "synth_phantom_values",
     "load_dose_model",
@@ -92,7 +91,7 @@ class FilterPlan:
     t0: float
     t: float
     spec: KernelSpec
-    hu_gate: tuple[float, float] | None
+    hu_gate: tuple[float, float]
 
     def config(self) -> FilterConfig:
         """The image-filter configuration this plan prescribes (clamped borders)."""
@@ -104,20 +103,17 @@ def plan_filter(
     model: DoseNoiseModel = DEFAULT_DOSE_MODEL,
     v: VFamily = VFamily.Frac,
     n: int = 3,
-    w: WFamily | None = None,
     t0: float = DEFAULT_THRESHOLD,
-    gate: tuple[float, float] | None = DEFAULT_HU_GATE,
 ) -> FilterPlan:
     """Resolve dose fraction ``x`` into a concrete filter: t = t0 / sigma(x).
 
-    The default threshold is the reference value for the default kernel
-    (Frac, n=3, Power W), so planning works without running the Monte-Carlo
-    solver; substitute a freshly solved t0 to recalibrate.
+    The plan always uses power W and gates to ``DEFAULT_HU_GATE``.  The
+    default threshold is the reference value for the default kernel (Frac,
+    n=3), so planning works without running the Monte-Carlo solver;
+    substitute a freshly solved t0 to recalibrate.
     """
     if not t0 > 0:
         raise ValueError(f"threshold t0 must be positive, got {t0}")
-    if w is None:
-        w = WFamily.power()
     sigma = noise_sigma(model, x)
     t = t0 / sigma
     return FilterPlan(
@@ -125,13 +121,13 @@ def plan_filter(
         sigma=sigma,
         t0=float(t0),
         t=t,
-        spec=KernelSpec(v=v, t=t, w=w, n=n),
-        hu_gate=None if gate is None else (float(gate[0]), float(gate[1])),
+        spec=KernelSpec(v=v, t=t, w=WFamily.power(), n=n),
+        hu_gate=DEFAULT_HU_GATE,
     )
 
 
-def band_layout(height: int, width: int, n_regions: int) -> np.ndarray:
-    """Default region layout: ``n_regions`` equal vertical bands."""
+def _band_layout(height: int, width: int, n_regions: int) -> np.ndarray:
+    """Region index per pixel: ``n_regions`` equal vertical bands."""
     if height < 1 or width < 1 or n_regions < 1:
         raise ValueError("layout dimensions and region count must be positive")
     if n_regions > width:
@@ -143,13 +139,12 @@ def band_layout(height: int, width: int, n_regions: int) -> np.ndarray:
 
 
 def synth_phantom_values(
-    densities, layout: np.ndarray | None = None, sigma: float = 0.0, seed: int = 0,
-    size: tuple[int, int] = (512, 512),
+    densities, sigma: float = 0.0, seed: int = 0, size: tuple[int, int] = (512, 512),
 ) -> np.ndarray:
     """Real-valued phantom: piecewise-constant densities plus i.i.d. normal noise.
 
-    ``layout`` assigns a density index to every pixel (default: equal vertical
-    bands, one per density); deterministic per seed.
+    Density ``i`` fills the ``i``-th of equal vertical bands, left to right;
+    deterministic per seed.
     """
     dens = np.asarray(list(densities), dtype=np.float64)
     if dens.size == 0:
@@ -158,13 +153,7 @@ def synth_phantom_values(
         raise ValueError(f"densities must be finite, got {dens.tolist()}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if layout is None:
-        layout = band_layout(size[0], size[1], dens.size)
-    layout = np.asarray(layout)
-    if layout.ndim != 2:
-        raise ValueError("layout must be a 2-D grid of region indices")
-    if layout.min() < 0 or layout.max() >= dens.size:
-        raise ValueError("layout indexes a density that was not provided")
+    layout = _band_layout(size[0], size[1], dens.size)
     base = dens[layout]
     if sigma == 0.0:
         return base
@@ -173,11 +162,10 @@ def synth_phantom_values(
 
 
 def synth_phantom(
-    densities, layout: np.ndarray | None = None, sigma: float = 0.0, seed: int = 0,
-    size: tuple[int, int] = (512, 512),
+    densities, sigma: float = 0.0, seed: int = 0, size: tuple[int, int] = (512, 512),
 ) -> Image:
     """Phantom image (int16), quantized from :func:`synth_phantom_values`."""
-    return Image.from_values(synth_phantom_values(densities, layout, sigma, seed, size))
+    return Image.from_values(synth_phantom_values(densities, sigma, seed, size))
 
 
 def load_dose_model(path) -> DoseNoiseModel:

@@ -4,6 +4,16 @@ ValueError (and subclasses raised by argument validation) -> exit 1;
 FormatError -> exit 2; NumericalError subclasses -> exit 3.
 """
 
+__all__ = [
+    "FormatError",
+    "RangeError",
+    "NumericalError",
+    "BracketError",
+    "ConvergenceError",
+    "DegenerateFitError",
+    "OutOfDomainError",
+]
+
 
 class FormatError(Exception):
     """A file does not conform to its declared format."""

@@ -18,7 +18,7 @@ are real; quantization to the signed-16-bit grid happens only when an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "filter_pixel_dense",
     "filter_image",
     "filter_image_values",
-    "filter_iterate",
 ]
 
 BorderPolicy = Literal["clamp", "skip"]
@@ -90,7 +89,7 @@ class FilterConfig:
             lo, hi = self.hu_gate
             if not lo <= hi:
                 raise ValueError(f"gate interval must satisfy lo <= hi, got [{lo}, {hi}]")
-        if self.border not in ("clamp", "skip"):
+        if self.border not in get_args(BorderPolicy):
             raise ValueError(f"border policy must be clamp or skip, got {self.border!r}")
 
     def rings(self) -> RingNeighborhood:
@@ -163,26 +162,19 @@ def filter_image_values(values: np.ndarray, cfg: FilterConfig) -> np.ndarray:
                                   skip=cfg.border == "skip")
 
 
-def filter_image(img: Image, cfg: FilterConfig) -> Image:
-    """Filter an image once, quantizing the result to the int16 grid.
+def filter_image(img: Image, cfg: FilterConfig, passes: int = 1) -> Image:
+    """Apply the filter ``passes`` times, quantizing once at the end.
 
+    Real values carry between passes; ``passes = 0`` returns the input.
     Pixels copied through (out-of-gate centers, skip-policy margins) keep
     their input values bit-exactly: copied values are integers, and integers
     survive quantization unchanged.
     """
-    return Image.from_values(filter_image_values(img.values(), cfg))
-
-
-def filter_iterate(img: Image, cfg: FilterConfig, k: int) -> Image:
-    """Apply the filter ``k`` times, carrying real values between passes.
-
-    Quantizes once at the end; ``k = 0`` returns the input.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"iteration count must be a non-negative integer, got {k!r}")
-    if k == 0:
+    if not isinstance(passes, int) or passes < 0:
+        raise ValueError(f"iteration count must be a non-negative integer, got {passes!r}")
+    if passes == 0:
         return img
     values = img.values()
-    for _ in range(k):
+    for _ in range(passes):
         values = filter_image_values(values, cfg)
     return Image.from_values(values)

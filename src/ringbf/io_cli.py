@@ -39,6 +39,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -67,8 +68,8 @@ from .ctmodel import (
     synth_phantom,
 )
 from .errors import FormatError, NumericalError, RangeError
-from .filter import FilterConfig, Image, filter_iterate
-from .kernel import KernelSpec, VFamily, WFamily
+from .filter import BorderPolicy, FilterConfig, Image, filter_image
+from .kernel import MAX_SUPPORT_SIZE, KernelSpec, VFamily, WFamily
 
 __all__ = [
     "read_image",
@@ -331,7 +332,7 @@ def _cmd_filter(args) -> int:
     gate = _parse_pair(args.gate, "--gate") if args.gate else None
     cfg = FilterConfig(spec=spec, hu_gate=gate, border=args.border)
     img = read_image(args.inp)
-    out = filter_iterate(img, cfg, args.iterate)
+    out = filter_image(img, cfg, args.iterate)
     write_image(args.out, out)
     return 0
 
@@ -378,7 +379,7 @@ def _cmd_plan(args) -> int:
         if not args.inp or not args.out:
             raise ValueError("--apply requires both --in and --out")
         img = read_image(args.inp)
-        out = filter_iterate(img, plan.config(), 1)
+        out = filter_image(img, plan.config())
         write_image(args.out, out)
     elif args.inp or args.out:
         raise ValueError("--in/--out are only used with --apply")
@@ -413,6 +414,7 @@ def _cmd_phantom(args) -> int:
 
 _V_CHOICES = [v.value for v in VFamily]
 _DIST_CHOICES = [d.value for d in NoiseDistribution]
+_N_CHOICES = range(1, MAX_SUPPORT_SIZE + 1)
 
 
 def _add_kernel_options(sub, *, with_t: bool) -> None:
@@ -420,7 +422,7 @@ def _add_kernel_options(sub, *, with_t: bool) -> None:
                      help="photometric weight family")
     if with_t:
         sub.add_argument("--t", required=True, type=float, help="photometric scale")
-    sub.add_argument("--n", required=True, type=int, choices=range(1, 6),
+    sub.add_argument("--n", required=True, type=int, choices=_N_CHOICES,
                      help="number of rings in the support")
     sub.add_argument("--w", default="power",
                      help="spatial weight family: 'power' or 'gauss:<sigma>'")
@@ -439,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_kernel_options(p, with_t=True)
     p.add_argument("--gate", default=None, help="only filter pixels inside 'lo:hi'")
     p.add_argument("--iterate", type=int, default=1, help="number of passes (default 1)")
-    p.add_argument("--border", choices=["clamp", "skip"], default="clamp",
+    p.add_argument("--border", choices=get_args(BorderPolicy), default="clamp",
                    help="border handling (default clamp)")
     p.set_defaults(handler=_cmd_filter)
 
@@ -471,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="dose model file (default: built-in model)")
     p.add_argument("--v", default="frac", choices=_V_CHOICES,
                    help="photometric weight family (default frac)")
-    p.add_argument("--n", type=int, default=3, choices=range(1, 6),
+    p.add_argument("--n", type=int, default=3, choices=_N_CHOICES,
                    help="number of rings (default 3)")
     p.add_argument("--t0", type=float, default=DEFAULT_THRESHOLD,
                    help=f"unit-scale threshold (default {DEFAULT_THRESHOLD:.2f})")

@@ -58,36 +58,27 @@ class VFamily(enum.Enum):
             raise ValueError(f"unknown V family {name!r} (expected one of: {valid})") from None
 
 
-class WVariant(enum.Enum):
-    Power = "power"
-    Gaussian = "gauss"
-
-
 @dataclass(frozen=True)
 class WFamily:
-    """Spatial weight family.
+    """Spatial weight family; ``sigma_d`` alone picks the variant.
 
-    ``Power``    -> W(r) = 2^(-r)
-    ``Gaussian`` -> W(r) = exp(-(r/sigma_d)^2), sigma_d > 0
+    ``sigma_d is None`` -> power:    W(r) = 2^(-r)
+    ``sigma_d > 0``     -> Gaussian: W(r) = exp(-(r/sigma_d)^2)
     """
 
-    variant: WVariant = WVariant.Power
     sigma_d: float | None = None
 
     def __post_init__(self):
-        if self.variant is WVariant.Gaussian:
-            if self.sigma_d is None or not self.sigma_d > 0:
-                raise ValueError("Gaussian W requires sigma_d > 0")
-        elif self.sigma_d is not None:
-            raise ValueError("sigma_d only applies to the Gaussian variant")
+        if self.sigma_d is not None and not self.sigma_d > 0:
+            raise ValueError("Gaussian W requires sigma_d > 0")
 
     @classmethod
     def power(cls) -> "WFamily":
-        return cls(WVariant.Power)
+        return cls()
 
     @classmethod
     def gaussian(cls, sigma_d: float) -> "WFamily":
-        return cls(WVariant.Gaussian, float(sigma_d))
+        return cls(float(sigma_d))
 
     @classmethod
     def parse(cls, text: str) -> "WFamily":
@@ -144,7 +135,6 @@ _RING_OFFSETS = (
 
 @dataclass(frozen=True)
 class Ring:
-    radius: float
     offsets: tuple[tuple[int, int], ...]
     weight: float
 
@@ -154,10 +144,6 @@ class RingNeighborhood:
     """The first n rings with their shared spatial weights (center excluded)."""
 
     rings: tuple[Ring, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rings)
 
     @property
     def size(self) -> int:
@@ -192,8 +178,8 @@ def build_rings(n: int, w: WFamily) -> RingNeighborhood:
     if not isinstance(n, int) or not 1 <= n <= MAX_SUPPORT_SIZE:
         raise ValueError(f"support size n must be an integer in 1..{MAX_SUPPORT_SIZE}, got {n!r}")
     rings = tuple(
-        Ring(radius=_RING_RADII[i], offsets=_RING_OFFSETS[i], weight=eval_W(w, _RING_RADII[i]))
-        for i in range(n)
+        Ring(offsets=offsets, weight=eval_W(w, radius))
+        for radius, offsets in zip(_RING_RADII[:n], _RING_OFFSETS)
     )
     return RingNeighborhood(rings)
 
@@ -203,7 +189,7 @@ def eval_W(w: WFamily, r):
     r_arr = np.asarray(r, dtype=np.float64)
     if np.any(r_arr < 0):
         raise ValueError("distance r must be >= 0")
-    if w.variant is WVariant.Power:
+    if w.sigma_d is None:
         out = np.exp2(-r_arr)
     else:
         s = r_arr / w.sigma_d

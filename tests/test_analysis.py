@@ -6,7 +6,6 @@ import pytest
 
 import ringbf.analysis as analysis
 from ringbf.analysis import (
-    CurveFingerprint,
     KCurve,
     KEstimate,
     NoiseDistribution,
@@ -92,7 +91,7 @@ def test_estimate_ignores_spec_scale_field():
 
 def test_estimate_fields_and_validation():
     e = estimate_K(_spec(n=2), 0.7, NORMAL, trials=1000, seed=5)
-    assert (e.t, e.n, e.trials) == (0.7, 2, 1000)
+    assert (e.t, e.trials) == (0.7, 1000)
     assert 0 < e.k_hat < 1 and e.std_err > 0
     # float32(1e39) is inf: every weight turned NaN and K silently read the
     # support-mean fallback, 0.2794 for this spec
@@ -197,7 +196,7 @@ def test_degenerate_batch_raises():
     # uniform draws scaled by zero would be needed for a zero denominator;
     # simulate by monkeypatching is overkill — a direct constructed call:
     with pytest.raises(NumericalError):
-        analysis._ratio_estimate(np.zeros(1000), np.zeros(1000), 0.0, 3)
+        analysis._ratio_estimate(np.zeros(1000), np.zeros(1000), 0.0)
 
 
 # --- curves ----------------------------------------------------------------
@@ -216,10 +215,8 @@ def test_curve_fingerprint():
         _spec(v=VFamily.Exp, w=WFamily.gaussian(2.0)), [0.1, 0.2, 0.3, 0.4, 0.5],
         UNIFORM, trials=1000, seed=8,
     )
-    assert curve.fingerprint == CurveFingerprint(
-        v="exp", w="gauss:2.0", n=3, dist="uniform", trials=1000, seed=8
-    )
     assert np.array_equal(curve.t_values(), [0.1, 0.2, 0.3, 0.4, 0.5])
+    assert [p.trials for p in curve.points] == [1000] * 5
 
 
 def test_curve_grid_validation():
@@ -229,20 +226,18 @@ def test_curve_grid_validation():
 
 
 def test_curve_type_rejects_unsorted_points():
-    p = KEstimate(t=1.0, n=3, k_hat=0.5, std_err=0.01, trials=100)
-    q = KEstimate(t=0.5, n=3, k_hat=0.4, std_err=0.01, trials=100)
-    fp = CurveFingerprint(v="frac", w="power", n=3, dist="normal", trials=100, seed=0)
+    p = KEstimate(t=1.0, k_hat=0.5, std_err=0.01, trials=100)
+    q = KEstimate(t=0.5, k_hat=0.4, std_err=0.01, trials=100)
     with pytest.raises(ValueError):
-        KCurve(fingerprint=fp, points=(p, q))
+        KCurve(points=(p, q))
 
 
 def test_curve_csv_format():
-    fp = CurveFingerprint(v="frac", w="power", n=3, dist="normal", trials=100, seed=0)
     points = (
-        KEstimate(t=0.5, n=3, k_hat=0.25, std_err=0.001953125, trials=100),
-        KEstimate(t=1.0, n=3, k_hat=1.0 / 3.0, std_err=0.002, trials=100),
+        KEstimate(t=0.5, k_hat=0.25, std_err=0.001953125, trials=100),
+        KEstimate(t=1.0, k_hat=1.0 / 3.0, std_err=0.002, trials=100),
     )
-    csv = curve_to_csv(KCurve(fingerprint=fp, points=points))
+    csv = curve_to_csv(KCurve(points=points))
     assert csv == (
         "t,k_hat,std_err,trials\n"
         "0.5,0.25,0.001953125,100\n"
@@ -278,8 +273,9 @@ def test_solve_threshold_bracket_error():
 
 
 def test_solve_threshold_convergence_error():
-    with pytest.raises(ConvergenceError):
-        solve_threshold(_spec(), NORMAL, trials=2000, tol=1e-12, max_iter=3)
+    # 80 halvings of [0.01, 50] leave a bracket near 4e-23 wide, far above 1e-300
+    with pytest.raises(ConvergenceError, match="within 80 iterations"):
+        solve_threshold(_spec(), NORMAL, trials=2000, tol=1e-300)
 
 
 def test_solve_threshold_validation():
@@ -289,20 +285,24 @@ def test_solve_threshold_validation():
         solve_threshold(_spec(), NORMAL, bracket=(-1.0, 2.0), trials=2000)
     with pytest.raises(ValueError, match="scale t"):
         solve_threshold(_spec(), NORMAL, bracket=(0.01, math.inf), trials=2000)
-    with pytest.raises(ValueError):
-        solve_threshold(_spec(), NORMAL, tol=0.0, trials=2000)
+    # tol must lie strictly inside (0, bracket width): a tol at least the
+    # width would return the bracket midpoint without a single bisection
+    for tol in (0.0, -1e-3, math.nan, math.inf, 60.0, 50.0 - 0.01):
+        with pytest.raises(ValueError, match="tol"):
+            solve_threshold(_spec(), NORMAL, tol=tol, trials=2000)
+    with pytest.raises(ValueError, match="tol"):
+        solve_threshold(_spec(), NORMAL, bracket=(1.0, 1.5), tol=0.5, trials=2000)
 
 
 # --- extrema extraction -----------------------------------------------------
 
 
 def _curve_from(ks, t_step=0.1):
-    fp = CurveFingerprint(v="frac", w="power", n=3, dist="normal", trials=100, seed=0)
     points = tuple(
-        KEstimate(t=i * t_step, n=3, k_hat=float(k), std_err=0.001, trials=100)
+        KEstimate(t=i * t_step, k_hat=float(k), std_err=0.001, trials=100)
         for i, k in enumerate(ks)
     )
-    return KCurve(fingerprint=fp, points=points)
+    return KCurve(points=points)
 
 
 def test_find_extrema_dip_then_peak_then_decay():

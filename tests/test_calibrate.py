@@ -180,13 +180,6 @@ def test_fit_recovers_exact_quadratic():
     assert fit.degree == 2
     assert fit.coefficients == pytest.approx((3.0, -2.0, 0.5), abs=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit(1.5) == pytest.approx(3.0 - 3.0 + 1.125, rel=1e-12)
-    assert fit.count == 9
-
-
-def test_fit_is_callable_on_arrays():
-    fit = PolyFit(degree=1, coefficients=(1.0, 2.0), r_squared=1.0, count=5)
-    assert np.allclose(fit(np.array([0.0, 1.0, 2.0])), [1.0, 3.0, 5.0])
 
 
 def test_fit_underdetermined_raises():
@@ -273,7 +266,7 @@ def test_regression_validation():
 
 def test_report_structure_without_regression():
     pts = np.array([[10.0, 0.5], [20.0, 0.25], [20.0, 0.75]])
-    fit = PolyFit(degree=1, coefficients=(0.75, -0.025), r_squared=0.5, count=3)
+    fit = PolyFit(degree=1, coefficients=(0.75, -0.025), r_squared=0.5)
     summary = summarize_points(pts)
     assert summary.count.sum() == len(pts)
     report = format_calibration_report(summary, fit)

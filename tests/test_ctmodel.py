@@ -8,7 +8,7 @@ from ringbf.ctmodel import (
     DEFAULT_THRESHOLD,
     DoseNoiseModel,
     FilterPlan,
-    band_layout,
+    _band_layout,
     load_dose_model,
     noise_sigma,
     plan_filter,
@@ -17,7 +17,7 @@ from ringbf.ctmodel import (
 )
 from ringbf.errors import FormatError, OutOfDomainError
 from ringbf.filter import Image
-from ringbf.kernel import VFamily, WFamily, WVariant
+from ringbf.kernel import VFamily, WFamily
 
 
 # --- noise model ------------------------------------------------------------
@@ -110,20 +110,18 @@ def test_plan_defaults():
     plan = plan_filter(0.75)
     assert plan.spec.v is VFamily.Frac
     assert plan.spec.n == 3
-    assert plan.spec.w.variant is WVariant.Power
+    assert plan.spec.w == WFamily.power()
     assert plan.hu_gate == DEFAULT_HU_GATE == (-100.0, 300.0)
     assert plan.spec.t == plan.t
 
 
 def test_plan_overrides():
-    plan = plan_filter(
-        1.0, v=VFamily.Exp, n=2, w=WFamily.gaussian(1.5), t0=0.7, gate=None
-    )
+    plan = plan_filter(1.0, v=VFamily.Exp, n=2, t0=0.7)
     assert plan.spec.v is VFamily.Exp
     assert plan.spec.n == 2
-    assert plan.spec.w == WFamily.gaussian(1.5)
+    assert plan.spec.w == WFamily.power()
     assert plan.t == pytest.approx(0.7 / 63.83, rel=1e-12)
-    assert plan.hu_gate is None
+    assert plan.hu_gate == DEFAULT_HU_GATE
 
 
 def test_plan_config_carries_gate_and_clamp_border():
@@ -144,7 +142,7 @@ def test_plan_validation():
 
 
 def test_band_layout_partitions_width():
-    layout = band_layout(40, 100, 3)
+    layout = _band_layout(40, 100, 3)
     assert layout.shape == (40, 100)
     # every column belongs to one band, bands appear left to right
     assert np.array_equal(layout, np.broadcast_to(layout[0], layout.shape))
@@ -156,17 +154,17 @@ def test_band_layout_partitions_width():
 
 
 def test_band_layout_uneven_split():
-    row = band_layout(1, 10, 3)[0]
+    row = _band_layout(1, 10, 3)[0]
     assert np.bincount(row).tolist() == [4, 3, 3]
 
 
 def test_band_layout_validation():
     with pytest.raises(ValueError):
-        band_layout(10, 10, 0)
+        _band_layout(10, 10, 0)
     with pytest.raises(ValueError):
-        band_layout(0, 10, 1)
+        _band_layout(0, 10, 1)
     with pytest.raises(ValueError):
-        band_layout(10, 3, 4)  # more bands than columns
+        _band_layout(10, 3, 4)  # more bands than columns
 
 
 def test_phantom_noise_free_values_are_exact():
@@ -198,15 +196,12 @@ def test_phantom_image_is_quantized():
 
 
 def test_phantom_custom_layout_and_validation():
-    layout = np.zeros((8, 4), dtype=np.int32)
-    layout[4:] = 1  # top half density 0, bottom half density 1
-    vals = synth_phantom_values([1, 2], layout=layout)
+    # the layout is always the band layout: density i fills band i
+    vals = synth_phantom_values([1, 2], size=(8, 4))
     assert vals.shape == (8, 4)
-    assert np.all(vals[:4] == 1.0) and np.all(vals[4:] == 2.0)
+    assert np.array_equal(vals, np.array([1.0, 2.0])[_band_layout(8, 4, 2)])
     with pytest.raises(ValueError):
-        synth_phantom_values([1], layout=layout)  # index 1 has no density
-    with pytest.raises(ValueError):
-        synth_phantom_values([1, 2], layout=layout.ravel())  # not a 2-D grid
+        synth_phantom_values([1, 2, 3], size=(8, 2))  # more bands than columns
     with pytest.raises(ValueError):
         synth_phantom_values([], size=(8, 4))
     with pytest.raises(ValueError):

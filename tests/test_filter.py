@@ -9,7 +9,6 @@ from ringbf.filter import (
     Image,
     filter_image,
     filter_image_values,
-    filter_iterate,
     filter_pixel_dense,
     quantize_to_int16,
 )
@@ -288,19 +287,13 @@ def test_border_policy_validation():
 
 def test_iterate_zero_is_identity():
     img = Image(pixels=_random_image(3, (10, 10)).astype(np.int16))
-    assert filter_iterate(img, _cfg(), 0) is img
-
-
-def test_iterate_one_matches_single_application():
-    img = Image(pixels=_random_image(4, (10, 10)).astype(np.int16))
-    cfg = _cfg(t=0.03)
-    assert np.array_equal(filter_iterate(img, cfg, 1).pixels, filter_image(img, cfg).pixels)
+    assert filter_image(img, _cfg(), 0) is img
 
 
 def test_iterate_carries_real_values_between_passes():
     img = Image(pixels=_random_image(6, (12, 12)).astype(np.int16))
     cfg = _cfg(t=0.03)
-    twice_real = filter_iterate(img, cfg, 2)
+    twice_real = filter_image(img, cfg, 2)
     expected = Image.from_values(
         filter_image_values(filter_image_values(img.values(), cfg), cfg)
     )
@@ -311,7 +304,7 @@ def test_iterate_validation():
     img = Image(pixels=np.zeros((6, 6), dtype=np.int16))
     for k in (-1, 1.5):
         with pytest.raises(ValueError):
-            filter_iterate(img, _cfg(), k)
+            filter_image(img, _cfg(), k)
 
 
 def test_pixel_out_of_bounds():

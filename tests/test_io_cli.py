@@ -447,6 +447,25 @@ def test_cli_threshold_non_finite_target_exits_one(capsys, target):
     assert "target must be finite" in capsys.readouterr().err
 
 
+# a tol at least the bracket width (49.99 for the default bracket) would
+# print the bracket midpoint, 25.005, without one bisection
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "60", repr(50.0 - 0.01)])
+def test_cli_threshold_tol_outside_bracket_width_exits_one(capsys, tol):
+    rc = cli_dispatch(["threshold", "--v", "frac", "--n", "3", "--dist", "normal",
+                       "--trials", "2000", "--tol", tol])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tol must satisfy 0 < tol < bracket width" in captured.err
+
+
+def test_cli_threshold_unreachable_tol_exits_three(capsys):
+    rc = cli_dispatch(["threshold", "--v", "frac", "--n", "3", "--dist", "normal",
+                       "--trials", "2000", "--tol", "1e-300"])
+    assert rc == 3
+    assert "did not reach tol=1e-300 within 80 iterations" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option", [["--densities", "nan,0"], ["--densities", "0,inf"],
                                     ["--densities", "0", "--sigma", "inf"],
                                     ["--densities", "0", "--sigma", "nan"]],

@@ -12,7 +12,6 @@ from ringbf.kernel import (
     KernelSpec,
     VFamily,
     WFamily,
-    WVariant,
     build_rings,
     eval_W,
 )
@@ -49,19 +48,13 @@ def test_ring_sizes_and_cumulative_counts():
         assert build_rings(n, WFamily.power()).size == total
 
 
-def test_ring_radii():
-    radii = [r.radius for r in build_rings(5, WFamily.power()).rings]
-    assert radii == pytest.approx(
-        [1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 2.0 * math.sqrt(2.0)], rel=0, abs=0
-    )
-
-
 def test_power_ring_weights():
     rings = build_rings(5, WFamily.power()).rings
     weights = [r.weight for r in rings]
     assert weights[0] == 0.5
     assert weights[1] == pytest.approx(0.37521422724648174, rel=1e-15)
     assert weights[2] == 0.25
+    assert weights[3] == pytest.approx(2.0 ** -math.sqrt(5.0), rel=1e-15)
     # the merged fifth ring carries the representative-radius weight for
     # every offset, the distance-3 ones included
     assert weights[4] == pytest.approx(0.14078571632817444, rel=1e-15)
@@ -205,7 +198,11 @@ def test_wfamily_validation():
     with pytest.raises(ValueError):
         WFamily.gaussian(-1.0)
     with pytest.raises(ValueError):
-        WFamily(WVariant.Power, sigma_d=2.0)
+        WFamily.gaussian(math.nan)
+    with pytest.raises(ValueError):
+        WFamily(sigma_d=0.0)
+    assert WFamily() == WFamily.power() and WFamily.power().sigma_d is None
+    assert WFamily(sigma_d=2.0) == WFamily.gaussian(2.0)
 
 
 def test_wfamily_parse():
