@@ -228,8 +228,12 @@ def estimate_linear_K(
 
 
 def linear_k0(w: WFamily, n: int) -> float:
-    """Closed-form K(0): sqrt(sum of squared weights) / sum of weights."""
+    """Closed-form K(0): sqrt(sum of squared weights) / sum of weights.
+
+    The weights are first divided by the largest, so squaring cannot underflow.
+    """
     w_off = build_rings(n, w).offset_weights()
+    w_off = w_off / w_off.max()
     return float(np.sqrt((w_off ** 2).sum()) / w_off.sum())
 
 

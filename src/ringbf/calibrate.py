@@ -165,6 +165,20 @@ class PolyFit:
     r_squared: float
 
 
+def _least_squares(design: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Coefficients minimizing |design @ coef - y| and the residual sum of squares.
+
+    A rank-deficient design raises ``DegenerateFitError`` naming ``what``.
+    """
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        raise DegenerateFitError(
+            f"design matrix rank {rank} < {design.shape[1]}: {what} is degenerate"
+        )
+    resid = y - design @ coef
+    return coef, float(resid @ resid)
+
+
 def fit_polynomial(points, degree: int) -> PolyFit:
     """Fit y = c0 + c1*x + ... + cd*x^d by least squares.
 
@@ -183,13 +197,7 @@ def fit_polynomial(points, degree: int) -> PolyFit:
     if degree >= 1 and np.all(x == x[0]):
         raise DegenerateFitError("all x values identical: polynomial fit is degenerate")
     design = np.vander(x, degree + 1, increasing=True)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < degree + 1:
-        raise DegenerateFitError(
-            f"design matrix rank {rank} < {degree + 1}: polynomial fit is degenerate"
-        )
-    resid = y - design @ coeffs
-    ss_res = float(resid @ resid)
+    coeffs, ss_res = _least_squares(design, y, "polynomial fit")
     centered = y - y.mean()
     ss_tot = float(centered @ centered)
     if ss_tot == 0.0:
@@ -245,14 +253,9 @@ def regress_noise(maps: LocalMaps) -> RegressionReport:
     if count < 30:
         raise ValueError(f"need at least 30 sample pixels, got {count}")
     design = np.column_stack([np.ones(count), s_l, f_a])
-    beta, _, rank, _ = np.linalg.lstsq(design, s_h, rcond=None)
-    if rank < 3:
-        raise DegenerateFitError(
-            "collinear predictors: the regression design matrix is rank-deficient"
-        )
-    resid = s_h - design @ beta
+    beta, ss_res = _least_squares(design, s_h, "noise regression")
     dof = count - 3
-    sigma2 = float(resid @ resid) / dof
+    sigma2 = ss_res / dof
     cov = sigma2 * np.linalg.inv(design.T @ design)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     stats = []

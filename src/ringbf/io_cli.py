@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import get_args
@@ -69,16 +70,17 @@ from .ctmodel import (
 )
 from .errors import FormatError, NumericalError, RangeError
 from .filter import BorderPolicy, FilterConfig, Image, filter_image
-from .kernel import MAX_SUPPORT_SIZE, KernelSpec, VFamily, WFamily
+from .kernel import _SIGMA_D_MIN, MAX_SUPPORT_SIZE, KernelSpec, VFamily, WFamily
 
 __all__ = [
     "read_image",
     "write_image",
     "cli_dispatch",
-    "main",
 ]
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+# One PGM header token: skip ASCII whitespace and '#' comments (each up to the
+# end of its line), then capture the run of non-whitespace bytes that follows.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 _PGM_MAX = 32767  # largest value an int16 pipeline can round-trip
 
 
@@ -115,10 +117,10 @@ def _parse_meta(text: str, path: Path) -> tuple[int, int]:
         key = key.strip()
         if not sep or key not in ("width", "height"):
             raise FormatError(f"{path}: line {lineno}: expected 'width=<int>' or 'height=<int>', got {line!r}")
-        try:
-            parsed = int(value.strip())
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: {key} must be an integer, got {value.strip()!r}") from None
+        value = value.strip()
+        if not value.isdigit():
+            raise FormatError(f"{path}: line {lineno}: {key} must be an integer, got {value!r}")
+        parsed = int(value)
         if parsed <= 0:
             raise FormatError(f"{path}: line {lineno}: {key} must be positive, got {parsed}")
         if key in fields:
@@ -161,50 +163,33 @@ def _read_pgm(path: Path) -> Image:
     data = path.read_bytes()
     pos = 0
 
-    def skip_separators() -> None:
+    def token(name: str) -> tuple[bytes, int]:
+        """The next header token and its offset, after any separators."""
         nonlocal pos
-        while pos < len(data):
-            byte = data[pos:pos + 1]
-            if byte in (b"#",):
-                while pos < len(data) and data[pos:pos + 1] not in (b"\r", b"\n"):
-                    pos += 1
-            elif byte and byte in _WHITESPACE:
-                pos += 1
-            else:
-                break
+        match = _PGM_TOKEN.match(data, pos)
+        pos = match.end()
+        if not match[1]:
+            raise FormatError(f"{path}: missing {name} in header", offset=match.start(1))
+        return match[1], match.start(1)
 
-    def read_token(name: str) -> tuple[bytes, int]:
-        nonlocal pos
-        skip_separators()
-        start = pos
-        while pos < len(data) and data[pos:pos + 1] not in _WHITESPACE:
-            pos += 1
-        if pos == start:
-            raise FormatError(f"{path}: missing {name} in header", offset=start)
-        return data[start:pos], start
-
-    def read_int(name: str) -> tuple[int, int]:
-        token, start = read_token(name)
-        try:
-            return int(token), start
-        except ValueError:
-            raise FormatError(f"{path}: {name} must be an integer, got {token!r}", offset=start) from None
-
-    magic, start = read_token("magic number")
+    magic, start = token("magic number")
     if magic != b"P5":
         raise FormatError(f"{path}: not a binary PGM (expected magic 'P5', got {magic!r})", offset=start)
-    width, start = read_int("width")
-    if width <= 0:
-        raise FormatError(f"{path}: width must be positive, got {width}", offset=start)
-    height, start = read_int("height")
-    if height <= 0:
-        raise FormatError(f"{path}: height must be positive, got {height}", offset=start)
-    maxval, start = read_int("maxval")
+    numbers = []
+    for name in ("width", "height", "maxval"):
+        digits, start = token(name)
+        if not digits.isdigit():
+            raise FormatError(f"{path}: {name} must be an integer, got {digits!r}", offset=start)
+        value = int(digits)
+        if value <= 0 and name != "maxval":
+            raise FormatError(f"{path}: {name} must be positive, got {value}", offset=start)
+        numbers.append(value)
+    width, height, maxval = numbers
     if maxval != 65535:
         raise FormatError(
             f"{path}: 16-bit grayscale required (maxval 65535), got maxval {maxval}", offset=start
         )
-    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():
         raise FormatError(f"{path}: expected a single whitespace byte after maxval", offset=pos)
     pos += 1
     expected = width * height * 2
@@ -425,7 +410,8 @@ def _add_kernel_options(sub, *, with_t: bool) -> None:
     sub.add_argument("--n", required=True, type=int, choices=_N_CHOICES,
                      help="number of rings in the support")
     sub.add_argument("--w", default="power",
-                     help="spatial weight family: 'power' or 'gauss:<sigma>'")
+                     help="spatial weight family: 'power' or 'gauss:<sigma>' "
+                          f"with sigma >= {_SIGMA_D_MIN:.6g}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -27,6 +27,8 @@ __all__ = [
 
 MAX_SUPPORT_SIZE = 5
 _T_MAX = float(np.finfo(np.float32).max)  # largest scale the float32 kernels can hold
+# smallest Gaussian sigma_d whose W(1) = exp(-1/sigma_d^2) is a normal float64
+_SIGMA_D_MIN = 1.0 / math.sqrt(-math.log(np.finfo(np.float64).tiny))
 
 
 class VFamily(enum.Enum):
@@ -62,15 +64,21 @@ class VFamily(enum.Enum):
 class WFamily:
     """Spatial weight family; ``sigma_d`` alone picks the variant.
 
-    ``sigma_d is None`` -> power:    W(r) = 2^(-r)
-    ``sigma_d > 0``     -> Gaussian: W(r) = exp(-(r/sigma_d)^2)
+    ``sigma_d is None``      -> power:    W(r) = 2^(-r)
+    ``sigma_d >= 0.0375718`` -> Gaussian: W(r) = exp(-(r/sigma_d)^2)
+
+    Below that bound W(1) is not a normal float64: every ring weight would be
+    subnormal or zero, and the filter would lose its precision without a sign.
     """
 
     sigma_d: float | None = None
 
     def __post_init__(self):
-        if self.sigma_d is not None and not self.sigma_d > 0:
-            raise ValueError("Gaussian W requires sigma_d > 0")
+        if self.sigma_d is not None and not self.sigma_d >= _SIGMA_D_MIN:
+            raise ValueError(
+                f"Gaussian W requires sigma_d >= {_SIGMA_D_MIN:.6g}, where W(1) is a normal "
+                f"float; got {self.sigma_d}"
+            )
 
     @classmethod
     def power(cls) -> "WFamily":
@@ -91,9 +99,10 @@ class WFamily:
             if not sep:
                 raise ValueError("Gaussian W must be given as gauss:<sigma>")
             try:
-                return cls.gaussian(float(rest))
-            except ValueError as exc:
-                raise ValueError(f"bad Gaussian sigma {rest!r}") from exc
+                sigma_d = float(rest)
+            except ValueError:
+                raise ValueError(f"bad Gaussian sigma {rest!r}") from None
+            return cls.gaussian(sigma_d)
         raise ValueError(f"unknown W family {text!r} (expected power or gauss:<sigma>)")
 
 

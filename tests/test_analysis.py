@@ -125,6 +125,9 @@ def test_linear_k0_closed_form_against_direct_sum():
         assert linear_k0(w, n) == pytest.approx(
             math.sqrt((weights**2).sum()) / weights.sum(), rel=1e-12
         )
+    # at sigma_d = 0.05 ring 1 weighs exp(-400) and the outer rings 0; squaring
+    # exp(-400) underflows, so the unscaled sum of squares would give K(0) = 0
+    assert linear_k0(WFamily.gaussian(0.05), 3) == 0.5
 
 
 def test_linear_monte_carlo_agrees_with_family_estimates_at_zero():

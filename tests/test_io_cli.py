@@ -80,6 +80,12 @@ def test_raw_meta_errors(tmp_path):
         meta.write_text(text)
         with pytest.raises(FormatError):
             read_image(path)
+    # sizes are ASCII decimal digits only: no sign, no '_' separator
+    for text in ("width=+2\nheight=2\n", "width=2\nheight=0_2\n", "width=6_5535\nheight=2\n",
+                 "width=-2\nheight=2\n"):
+        meta.write_text(text)
+        with pytest.raises(FormatError, match="must be an integer"):
+            read_image(path)
     meta.write_text("# comment line\nwidth=2\nheight=2\n")
     assert read_image(path).width == 2
 
@@ -143,6 +149,22 @@ def test_pgm_errors(tmp_path):
     path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 10)  # trailing junk
     with pytest.raises(FormatError):
         read_image(path)
+    # header numbers are ASCII decimal digits only: no sign, no '_' separator
+    for header in (b"P5\n+2 2\n65535\n", b"P5\n2 0_2\n65535\n", b"P5\n2 2\n6_5535\n",
+                   b"P5\n-3 2\n65535\n"):
+        path.write_bytes(header + b"\x00" * 8)
+        with pytest.raises(FormatError, match="must be an integer"):
+            read_image(path)
+
+
+def test_cli_non_digit_header_exits_two(tmp_path, capsys):
+    inp = tmp_path / "in.pgm"
+    inp.write_bytes(b"P5\n1_0 1\n65535\n" + b"\x00" * 20)
+    rc = cli_dispatch(["filter", "--in", str(inp), "--out", str(tmp_path / "o.pgm"),
+                       "--v", "frac", "--t", "1", "--n", "3"])
+    assert rc == 2
+    assert "width must be an integer, got b'1_0'" in capsys.readouterr().err
+    assert not (tmp_path / "o.pgm").exists()
 
 
 def test_pgm_sample_above_int16_range_reports_offset(tmp_path):
@@ -405,6 +427,17 @@ def test_cli_threshold_infinite_bracket_exits_one(capsys):
                        "--trials", "1000", "--bracket", "0.01:inf"])
     assert rc == 1
     assert "scale t" in capsys.readouterr().err
+
+
+def test_cli_gaussian_sigma_below_bound_exits_one(tmp_path, capsys):
+    inp = tmp_path / "in.raw"
+    write_image(inp, _img([[100, 200], [300, 400]]))
+    for argv in (["filter", "--in", str(inp), "--out", str(tmp_path / "o.raw"), "--t", "0.02"],
+                 ["threshold", "--dist", "normal"]):
+        rc = cli_dispatch(argv + ["--v", "frac", "--n", "3", "--w", "gauss:1e-200"])
+        assert rc == 1
+        assert "sigma_d >= 0.0375718" in capsys.readouterr().err
+    assert not (tmp_path / "o.raw").exists()
 
 
 @pytest.mark.parametrize("grid", ["0:inf:1", "0:nan:1", "0:1:inf", "nan:1:0.5",

@@ -1,4 +1,4 @@
-"""Properties of the image file formats: round-trips and fuzzed headers."""
+"""Properties of the image file formats: round-trips, header separators and fuzzed headers."""
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,15 +25,41 @@ def test_raw_roundtrip(tmp_path, pixels):
     assert np.array_equal(back.pixels, pixels)
 
 
+pgm_pixels = shapes.flatmap(lambda shape: arrays(np.int16, shape, elements=st.integers(0, 32767)))
+
+
 @_SETTINGS
-@given(pixels=shapes.flatmap(
-    lambda shape: arrays(np.int16, shape, elements=st.integers(0, 32767))))
+@given(pixels=pgm_pixels)
 def test_pgm_roundtrip(tmp_path, pixels):
     path = tmp_path / "img.pgm"
     write_image(path, Image(pixels=pixels))
     back = read_image(path)
     assert back.pixels.dtype == np.int16
     assert np.array_equal(back.pixels, pixels)
+
+
+_whitespace = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+# a '#' ends a token only after whitespace ("2#x" is one token), so each
+# separator opens with a whitespace byte
+_valid_separators = st.tuples(_whitespace, st.lists(
+    st.sampled_from([b" ", b"\t", b"\r\n", b"\x0b", b"\x0c", b"# note\n", b"# note\r"]),
+    max_size=4,
+)).map(lambda parts: parts[0] + b"".join(parts[1]))
+
+
+@_SETTINGS
+@given(pixels=pgm_pixels, seps=st.tuples(*[_valid_separators] * 3), last=_whitespace)
+def test_pgm_header_separators_roundtrip(tmp_path, pixels, seps, last):
+    # any mix of whitespace and comments may separate the header tokens;
+    # exactly one whitespace byte ends the header
+    path = tmp_path / "img.pgm"
+    write_image(path, Image(pixels=pixels))
+    body = path.read_bytes()[-2 * pixels.size:]
+    height, width = pixels.shape
+    tokens = [b"P5", str(width).encode(), str(height).encode(), b"65535"]
+    header = b"".join(tok + sep for tok, sep in zip(tokens, seps + (last,)))
+    path.write_bytes(header + body)
+    assert np.array_equal(read_image(path).pixels, pixels)
 
 
 def _read_or_format_error(path):

@@ -201,6 +201,11 @@ def test_wfamily_validation():
         WFamily.gaussian(math.nan)
     with pytest.raises(ValueError):
         WFamily(sigma_d=0.0)
+    # below about 0.0376, W(1) = exp(-1/sigma_d^2) is subnormal or zero
+    for sigma_d in (0.0367, 1e-200):
+        with pytest.raises(ValueError, match="normal float"):
+            WFamily.gaussian(sigma_d)
+    assert eval_W(WFamily.gaussian(0.0376), 1.0) >= np.finfo(np.float64).tiny
     assert WFamily() == WFamily.power() and WFamily.power().sigma_d is None
     assert WFamily(sigma_d=2.0) == WFamily.gaussian(2.0)
 
