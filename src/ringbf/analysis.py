@@ -16,8 +16,8 @@ realization.
 Estimates aggregate over fixed batches of trials: k_hat is the mean of
 per-batch deviation ratios and std_err the standard error of that mean.
 All randomness flows from a counter-based generator (Philox) keyed by the
-seed, with per-trial positions derived from the trial index, so results are
-bit-reproducible regardless of chunking.
+seed, read front to back: trial ``i`` holds a fixed run of stream positions,
+so results are bit-reproducible regardless of chunking.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ DEFAULT_TRIALS_TABLE = 200_000
 DEFAULT_TRIALS_CURVE = 20_000
 
 _BATCH_TRIALS = 2_000
-_CHUNK_VALUES = 1 << 23  # draws generated per chunk (memory bound)
+_CHUNK_VALUES = 1 << 18  # stream words read per chunk (bounds the temporaries)
 _SQRT3 = math.sqrt(3.0)
 _MAX_BISECTIONS = 80
 
@@ -117,39 +117,25 @@ class CurveExtrema:
     plateau: float
 
 
-def _unit_draws(dist: NoiseDistribution, count: int, seed: int, offset: int) -> np.ndarray:
-    """``count`` draws of Q from the seed-keyed counter stream, starting at ``offset``.
+def _unit_draws(dist: NoiseDistribution, shape, seed: int) -> np.ndarray:
+    """An array of ``shape`` draws of Q, filled in C order from the seed-keyed stream.
 
-    The generator emits four 64-bit words per counter step and ``advance``
-    moves whole steps, so seek to the enclosing step and discard the lead-in.
+    The counter stream is read front to back ``_CHUNK_VALUES`` words at a
+    time and each chunk is transformed straight into its slice of the
+    output, so the values do not depend on the chunk size and the only
+    temporaries are a few chunk-sized arrays.
     """
     bg = np.random.Philox(key=seed)
-    lead = offset % 4
-    if offset - lead:
-        bg.advance((offset - lead) // 4)
-    raw = bg.random_raw(lead + count)[lead:]
-    u = ((raw >> np.uint64(11)) + 0.5) * (2.0 ** -53)  # uniform on (0, 1)
-    if dist is NoiseDistribution.Normal:
-        return ndtri(u)
-    return _SQRT3 * (2.0 * u - 1.0)
-
-
-def _draw_support_values(
-    dist: NoiseDistribution, support_size: int, trials: int, seed: int
-) -> np.ndarray:
-    """(trials, 1 + support_size) unit-scale draws: center value then ring values.
-
-    Trial ``i`` consumes stream positions [i*stride, (i+1)*stride), so the
-    array content is independent of chunking.
-    """
-    stride = 1 + support_size
-    total = trials * stride
-    out = np.empty((trials, stride), dtype=np.float64)
-    chunk_trials = max(1, _CHUNK_VALUES // stride)
-    for start in range(0, trials, chunk_trials):
-        stop = min(start + chunk_trials, trials)
-        draws = _unit_draws(dist, (stop - start) * stride, seed, start * stride)
-        out[start:stop] = draws.reshape(stop - start, stride)
+    out = np.empty(shape, dtype=np.float64)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _CHUNK_VALUES):
+        part = flat[start:start + _CHUNK_VALUES]
+        raw = bg.random_raw(part.size)
+        u = ((raw >> np.uint64(11)) + 0.5) * (2.0 ** -53)  # uniform on (0, 1)
+        if dist is NoiseDistribution.Normal:
+            ndtri(u, out=part)
+        else:
+            np.multiply(_SQRT3, 2.0 * u - 1.0, out=part)
     return out
 
 
@@ -176,8 +162,12 @@ def _ratio_estimate(f0: np.ndarray, h: np.ndarray, t: float) -> KEstimate:
 def _support_draws(
     spec: KernelSpec, dist: NoiseDistribution, trials: int, seed: int
 ) -> np.ndarray:
-    """Unit-scale trial rows for the spec's support (its t plays no part)."""
-    return _draw_support_values(dist, build_rings(spec.n, spec.w).size, trials, seed)
+    """(trials, 1 + support size) unit-scale draws: center value then ring values.
+
+    The spec's t plays no part.  Trial ``i`` holds stream positions
+    [i*stride, (i+1)*stride) with ``stride = 1 + support size``.
+    """
+    return _unit_draws(dist, (trials, 1 + build_rings(spec.n, spec.w).size), seed)
 
 
 def _estimate_at(vals: np.ndarray, spec: KernelSpec) -> KEstimate:
@@ -202,9 +192,7 @@ def estimate_K(
     Deterministic for a fixed (dist, n, trials, seed); the same seed shares
     its draws across all t (common random numbers).
     """
-    _check_trials(trials)
-    spec = spec.with_t(t)
-    return _estimate_at(_support_draws(spec, dist, trials, seed), spec)
+    return compute_curve(spec, [t], dist, trials, seed).points[0]
 
 
 def estimate_linear_K(
@@ -222,7 +210,7 @@ def estimate_linear_K(
     _check_trials(trials)
     rings = build_rings(n, w)
     w_off = rings.offset_weights()
-    vals = _draw_support_values(dist, rings.size, trials, seed)
+    vals = _unit_draws(dist, (trials, 1 + rings.size), seed)
     h = vals[:, 1:] @ w_off / w_off.sum()
     return _ratio_estimate(vals[:, 0], h, 0.0)
 

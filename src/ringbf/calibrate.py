@@ -281,7 +281,7 @@ def format_points(points) -> str:
 
 
 def format_calibration_report(summary: PointSummary, fit: PolyFit,
-                              regression: RegressionReport | None = None) -> str:
+                              regression: RegressionReport) -> str:
     """Plain-text report: the binned point summary, the fit, the regression table."""
     lines = ["t_lo,t_hi,count,t_mean,ratio_mean,ratio_std"]
     for t_lo, t_hi, count, t_mean, ratio_mean, ratio_std in zip(
@@ -296,17 +296,16 @@ def format_calibration_report(summary: PointSummary, fit: PolyFit,
     )
     lines.append(header)
     lines.append(values)
-    if regression is not None:
-        lines.append("")
-        lines.append("term,coefficient,std_error,t_stat,p_value")
-        for name, s in (
-            ("intercept", regression.intercept),
-            ("s_L", regression.s_l),
-            ("f_a", regression.f_a),
-        ):
-            lines.append(
-                f"{name},{s.coefficient:.9g},{s.std_error:.9g},{s.t_stat:.9g},{s.p_value:.9g}"
-            )
-        lines.append(f"samples,{regression.count}")
-        lines.append(f"dof,{regression.dof}")
+    lines.append("")
+    lines.append("term,coefficient,std_error,t_stat,p_value")
+    for name, s in (
+        ("intercept", regression.intercept),
+        ("s_L", regression.s_l),
+        ("f_a", regression.f_a),
+    ):
+        lines.append(
+            f"{name},{s.coefficient:.9g},{s.std_error:.9g},{s.t_stat:.9g},{s.p_value:.9g}"
+        )
+    lines.append(f"samples,{regression.count}")
+    lines.append(f"dof,{regression.dof}")
     return "\n".join(lines) + "\n"

@@ -157,7 +157,7 @@ def synth_phantom_values(
     base = dens[layout]
     if sigma == 0.0:
         return base
-    noise = _unit_draws(NoiseDistribution.Normal, layout.size, seed, 0).reshape(layout.shape)
+    noise = _unit_draws(NoiseDistribution.Normal, layout.shape, seed)
     return base + sigma * noise
 
 

@@ -79,8 +79,12 @@ __all__ = [
 ]
 
 # One PGM header token: skip ASCII whitespace and '#' comments (each up to the
-# end of its line), then capture the run of non-whitespace bytes that follows.
-_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+# end of its line), then capture the run of bytes up to the next whitespace or
+# '#', since a comment may start right after a token.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+# An optional comment right after maxval, taken only when a line end closes
+# it: that line end is the one whitespace byte before the samples.
+_PGM_MAXVAL_COMMENT = re.compile(rb"(?:#[^\r\n]*(?=[\r\n]))?")
 _PGM_MAX = 32767  # largest value an int16 pipeline can round-trip
 
 
@@ -189,6 +193,7 @@ def _read_pgm(path: Path) -> Image:
         raise FormatError(
             f"{path}: 16-bit grayscale required (maxval 65535), got maxval {maxval}", offset=start
         )
+    pos = _PGM_MAXVAL_COMMENT.match(data, pos).end()
     if not data[pos:pos + 1].isspace():
         raise FormatError(f"{path}: expected a single whitespace byte after maxval", offset=pos)
     pos += 1

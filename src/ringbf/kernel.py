@@ -193,16 +193,11 @@ def build_rings(n: int, w: WFamily) -> RingNeighborhood:
     return RingNeighborhood(rings)
 
 
-def eval_W(w: WFamily, r):
-    """Spatial weight at distance ``r >= 0``; W(0) = 1 for both families."""
-    r_arr = np.asarray(r, dtype=np.float64)
-    if np.any(r_arr < 0):
-        raise ValueError("distance r must be >= 0")
+def eval_W(w: WFamily, r: float) -> float:
+    """Spatial weight at one distance ``r >= 0`` (NaN is rejected); W(0) = 1 for both families."""
+    if not r >= 0:
+        raise ValueError(f"distance r must be >= 0, got {r}")
     if w.sigma_d is None:
-        out = np.exp2(-r_arr)
-    else:
-        s = r_arr / w.sigma_d
-        out = np.exp(-(s * s))
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(out)
-    return out
+        return float(np.exp2(-r))
+    s = r / w.sigma_d
+    return float(np.exp(-(s * s)))

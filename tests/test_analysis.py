@@ -1,5 +1,6 @@
 """Monte-Carlo deviation-reduction estimation, threshold solving, extrema."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,23 +40,24 @@ def test_distribution_parse():
 
 
 def test_unit_draws_shape_and_determinism():
-    a = analysis._unit_draws(NORMAL, 49, 9, 0)
-    b = analysis._unit_draws(NORMAL, 49, 9, 0)
+    a = analysis._unit_draws(NORMAL, 49, 9)
+    b = analysis._unit_draws(NORMAL, 49, 9)
     assert a.shape == (49,)
     assert np.array_equal(a, b)
-    c = analysis._unit_draws(NORMAL, 49, 10, 0)
+    c = analysis._unit_draws(NORMAL, 49, 10)
     assert not np.array_equal(a, c)
+    assert analysis._unit_draws(NORMAL, (7, 7), 9).shape == (7, 7)
 
 
 def test_unit_draws_uniform_support_and_moments():
-    draws = analysis._unit_draws(UNIFORM, 81 * 81, 0, 0)
+    draws = analysis._unit_draws(UNIFORM, 81 * 81, 0)
     assert np.all(np.abs(draws) <= math.sqrt(3.0))
     assert abs(draws.mean()) < 0.03
     assert draws.std() == pytest.approx(1.0, abs=0.02)
 
 
 def test_unit_draws_normal_moments():
-    draws = analysis._unit_draws(NORMAL, 81 * 81, 0, 0)
+    draws = analysis._unit_draws(NORMAL, 81 * 81, 0)
     assert abs(draws.mean()) < 0.03
     assert draws.std() == pytest.approx(1.0, abs=0.02)
 
@@ -63,21 +65,35 @@ def test_unit_draws_normal_moments():
 # --- estimator fundamentals ------------------------------------------------
 
 
-def test_stream_positions_are_independent_of_read_layout():
-    whole = analysis._unit_draws(NORMAL, 200, 7, 0)
-    for splits in ([0, 8, 200], [0, 13, 29, 58, 87, 200], [0, 1, 2, 3, 200]):
-        parts = [
-            analysis._unit_draws(NORMAL, b - a, 7, a)
-            for a, b in zip(splits[:-1], splits[1:])
-        ]
-        assert np.array_equal(np.concatenate(parts), whole)
+def test_stream_positions_are_independent_of_read_layout(monkeypatch):
+    # one chunk of 1 << 18 words reads each array whole; chunks of 1, 3, 5, 13
+    # and 29 words end mid counter block (4 words) and mid trial row (29 values)
+    monkeypatch.setattr(analysis, "_CHUNK_VALUES", 1 << 18)
+    wholes = {(dist, shape): analysis._unit_draws(dist, shape, 7)
+              for dist in (NORMAL, UNIFORM) for shape in ((200,), (37, 29))}
+    for chunk in (1, 3, 4, 5, 13, 29):
+        monkeypatch.setattr(analysis, "_CHUNK_VALUES", chunk)
+        for (dist, shape), whole in wholes.items():
+            assert np.array_equal(analysis._unit_draws(dist, shape, 7), whole)
+
+
+def test_draws_hold_one_chunk_of_temporaries():
+    # numpy reports its buffers to tracemalloc: beyond the output array, the
+    # reader may hold only chunk-sized temporaries
+    tracemalloc.start()
+    try:
+        draws = analysis._unit_draws(NORMAL, (200_000, 29), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * draws.nbytes
 
 
 def test_estimate_is_deterministic_and_chunk_invariant(monkeypatch):
     a = estimate_K(_spec(), 1.0, NORMAL, trials=4000, seed=3)
     b = estimate_K(_spec(), 1.0, NORMAL, trials=4000, seed=3)
     assert (a.k_hat, a.std_err) == (b.k_hat, b.std_err)
-    # one trial per chunk: every chunk boundary lands mid-block in the stream
+    # chunks of 30 words end mid counter block and mid trial row (13 values)
     monkeypatch.setattr(analysis, "_CHUNK_VALUES", 30)
     c = estimate_K(_spec(), 1.0, NORMAL, trials=4000, seed=3)
     assert (a.k_hat, a.std_err) == (c.k_hat, c.std_err)

@@ -8,6 +8,8 @@ import scipy.stats
 from ringbf.calibrate import (
     SUMMARY_BINS,
     PolyFit,
+    PredictorStats,
+    RegressionReport,
     empirical_K_points,
     fit_polynomial,
     format_calibration_report,
@@ -264,12 +266,19 @@ def test_regression_validation():
 # --- report formatting ------------------------------------------------------
 
 
-def test_report_structure_without_regression():
+def test_report_structure_pins_every_section():
     pts = np.array([[10.0, 0.5], [20.0, 0.25], [20.0, 0.75]])
     fit = PolyFit(degree=1, coefficients=(0.75, -0.025), r_squared=0.5)
+    reg = RegressionReport(
+        intercept=PredictorStats(coefficient=1.5, std_error=0.25, t_stat=6.0, p_value=1e-9),
+        s_l=PredictorStats(coefficient=0.75, std_error=0.125, t_stat=6.0, p_value=2e-9),
+        f_a=PredictorStats(coefficient=-0.0625, std_error=0.5, t_stat=-0.125, p_value=0.9),
+        dof=97,
+        count=100,
+    )
     summary = summarize_points(pts)
     assert summary.count.sum() == len(pts)
-    report = format_calibration_report(summary, fit)
+    report = format_calibration_report(summary, fit, reg)
     # t = 20 ties the upper edges into one closed bin [10, 20] with every point
     assert report == (
         "t_lo,t_hi,count,t_mean,ratio_mean,ratio_std\n"
@@ -277,6 +286,13 @@ def test_report_structure_without_regression():
         "\n"
         "degree,c0,c1,r_squared\n"
         "1,0.75,-0.025,0.5\n"
+        "\n"
+        "term,coefficient,std_error,t_stat,p_value\n"
+        "intercept,1.5,0.25,6,1e-09\n"
+        "s_L,0.75,0.125,6,2e-09\n"
+        "f_a,-0.0625,0.5,-0.125,0.9\n"
+        "samples,100\n"
+        "dof,97\n"
     )
 
 

@@ -133,6 +133,18 @@ def test_pgm_header_comments(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5 # magic\n# a comment line\n2 1 # size\n65535\n\x00\x05\x00\x07")
     assert read_image(path).values().tolist() == [[5, 7]]
+    # a comment may start right after a token, maxval included; the line end
+    # that closes a comment after maxval is the one whitespace byte
+    for header in (b"P5# note\n2 1\n65535\n", b"P5\n2 1# c\n65535\n",
+                   b"P5\n2#c\n1 65535\n", b"P5\n2 1\n65535# c\n", b"P5\n2 1\n65535# c\r"):
+        path.write_bytes(header + b"\x00\x05\x00\x07")
+        assert read_image(path).values().tolist() == [[5, 7]]
+    # a comment after maxval must end at a line end before the samples; if
+    # none does, the error points at the '#'
+    path.write_bytes(b"P5\n2 1\n65535#\x00\x05\x00\x07")
+    with pytest.raises(FormatError, match="whitespace byte after maxval") as err:
+        read_image(path)
+    assert err.value.offset == 12
 
 
 def test_pgm_errors(tmp_path):

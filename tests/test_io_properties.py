@@ -39,19 +39,20 @@ def test_pgm_roundtrip(tmp_path, pixels):
 
 
 _whitespace = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
-# a '#' ends a token only after whitespace ("2#x" is one token), so each
-# separator opens with a whitespace byte
-_valid_separators = st.tuples(_whitespace, st.lists(
+_comment = st.sampled_from([b"# note\n", b"# note\r"])
+# a comment may start right after a token
+_valid_separators = st.tuples(st.one_of(_whitespace, _comment), st.lists(
     st.sampled_from([b" ", b"\t", b"\r\n", b"\x0b", b"\x0c", b"# note\n", b"# note\r"]),
     max_size=4,
 )).map(lambda parts: parts[0] + b"".join(parts[1]))
 
 
 @_SETTINGS
-@given(pixels=pgm_pixels, seps=st.tuples(*[_valid_separators] * 3), last=_whitespace)
+@given(pixels=pgm_pixels, seps=st.tuples(*[_valid_separators] * 3),
+       last=st.one_of(_whitespace, _comment))
 def test_pgm_header_separators_roundtrip(tmp_path, pixels, seps, last):
     # any mix of whitespace and comments may separate the header tokens;
-    # exactly one whitespace byte ends the header
+    # exactly one whitespace byte ends the header, after an optional comment
     path = tmp_path / "img.pgm"
     write_image(path, Image(pixels=pixels))
     body = path.read_bytes()[-2 * pixels.size:]

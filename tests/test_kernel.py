@@ -188,8 +188,10 @@ def test_eval_w_reference_points():
 
 
 def test_eval_w_rejects_negative_distance():
-    with pytest.raises(ValueError):
-        eval_W(WFamily.power(), -1.0)
+    for w in (WFamily.power(), WFamily.gaussian(2.0)):
+        for r in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="distance r"):
+                eval_W(w, r)
 
 
 def test_wfamily_validation():
