@@ -16,12 +16,13 @@ Every pixel or trial keeps a pinned operation sequence, so results do not
 depend on the tiling or the thread count:
 
 - intensity differences are formed in float64, reduced to float32, scaled by
-  float32(t), and the photometric family is evaluated in float32;
+  float32(t), and the photometric family is evaluated in float32; a scaled
+  difference that overflows float32 saturates to weight 0, without a warning;
 - spatial weights and all accumulation are float64;
 - accumulation order is rings ascending, offsets in declaration order, with
   per-ring photometric sums combined by the ring weight;
-- a pixel whose photometric weights all underflow to zero falls back to the
-  unweighted mean of its support values.
+- a pixel whose photometric weights all underflow to zero gets the plain mean
+  of its support values, computed only on tiles that hold such a pixel.
 
 Both entry points take a ``KernelSpec`` and lower it here, and only here:
 the ring layout and weights come from ``build_rings(spec.n, spec.w)``.
@@ -64,14 +65,14 @@ def _v_in_place(u: np.ndarray, v: VFamily) -> np.ndarray:
 
 def v_weights(d: np.ndarray, t: float, v: VFamily) -> np.ndarray:
     """Float32 photometric weights for float32 differences ``d`` at scale ``t``."""
-    return _v_in_place(np.float32(t) * d, v)
+    with np.errstate(over="ignore"):  # a scaled difference beyond float32 has weight 0
+        return _v_in_place(np.float32(t) * d, v)
 
 
 def _buffers(shape) -> tuple[np.ndarray, ...]:
-    """Work buffers for one tile: float32 weights, six float64 sums, one mask."""
-    return ((np.empty(shape, np.float32),)
-            + tuple(np.empty(shape, np.float64) for _ in range(6))
-            + (np.empty(shape, np.bool_),))
+    """Work buffers for one tile: float32 weights, five float64 sums, one mask."""
+    return (np.empty(shape, np.float32), *(np.empty(shape, np.float64) for _ in range(5)),
+            np.empty(shape, np.bool_))
 
 
 def _filter_tile(center, neighbours, out, buffers, spec: KernelSpec, rings: RingNeighborhood):
@@ -81,32 +82,31 @@ def _filter_tile(center, neighbours, out, buffers, spec: KernelSpec, rings: Ring
     ``rings.all_offsets()``; ``buffers`` come from ``_buffers`` with a first
     axis at least as long as the tile's.
     """
-    u, sv, sfv, num, den, supsum, tmp, safe = (b[: len(center)] for b in buffers)
+    u, sv, sfv, num, den, tmp, safe = (b[: len(center)] for b in buffers)
     t32 = np.float32(spec.t)
     num.fill(0.0)
     den.fill(0.0)
-    supsum.fill(0.0)
     j = 0
-    for ring in rings.rings:
-        sv.fill(0.0)
-        sfv.fill(0.0)
-        for nb in neighbours[j : j + len(ring.offsets)]:
-            np.subtract(nb, center, out=u)  # in float64, rounded once to float32
-            np.multiply(u, t32, out=u)
-            _v_in_place(u, spec.v)
-            np.add(sv, u, out=sv)
-            np.multiply(u, nb, out=tmp)
-            np.add(sfv, tmp, out=sfv)
-            np.add(supsum, nb, out=supsum)
-        j += len(ring.offsets)
-        np.multiply(sfv, ring.weight, out=tmp)
-        np.add(num, tmp, out=num)
-        np.multiply(sv, ring.weight, out=tmp)
-        np.add(den, tmp, out=den)
+    with np.errstate(over="ignore"):  # a scaled difference beyond float32 has weight 0
+        for ring in rings.rings:
+            sv.fill(0.0)
+            sfv.fill(0.0)
+            for nb in neighbours[j : j + len(ring.offsets)]:
+                np.subtract(nb, center, out=u)  # in float64, rounded once to float32
+                np.multiply(u, t32, out=u)
+                _v_in_place(u, spec.v)
+                np.add(sv, u, out=sv)
+                np.multiply(u, nb, out=tmp)
+                np.add(sfv, tmp, out=sfv)
+            j += len(ring.offsets)
+            np.multiply(sfv, ring.weight, out=tmp)
+            np.add(num, tmp, out=num)
+            np.multiply(sv, ring.weight, out=tmp)
+            np.add(den, tmp, out=den)
     np.greater(den, 0.0, out=safe)
     np.divide(num, den, out=out, where=safe)
-    np.logical_not(safe, out=safe)
-    np.divide(supsum, rings.size, out=out, where=safe)
+    if not safe.all():  # the support mean, summed from 0 in declaration order
+        np.divide(sum(neighbours), rings.size, out=out, where=~safe)
 
 
 def filter_values(

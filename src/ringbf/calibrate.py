@@ -43,6 +43,7 @@ __all__ = [
 
 S_L_FLOOR = 1e-6  # HU; below this a local deviation is treated as zero
 SUMMARY_BINS = 32  # equal-count bins over t in the calibration report
+_POINTS_BLOCK = 1 << 16  # rows per formatting call in format_points
 
 
 def _window(half: int) -> int:
@@ -274,10 +275,18 @@ def regress_noise(maps: LocalMaps) -> RegressionReport:
     )
 
 
-def format_points(points) -> str:
-    """The full per-pixel list: a ``t,ratio`` header, then one row per point."""
-    rows = "".join(f"{t:.9g},{ratio:.9g}\n" for t, ratio in _as_points(points).tolist())
-    return "t,ratio\n" + rows
+def format_points(points) -> bytes:
+    """The full per-pixel list as ASCII bytes: a ``t,ratio`` header, then one row per point.
+
+    Rows are formatted ``_POINTS_BLOCK`` at a time, each block by one ``%``
+    over its values, so the text is built once and only as bytes.
+    """
+    pts = _as_points(points)
+    parts = [b"t,ratio\n"]
+    for start in range(0, len(pts), _POINTS_BLOCK):
+        block = pts[start : start + _POINTS_BLOCK]
+        parts.append((b"%.9g,%.9g\n" * len(block)) % tuple(block.ravel().tolist()))
+    return b"".join(parts)
 
 
 def format_calibration_report(summary: PointSummary, fit: PolyFit,

@@ -127,15 +127,14 @@ def plan_filter(
 
 
 def _band_layout(height: int, width: int, n_regions: int) -> np.ndarray:
-    """Region index per pixel: ``n_regions`` equal vertical bands."""
+    """Region index per column: ``n_regions`` equal vertical bands, shape ``(width,)``."""
     if height < 1 or width < 1 or n_regions < 1:
         raise ValueError("layout dimensions and region count must be positive")
     if n_regions > width:
         raise ValueError(
             f"cannot fit {n_regions} vertical bands into {width} columns"
         )
-    cols = np.minimum((np.arange(width) * n_regions) // width, n_regions - 1)
-    return np.broadcast_to(cols, (height, width)).astype(np.int32)
+    return np.minimum((np.arange(width) * n_regions) // width, n_regions - 1)
 
 
 def synth_phantom_values(
@@ -144,7 +143,9 @@ def synth_phantom_values(
     """Real-valued phantom: piecewise-constant densities plus i.i.d. normal noise.
 
     Density ``i`` fills the ``i``-th of equal vertical bands, left to right;
-    deterministic per seed.
+    deterministic per seed.  The density row is broadcast down the columns and
+    the draws are scaled and shifted in place, so the output is the only
+    full-size array.
     """
     dens = np.asarray(list(densities), dtype=np.float64)
     if dens.size == 0:
@@ -153,12 +154,14 @@ def synth_phantom_values(
         raise ValueError(f"densities must be finite, got {dens.tolist()}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    layout = _band_layout(size[0], size[1], dens.size)
-    base = dens[layout]
+    shape = (size[0], size[1])
+    row = dens[_band_layout(*shape, dens.size)]
     if sigma == 0.0:
-        return base
-    noise = _unit_draws(NoiseDistribution.Normal, layout.shape, seed)
-    return base + sigma * noise
+        return np.broadcast_to(row, shape).copy()
+    out = _unit_draws(NoiseDistribution.Normal, shape, seed)
+    out *= sigma
+    out += row
+    return out
 
 
 def synth_phantom(

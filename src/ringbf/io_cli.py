@@ -379,12 +379,13 @@ def _cmd_plan(args) -> int:
 def _cmd_calibrate(args) -> int:
     maps = local_maps(read_image(args.high), read_image(args.low), args.window)
     points = empirical_K_points(maps)
-    fit = fit_polynomial(points, args.degree)
     regression = regress_noise(maps)
+    del maps  # free the maps before the fit: its design matrix and lstsq copy are the peak
+    fit = fit_polynomial(points, args.degree)
     report = format_calibration_report(summarize_points(points), fit, regression)
     files = {Path(args.out): report.encode("ascii")}
     if args.points:
-        files[Path(args.points)] = format_points(points).encode("ascii")
+        files[Path(args.points)] = format_points(points)
     _write_files(files)
     return 0
 

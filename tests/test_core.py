@@ -188,7 +188,65 @@ def test_strip_workers_follow_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(_core_py, "_STRIP_ELEMS", 1)
     monkeypatch.setattr(_core_py, "_WORKERS", 2)
     f = np.zeros((4, 3))
-    f[2:, :] = 100.0
-    cfg = FilterConfig(spec=KernelSpec(v=VFamily.Frac, t=3e38, n=1))
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+    f[2:, :] = np.inf  # inf - inf is invalid, in strips that only the workers run
+    cfg = FilterConfig(spec=KernelSpec(v=VFamily.Frac, t=1.0, n=1))
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         filter_image_values(f, cfg)
+
+
+def _support_mean(f, y, x, offsets):
+    """The mean of the clamped support at (y, x), summed from 0 in declaration order."""
+    h, w = f.shape
+    total = 0.0
+    for dx, dy in offsets:
+        total += f[min(max(y + dy, 0), h - 1), min(max(x + dx, 0), w - 1)]
+    return total / len(offsets)
+
+
+def _trial_rows(f, offsets):
+    """One trial row per pixel: the center, then its clamped support in declaration order."""
+    h, w = f.shape
+    ys, xs = np.indices(f.shape)
+    support = [f[np.clip(ys + dy, 0, h - 1), np.clip(xs + dx, 0, w - 1)] for dx, dy in offsets]
+    return np.stack([f] + support, axis=-1).reshape(h * w, -1)
+
+
+def test_only_the_pixel_whose_weights_all_underflow_gets_the_support_mean(monkeypatch):
+    # Exp at t=1 gives weight 0 to differences beyond about 10.2: the spike is
+    # that far from all 4 of its neighbours, every other pixel has a near one
+    f = np.random.default_rng(3).uniform(0.0, 1.0, (6, 7))
+    f[3, 4] = 1000.0
+    spec = KernelSpec(v=VFamily.Exp, t=1.0, n=1)
+    offsets = build_rings(spec.n, spec.w).all_offsets()
+    expected = _support_mean(f, 3, 4, offsets)
+    # the values tell the summation orders apart
+    assert expected != _support_mean(f, 3, 4, offsets[::-1])
+    outputs = [_core_py.filter_values(f, spec)]
+    monkeypatch.setattr(_core_py, "_STRIP_ELEMS", f.shape[1])  # one-row strips
+    for workers in (1, 2):
+        monkeypatch.setattr(_core_py, "_WORKERS", workers)
+        outputs.append(_core_py.filter_values(f, spec))
+    monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", 5)
+    outputs.append(_core_py.ensemble_filter(_trial_rows(f, offsets), spec).reshape(f.shape))
+    spike = np.zeros(f.shape, dtype=bool)
+    spike[3, 4] = True
+    for out in outputs:
+        assert out[3, 4] == expected
+        assert np.all(out[~spike] <= 1.0)  # weighted means of nearby values, not the spike
+        assert out.tobytes() == outputs[0].tobytes()
+
+
+def test_a_tile_where_every_weight_underflows_is_all_support_means(monkeypatch):
+    ys, xs = np.indices((9, 8))
+    f = np.where((ys + xs) % 2 == 0, 5000.0, -5000.0)
+    f += np.random.default_rng(4).uniform(0.0, 1.0, f.shape)  # sums depend on their order
+    spec = KernelSpec(v=VFamily.Exp, t=1.0, n=1)
+    offsets = build_rings(spec.n, spec.w).all_offsets()
+    expected = np.array([[_support_mean(f, y, x, offsets) for x in range(8)] for y in range(9)])
+    # clamping gives edge pixels themselves as a neighbour, so only the
+    # interior falls back in the image; its trial rows make all-fallback chunks
+    image = _core_py.filter_values(f, spec)
+    assert image[1:-1, 1:-1].tobytes() == expected[1:-1, 1:-1].tobytes()
+    rows = _trial_rows(f, offsets).reshape(9, 8, -1)[1:-1, 1:-1].reshape(-1, 1 + len(offsets))
+    monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", 6)
+    assert _core_py.ensemble_filter(rows, spec).tobytes() == expected[1:-1, 1:-1].tobytes()

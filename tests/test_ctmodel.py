@@ -142,11 +142,9 @@ def test_plan_validation():
 
 
 def test_band_layout_partitions_width():
-    layout = _band_layout(40, 100, 3)
-    assert layout.shape == (40, 100)
-    # every column belongs to one band, bands appear left to right
-    assert np.array_equal(layout, np.broadcast_to(layout[0], layout.shape))
-    row = layout[0]
+    row = _band_layout(40, 100, 3)
+    # one band index per column, bands appear left to right
+    assert row.shape == (100,)
     assert set(row.tolist()) == {0, 1, 2}
     assert np.all(np.diff(row) >= 0)
     widths = np.bincount(row)
@@ -154,7 +152,7 @@ def test_band_layout_partitions_width():
 
 
 def test_band_layout_uneven_split():
-    row = _band_layout(1, 10, 3)[0]
+    row = _band_layout(1, 10, 3)
     assert np.bincount(row).tolist() == [4, 3, 3]
 
 
@@ -199,7 +197,7 @@ def test_phantom_custom_layout_and_validation():
     # the layout is always the band layout: density i fills band i
     vals = synth_phantom_values([1, 2], size=(8, 4))
     assert vals.shape == (8, 4)
-    assert np.array_equal(vals, np.array([1.0, 2.0])[_band_layout(8, 4, 2)])
+    assert np.array_equal(vals, np.broadcast_to(np.array([1.0, 2.0])[_band_layout(8, 4, 2)], (8, 4)))
     with pytest.raises(ValueError):
         synth_phantom_values([1, 2, 3], size=(8, 2))  # more bands than columns
     with pytest.raises(ValueError):

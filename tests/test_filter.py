@@ -212,8 +212,7 @@ def test_scale_beyond_float32_is_rejected_not_averaged():
     f[1, 2] = 100.0
     with pytest.raises(ValueError):
         _cfg(v=VFamily.Frac, t=1e39, n=1)
-    with np.errstate(over="ignore"):
-        out = filter_image_values(f, _cfg(v=VFamily.Frac, t=float(np.finfo(np.float32).max), n=1))
+    out = filter_image_values(f, _cfg(v=VFamily.Frac, t=float(np.finfo(np.float32).max), n=1))
     assert out[1, 1] == 0.0
 
 

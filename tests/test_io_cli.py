@@ -203,15 +203,37 @@ def test_cli_help_exits_zero(capsys):
     assert "filter" in capsys.readouterr().out
 
 
-def test_python_m_ringbf_runs_the_cli_without_warnings():
+def _python_m_ringbf(*args):
+    """Run ``python *args`` with this checkout's ``ringbf`` importable."""
     src = str(Path(ringbf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "ringbf", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_python_m_ringbf_runs_the_cli_without_warnings():
+    proc = _python_m_ringbf("-m", "ringbf", "--help")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "phantom" in proc.stdout
+
+
+@pytest.mark.parametrize("command", [
+    ["filter", "--in", "{phantom}", "--out", "{out}.raw", "--v", "quad", "--t", "1e7", "--n", "1"],
+    ["filter", "--in", "{phantom}", "--out", "{out}.raw", "--v", "frac", "--t", "3e38", "--n", "3"],
+    ["curve", "--v", "quad", "--n", "1", "--dist", "normal", "--t-grid", "0:3e38:1e38",
+     "--trials", "1000", "--out", "{out}.csv"],
+])
+def test_scales_that_overflow_float32_run_without_warnings(tmp_path, command):
+    # a scaled difference beyond float32 is weight 0 by design, not a warning
+    phantom = tmp_path / "phantom.raw"
+    assert cli_dispatch(["phantom", "--densities", "0,400", "--sigma", "40",
+                         "--size", "64x64", "--out", str(phantom)]) == 0
+    args = [a.format(phantom=phantom, out=tmp_path / "out") for a in command]
+    proc = _python_m_ringbf("-W", "error", "-m", "ringbf", *args)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert Path(args[args.index("--out") + 1]).exists()
 
 
 def test_cli_filter_constant_image_is_fixed_point(tmp_path):
