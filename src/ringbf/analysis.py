@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _core_py
 from .errors import BracketError, ConvergenceError, NumericalError
@@ -125,9 +124,13 @@ def _unit_draws(dist: NoiseDistribution, shape, seed: int) -> np.ndarray:
     output, so the values do not depend on the chunk size and the only
     temporaries are a few chunk-sized arrays.
     """
+    if not 0 <= seed < 2 ** 128:  # Philox's key range
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     bg = np.random.Philox(key=seed)
     out = np.empty(shape, dtype=np.float64)
     flat = out.reshape(-1)
+    if dist is NoiseDistribution.Normal:
+        from scipy.special import ndtri  # imported here: loading scipy.special takes ~0.3 s
     for start in range(0, flat.size, _CHUNK_VALUES):
         part = flat[start:start + _CHUNK_VALUES]
         raw = bg.random_raw(part.size)

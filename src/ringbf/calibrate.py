@@ -11,14 +11,16 @@ The windowed maps of a pair are computed once (:func:`local_maps`) and shared
 by the point set and the regression.  The report summarizes the points in
 ``SUMMARY_BINS`` equal-count bins over ``t``; :func:`format_points` writes the
 full per-pixel list on request.
+
+scipy is imported inside the functions that call it, so importing this
+module (and ``ringbf``) does not load it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
-from scipy.special import betainc
 
 from .errors import DegenerateFitError
 from .filter import _as_values
@@ -43,7 +45,7 @@ __all__ = [
 
 S_L_FLOOR = 1e-6  # HU; below this a local deviation is treated as zero
 SUMMARY_BINS = 32  # equal-count bins over t in the calibration report
-_POINTS_BLOCK = 1 << 16  # rows per formatting call in format_points
+_POINTS_BLOCK = 1 << 14  # rows per formatting call (and per written block) in format_points
 
 
 def _window(half: int) -> int:
@@ -58,6 +60,8 @@ def local_std_map(img, half: int = 2, mean: np.ndarray | None = None) -> np.ndar
     ``mean`` may pass in ``local_mean_map(img, half)`` when the caller already
     has it; that saves one windowed pass and gives the same bits.
     """
+    from scipy.ndimage import uniform_filter
+
     size = _window(half)
     f = _as_values(img)
     if mean is None:
@@ -71,6 +75,8 @@ def local_std_map(img, half: int = 2, mean: np.ndarray | None = None) -> np.ndar
 
 def local_mean_map(img, half: int = 2) -> np.ndarray:
     """Per-pixel mean over (2*half+1)^2 windows, edge-clamped."""
+    from scipy.ndimage import uniform_filter
+
     return uniform_filter(_as_values(img), size=_window(half), mode="nearest")
 
 
@@ -234,6 +240,8 @@ class RegressionReport:
 
 def _t_p_value(t_stat: float, dof: int) -> float:
     """Two-sided p-value of a t statistic via the regularized incomplete beta."""
+    from scipy.special import betainc
+
     t2 = t_stat * t_stat
     if np.isinf(t2):
         return 0.0
@@ -275,18 +283,22 @@ def regress_noise(maps: LocalMaps) -> RegressionReport:
     )
 
 
-def format_points(points) -> bytes:
-    """The full per-pixel list as ASCII bytes: a ``t,ratio`` header, then one row per point.
+def format_points(points) -> Iterator[bytes]:
+    """The full per-pixel list as ASCII byte blocks: a ``t,ratio`` header, then one row per point.
 
     Rows are formatted ``_POINTS_BLOCK`` at a time, each block by one ``%``
-    over its values, so the text is built once and only as bytes.
+    over its values and only when the iterator reaches it, so a writer that
+    takes the blocks in turn holds one block of text, not the whole list.
     """
     pts = _as_points(points)
-    parts = [b"t,ratio\n"]
-    for start in range(0, len(pts), _POINTS_BLOCK):
-        block = pts[start : start + _POINTS_BLOCK]
-        parts.append((b"%.9g,%.9g\n" * len(block)) % tuple(block.ravel().tolist()))
-    return b"".join(parts)
+
+    def blocks():
+        yield b"t,ratio\n"
+        for start in range(0, len(pts), _POINTS_BLOCK):
+            block = pts[start : start + _POINTS_BLOCK]
+            yield (b"%.9g,%.9g\n" * len(block)) % tuple(block.ravel().tolist())
+
+    return blocks()
 
 
 def format_calibration_report(summary: PointSummary, fit: PolyFit,

@@ -29,8 +29,9 @@ CSV sections:
 
 ``--points FILE`` also writes every point as a ``t,ratio`` list.
 
-Exit codes: 0 success, 1 usage/validation error, 2 malformed file, 3 numerical
-failure (bracket, convergence, or degenerate fit).
+Exit codes: 0 success, 1 usage/validation error (including a request whose
+arrays cannot be allocated), 2 malformed file, 3 numerical failure (bracket,
+convergence, or degenerate fit).
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 from typing import get_args
 
@@ -92,8 +94,8 @@ def _meta_path(raw_path: Path) -> Path:
     return raw_path.with_suffix(".meta")
 
 
-def _write_files(contents: dict[Path, bytes]) -> None:
-    """Write ``{path: bytes}``, each through a temporary file beside its path.
+def _write_files(contents: dict[Path, bytes | Iterable[bytes]]) -> None:
+    """Write each path's bytes, or its byte blocks in turn, through a temporary file beside it.
 
     All temporary files are written before any is renamed over its target,
     so a failed write changes no target and leaves no temporary file behind.
@@ -102,7 +104,8 @@ def _write_files(contents: dict[Path, bytes]) -> None:
     try:
         for path, data in contents.items():
             staged[path] = tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-            tmp.write_bytes(data)
+            with tmp.open("wb") as fh:
+                fh.writelines([data] if isinstance(data, bytes) else data)
         for path, tmp in staged.items():
             os.replace(tmp, path)
     finally:
@@ -537,7 +540,7 @@ def cli_dispatch(argv) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -120,6 +120,13 @@ def test_estimate_fields_and_validation():
         estimate_K(_spec(), 1.0, NORMAL, trials=1000.0)
 
 
+def test_seed_outside_the_key_range_is_named_as_the_seed():
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+            estimate_K(_spec(), 1.0, NORMAL, trials=1000, seed=seed)
+    assert estimate_K(_spec(), 1.0, NORMAL, trials=1000, seed=2**128 - 1).trials == 1000
+
+
 def test_zero_scale_matches_closed_form_linear_value():
     # the t=0 filter is the linear ring average whose reduction factor is
     # sqrt(sum w^2)/sum w; the Monte-Carlo estimate must straddle it

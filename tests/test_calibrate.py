@@ -334,5 +334,5 @@ def test_points_file_matches_point_list_rows():
     high, low = _dose_pair(seed=5, size=(12, 9))
     pts = empirical_K_points(local_maps(high, low))
     expected = "t,ratio\n" + "".join(f"{t:.9g},{ratio:.9g}\n" for t, ratio in pts)
-    assert format_points(pts) == expected.encode("ascii")
-    assert format_points(np.empty((0, 2))) == b"t,ratio\n"
+    assert b"".join(format_points(pts)) == expected.encode("ascii")
+    assert b"".join(format_points(np.empty((0, 2)))) == b"t,ratio\n"

@@ -1,18 +1,20 @@
 """Image container formats and the command-line interface."""
 import errno
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ringbf
-from ringbf.calibrate import empirical_K_points, local_maps, summarize_points
+from ringbf.calibrate import empirical_K_points, format_points, local_maps, summarize_points
 from ringbf.errors import FormatError, RangeError
 from ringbf.filter import Image
-from ringbf.io_cli import cli_dispatch, read_image, write_image
+from ringbf.io_cli import _write_files, cli_dispatch, read_image, write_image
 
 
 def _img(rows):
@@ -34,17 +36,24 @@ def test_raw_roundtrip_and_exact_bytes(tmp_path):
     assert np.array_equal(back.values(), img.values())
 
 
+class _FullDisk(io.FileIO):
+    """An unbuffered file whose every write stores one byte and then fails."""
+
+    def write(self, data):
+        super().write(bytes(data[:1]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 def _fail_writes_to(monkeypatch, marker):
     """Make every write to a file whose name contains ``marker`` fail part-way."""
-    real = Path.write_bytes
+    real = Path.open
 
-    def write_bytes(self, data):
-        if marker in self.name:
-            real(self, data[:1])
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real(self, data)
+    def open_(self, mode="r", *args, **kwargs):
+        if marker in self.name and "w" in mode:
+            return _FullDisk(self, mode)
+        return real(self, mode, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    monkeypatch.setattr(Path, "open", open_)
 
 
 def test_raw_write_failure_keeps_existing_pair(tmp_path, monkeypatch):
@@ -236,6 +245,40 @@ def test_scales_that_overflow_float32_run_without_warnings(tmp_path, command):
     assert Path(args[args.index("--out") + 1]).exists()
 
 
+# Prints the exit code of ``cli_dispatch(argv)`` (no call without argv) and
+# the scipy modules loaded by then.
+_SCIPY_PROBE = """
+import sys
+import ringbf
+code = ringbf.cli_dispatch(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("command, loads_scipy", [
+    ([], False),
+    (["--help"], False),
+    (["filter", "--in", "{img}", "--out", "{out}.raw", "--v", "frac", "--t", "1", "--n", "3"],
+     False),
+    (["plan", "--dose-fraction", "1.0", "--apply", "--in", "{img}", "--out", "{out}.raw"],
+     False),
+    (["threshold", "--v", "frac", "--n", "3", "--dist", "uniform", "--trials", "2000"], False),
+    (["curve", "--v", "frac", "--n", "3", "--dist", "uniform", "--t-grid", "0:2:1",
+      "--trials", "1000", "--out", "{out}.csv"], False),
+    (["threshold", "--v", "frac", "--n", "3", "--dist", "normal", "--trials", "2000"], True),
+], ids=["import", "help", "filter", "plan-apply", "threshold-uniform", "curve-uniform",
+        "threshold-normal"])
+def test_scipy_is_loaded_only_by_the_commands_that_call_it(tmp_path, command, loads_scipy):
+    img = tmp_path / "in.raw"
+    write_image(img, _img([[100, 140, 90, 120]] * 4))
+    args = [a.format(img=img, out=tmp_path / "out") for a in command]
+    proc = _python_m_ringbf("-c", _SCIPY_PROBE, *args)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert (loaded != "[]") == loads_scipy, loaded
+
+
 def test_cli_filter_constant_image_is_fixed_point(tmp_path):
     inp, out = tmp_path / "a.raw", tmp_path / "b.raw"
     write_image(inp, _img([[100] * 8] * 8))
@@ -411,13 +454,32 @@ def test_cli_calibrate_write_failure_keeps_old_report(tmp_path, monkeypatch, cap
     report = tmp_path / "report.txt"
     report.write_text("old report\n")
     before = sorted(p.name for p in tmp_path.iterdir())
-    _fail_writes_to(monkeypatch, "report.txt")
-    rc = cli_dispatch(["calibrate", "--high", str(high), "--low", str(low),
-                       "--out", str(report), "--points", str(tmp_path / "points.txt")])
-    assert rc == 1
-    assert "No space left" in capsys.readouterr().err
-    assert report.read_text() == "old report\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    # the report is written whole; the point list block by block, after it
+    for marker in ("report.txt", "points.txt"):
+        with monkeypatch.context() as patch:
+            _fail_writes_to(patch, marker)
+            rc = cli_dispatch(["calibrate", "--high", str(high), "--low", str(low),
+                               "--out", str(report), "--points", str(tmp_path / "points.txt")])
+        assert rc == 1
+        assert "No space left" in capsys.readouterr().err
+        assert report.read_text() == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_points_are_written_without_holding_their_whole_text(tmp_path):
+    rng = np.random.default_rng(3)
+    pts = np.column_stack([rng.uniform(0, 60, 300_000), rng.uniform(0, 1.2, 300_000)])
+    path = tmp_path / "points.txt"
+    tracemalloc.start()
+    try:
+        _write_files({path: format_points(pts)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 6_000_000
+    assert peak < size / 3  # one block of text at a time, not the joined list
+    assert path.read_bytes() == b"".join(format_points(pts))
 
 
 def test_cli_usage_errors_exit_one(tmp_path, capsys):
@@ -454,6 +516,25 @@ def test_cli_curve_scale_beyond_float32_exits_one(tmp_path, capsys):
     assert rc == 1
     assert "scale t" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_request_too_large_for_memory_exits_one(tmp_path, capsys):
+    # 10**18 grid points: 8 EB, more than any machine can allocate
+    out = tmp_path / "k.csv"
+    rc = cli_dispatch(["curve", "--v", "frac", "--n", "3", "--dist", "normal",
+                       "--t-grid", "0:1e9:1e-9", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "2**128"])
+def test_cli_seed_outside_the_key_range_exits_one(capsys, seed):
+    rc = cli_dispatch(["threshold", "--v", "frac", "--n", "3", "--dist", "uniform",
+                       "--trials", "1000", "--seed", seed])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**128), got {seed}\n"
 
 
 def test_cli_threshold_infinite_bracket_exits_one(capsys):
