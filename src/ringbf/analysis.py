@@ -15,9 +15,12 @@ realization.
 
 Estimates aggregate over fixed batches of trials: k_hat is the mean of
 per-batch deviation ratios and std_err the standard error of that mean.
-All randomness flows from a counter-based generator (Philox) keyed by the
-seed, read front to back: trial ``i`` holds a fixed run of stream positions,
-so results are bit-reproducible regardless of chunking.
+All randomness flows from one counter-based generator (Philox) keyed by the
+seed and read front to back, trial after trial.  A Normal draw takes a
+variable number of stream words (the ziggurat sampler of Marsaglia and Tsang,
+2000, as numpy implements it), so trial ``i`` holds no fixed run of stream
+positions; the values still depend only on the seed and the shape drawn, not
+on how the stream is chunked, so results are bit-reproducible per seed.
 """
 from __future__ import annotations
 
@@ -35,15 +38,12 @@ __all__ = [
     "NoiseDistribution",
     "KEstimate",
     "KCurve",
-    "CurveExtrema",
     "DEFAULT_TRIALS_TABLE",
     "DEFAULT_TRIALS_CURVE",
     "estimate_K",
-    "estimate_linear_K",
     "linear_k0",
     "compute_curve",
     "solve_threshold",
-    "find_extrema",
     "curve_to_csv",
 ]
 
@@ -97,47 +97,28 @@ class KCurve:
         return np.array([p.k_hat for p in self.points])
 
 
-@dataclass(frozen=True)
-class CurveExtrema:
-    """Shape summary of a smoothed K curve.
-
-    ``t_min``/``k_min`` describe the first interior local minimum (None when
-    the smoothed curve has none below its starting value); ``t_max``/``k_max``
-    the interior local maximum, reported only when it exceeds both neighbors
-    and the terminal plateau.  ``k_0`` is the smoothed value at the first grid
-    point and ``plateau`` at the last.
-    """
-
-    k_0: float
-    t_min: float | None
-    k_min: float | None
-    t_max: float | None
-    k_max: float | None
-    plateau: float
-
-
 def _unit_draws(dist: NoiseDistribution, shape, seed: int) -> np.ndarray:
     """An array of ``shape`` draws of Q, filled in C order from the seed-keyed stream.
 
-    The counter stream is read front to back ``_CHUNK_VALUES`` words at a
-    time and each chunk is transformed straight into its slice of the
-    output, so the values do not depend on the chunk size and the only
-    temporaries are a few chunk-sized arrays.
+    The output is filled front to back ``_CHUNK_VALUES`` values at a time,
+    each chunk drawn straight into its slice, so the values do not depend on
+    the chunk size and the only temporaries are a few chunk-sized arrays.
+    Normal values come from numpy's ziggurat sampler over the stream;
+    Uniform values are one 53-bit word each.
     """
     if not 0 <= seed < 2 ** 128:  # Philox's key range
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     bg = np.random.Philox(key=seed)
+    gen = np.random.Generator(bg)
     out = np.empty(shape, dtype=np.float64)
     flat = out.reshape(-1)
-    if dist is NoiseDistribution.Normal:
-        from scipy.special import ndtri  # imported here: loading scipy.special takes ~0.3 s
     for start in range(0, flat.size, _CHUNK_VALUES):
         part = flat[start:start + _CHUNK_VALUES]
-        raw = bg.random_raw(part.size)
-        u = ((raw >> np.uint64(11)) + 0.5) * (2.0 ** -53)  # uniform on (0, 1)
         if dist is NoiseDistribution.Normal:
-            ndtri(u, out=part)
+            gen.standard_normal(out=part)
         else:
+            raw = bg.random_raw(part.size)
+            u = ((raw >> np.uint64(11)) + 0.5) * (2.0 ** -53)  # uniform on (0, 1)
             np.multiply(_SQRT3, 2.0 * u - 1.0, out=part)
     return out
 
@@ -167,8 +148,8 @@ def _support_draws(
 ) -> np.ndarray:
     """(trials, 1 + support size) unit-scale draws: center value then ring values.
 
-    The spec's t plays no part.  Trial ``i`` holds stream positions
-    [i*stride, (i+1)*stride) with ``stride = 1 + support size``.
+    The spec's t plays no part.  Row ``i`` holds the ``i``-th run of
+    ``1 + support size`` values drawn from the seed's stream.
     """
     return _unit_draws(dist, (trials, 1 + build_rings(spec.n, spec.w).size), seed)
 
@@ -196,26 +177,6 @@ def estimate_K(
     its draws across all t (common random numbers).
     """
     return compute_curve(spec, [t], dist, trials, seed).points[0]
-
-
-def estimate_linear_K(
-    w: WFamily,
-    n: int,
-    dist: NoiseDistribution,
-    trials: int = DEFAULT_TRIALS_CURVE,
-    seed: int = 0,
-) -> KEstimate:
-    """K for the plain spatially-weighted average (no photometric term at all).
-
-    Independent check for the t = 0 limit, where every V family degenerates
-    to this linear filter.
-    """
-    _check_trials(trials)
-    rings = build_rings(n, w)
-    w_off = rings.offset_weights()
-    vals = _unit_draws(dist, (trials, 1 + rings.size), seed)
-    h = vals[:, 1:] @ w_off / w_off.sum()
-    return _ratio_estimate(vals[:, 0], h, 0.0)
 
 
 def linear_k0(w: WFamily, n: int) -> float:
@@ -301,46 +262,6 @@ def solve_threshold(
     raise ConvergenceError(
         f"bisection did not reach tol={tol} within {_MAX_BISECTIONS} iterations "
         f"(bracket [{t_lo}, {t_hi}])"
-    )
-
-
-def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with truncated windows at the edges."""
-    half = window // 2
-    out = np.empty_like(y)
-    for i in range(y.size):
-        lo = max(0, i - half)
-        hi = min(y.size, i + half + 1)
-        out[i] = y[lo:hi].mean()
-    return out
-
-
-def find_extrema(curve: KCurve, window: int = 5) -> CurveExtrema:
-    """Smooth the curve and report its shape features."""
-    if len(curve.points) < 5:
-        raise ValueError(f"curve must have at least 5 points, got {len(curve.points)}")
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"smoothing window must be a positive odd integer, got {window}")
-    t = curve.t_values()
-    sm = _moving_average(curve.k_values(), window)
-    k_0 = float(sm[0])
-    plateau = float(sm[-1])
-
-    t_min = k_min = None
-    for i in range(1, sm.size - 1):
-        if sm[i] <= sm[i - 1] and sm[i] <= sm[i + 1] and sm[i] <= k_0:
-            t_min, k_min = float(t[i]), float(sm[i])
-            break
-
-    t_max = k_max = None
-    if sm.size >= 3:
-        interior = sm[1:-1]
-        m = 1 + int(np.argmax(interior))
-        if sm[m] > sm[m - 1] and sm[m] > sm[m + 1] and sm[m] > plateau:
-            t_max, k_max = float(t[m]), float(sm[m])
-
-    return CurveExtrema(
-        k_0=k_0, t_min=t_min, k_min=k_min, t_max=t_max, k_max=k_max, plateau=plateau
     )
 
 

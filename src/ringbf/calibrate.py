@@ -11,18 +11,16 @@ The windowed maps of a pair are computed once (:func:`local_maps`) and shared
 by the point set and the regression.  The report summarizes the points in
 ``SUMMARY_BINS`` equal-count bins over ``t``; :func:`format_points` writes the
 full per-pixel list on request.
-
-scipy is imported inside the functions that call it, so importing this
-module (and ``ringbf``) does not load it.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError
+from .errors import DegenerateFitError, NumericalError
 from .filter import _as_values
 
 __all__ = [
@@ -46,6 +44,10 @@ __all__ = [
 S_L_FLOOR = 1e-6  # HU; below this a local deviation is treated as zero
 SUMMARY_BINS = 32  # equal-count bins over t in the calibration report
 _POINTS_BLOCK = 1 << 14  # rows per formatting call (and per written block) in format_points
+_CF_EPS = 1e-15  # relative change that ends the incomplete-beta continued fraction
+_CF_TINY = 1e-300  # Lentz's guard against a zero denominator
+_CF_MAX_TERMS = 1 << 20
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
 
 
 def _window(half: int) -> int:
@@ -54,30 +56,48 @@ def _window(half: int) -> int:
     return 2 * half + 1
 
 
-def local_std_map(img, half: int = 2, mean: np.ndarray | None = None) -> np.ndarray:
-    """Per-pixel population deviation over (2*half+1)^2 windows, edge-clamped.
+def _window_sums(img, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of f and of f^2 over (2*half+1)^2 windows, edge-clamped.
 
-    ``mean`` may pass in ``local_mean_map(img, half)`` when the caller already
-    has it; that saves one windowed pass and gives the same bits.
+    Each axis takes running sums over the edge-padded image and differences
+    them ``size`` apart, so the cost does not grow with the window.  For an
+    int16 image every running sum is an integer below 2**53, hence exact,
+    while ``(width + size) * size`` and ``height + size`` stay below 2**23.
     """
-    from scipy.ndimage import uniform_filter
-
     size = _window(half)
     f = _as_values(img)
-    if mean is None:
-        mean = uniform_filter(f, size=size, mode="nearest")
-    elif mean.shape != f.shape:
-        raise ValueError(f"mean map shape {mean.shape} differs from image shape {f.shape}")
-    mean_sq = uniform_filter(f * f, size=size, mode="nearest")
-    var = np.maximum(mean_sq - mean * mean, 0.0)
-    return np.sqrt(var)
+    # one leading zero row and column, so each window sum is a difference of two running sums
+    s1 = np.pad(f, ((half + 1, half), (half + 1, half)), mode="edge")
+    s1[0] = 0.0
+    s1[:, 0] = 0.0
+    s2 = s1 * s1
+    sums = []
+    for p in (s1, s2):
+        np.cumsum(p, axis=0, out=p)
+        rows = p[size:] - p[:-size]
+        np.cumsum(rows, axis=1, out=rows)
+        sums.append(rows[:, size:] - rows[:, :-size])
+    return sums[0], sums[1]
 
 
-def local_mean_map(img, half: int = 2) -> np.ndarray:
-    """Per-pixel mean over (2*half+1)^2 windows, edge-clamped."""
-    from scipy.ndimage import uniform_filter
+def _deviation(s1: np.ndarray, s2: np.ndarray, half: int) -> np.ndarray:
+    """Population deviation from window sums: sqrt(k*S2 - S1^2) / k, k pixels a window.
 
-    return uniform_filter(_as_values(img), size=_window(half), mode="nearest")
+    The numerator is exact for integer-valued images and windows up to 53x53;
+    the clamp at 0 only absorbs rounding on real-valued input.
+    """
+    k = float(_window(half) ** 2)
+    var = s2 * k
+    var -= s1 * s1
+    np.maximum(var, 0.0, out=var)
+    np.sqrt(var, out=var)
+    var /= k
+    return var
+
+
+def local_std_map(img, half: int = 2) -> np.ndarray:
+    """Per-pixel population deviation over (2*half+1)^2 windows, edge-clamped."""
+    return _deviation(*_window_sums(img, half), half)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +110,15 @@ class LocalMaps:
 
 
 def local_maps(high, low, half: int = 2) -> LocalMaps:
-    """Compute a pair's maps once: four windowed passes over the two images."""
+    """Compute a pair's maps once, from the window sums of each image."""
     h = _as_values(high)
     lo = _as_values(low)
     if h.shape != lo.shape:
         raise ValueError(f"image dimensions differ: {h.shape} vs {lo.shape}")
-    f_a = local_mean_map(lo, half)
-    return LocalMaps(s_h=local_std_map(h, half), s_l=local_std_map(lo, half, mean=f_a), f_a=f_a)
+    s1, s2 = _window_sums(lo, half)
+    s_l = _deviation(s1, s2, half)
+    s1 /= _window(half) ** 2
+    return LocalMaps(s_h=local_std_map(h, half), s_l=s_l, f_a=s1)
 
 
 def empirical_K_points(maps: LocalMaps) -> np.ndarray:
@@ -238,14 +260,73 @@ class RegressionReport:
     count: int
 
 
-def _t_p_value(t_stat: float, dof: int) -> float:
-    """Two-sided p-value of a t statistic via the regularized incomplete beta."""
-    from scipy.special import betainc
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """The continued fraction of I_x(a, b) (Numerical Recipes' ``betacf``); y = 1 - x.
 
-    t2 = t_stat * t_stat
-    if np.isinf(t2):
+    It converges fast for x < (a + 1) / (a + b + 2).  The modified Lentz
+    method takes each odd and even term in one step, and 1 + e_m, with e_m
+    the even term, is formed from ``y`` where that adds terms of one sign:
+    near x = 1 with large ``a`` it is O(1/a), and forming it as 1 + e_m
+    would lose about log10(a) digits.
+    """
+
+    def one_plus_even(m: int) -> float:  # 1 - x (a+m)(a+b+m) / ((a+2m)(a+2m+1))
+        p = (a + m) * (a + b + m)
+        q = (a + 2 * m) * (a + 2 * m + 1.0)
+        n = a * (2 * m + 1.0 - b) + m * (3 * m + 2.0 - b)  # q - p
+        return (y * p + n) / q if n >= 0 else 1.0 - x * p / q
+
+    d = 1.0 / _nonzero(one_plus_even(0))
+    c, h = 1.0, d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        odd = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        g = one_plus_even(m)
+        eps, delta = odd * d, odd / c
+        step = (g + delta) / _nonzero(g + eps)
+        d = (1.0 + eps) / _nonzero(g + eps)
+        c = _nonzero((g + delta) / _nonzero(1.0 + delta))
+        h *= step
+        if abs(step - 1.0) < _CF_EPS:
+            return h
+    raise NumericalError(f"incomplete beta fraction did not converge for a={a}, b={b}, x={x}")
+
+
+def _nonzero(v: float) -> float:
+    """Lentz's guard: a zero denominator becomes a tiny one."""
+    return v if abs(v) > _CF_TINY else _CF_TINY
+
+
+def _log_gamma_half_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)).
+
+    For large ``a`` the two lgamma values nearly cancel, so the asymptotic
+    series 1/2 log a - 1/(8a) + 1/(192a^3) - 1/(640a^5) + 17/(14336a^7) is used.
+    """
+    if a < 50.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    z2 = 1.0 / (a * a)
+    return 0.5 * math.log(a) - (1.0 - z2 * (1 / 24 - z2 * (1 / 80 - z2 * 17 / 1792))) / (8.0 * a)
+
+
+def _t_p_value(t_stat: float, dof: int) -> float:
+    """Two-sided p-value of a t statistic: I_x(dof/2, 1/2) at x = dof / (dof + t^2).
+
+    The fraction is taken on the side where it converges, using
+    I_x(a, b) = 1 - I_{1-x}(b, a).
+    """
+    r = t_stat * t_stat / dof
+    if r == 0.0:
+        return 1.0
+    if math.isinf(r):
         return 0.0
-    return float(betainc(dof / 2.0, 0.5, dof / (dof + t2)))
+    a = dof / 2.0
+    x, y = 1.0 / (1.0 + r), r / (1.0 + r)  # x and 1 - x
+    # log of x^a y^(1/2) / B(a, 1/2), with a log x = -a log1p(r)
+    front = math.exp(-a * math.log1p(r) + 0.5 * math.log(y)
+                     + _log_gamma_half_ratio(a) - _LOG_SQRT_PI)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_fraction(a, 0.5, x, y) / a
+    return 1.0 - front * _beta_fraction(0.5, a, y, x) / 0.5
 
 
 def regress_noise(maps: LocalMaps) -> RegressionReport:

@@ -70,10 +70,17 @@ class Image:
 
 
 def quantize_to_int16(values: np.ndarray) -> np.ndarray:
-    """Round half away from zero and clip to the int16 range."""
+    """Round half away from zero and clip to the int16 range.
+
+    The rounding and the clip work in place in one float64 buffer.
+    """
     v = np.asarray(values, dtype=np.float64)
-    rounded = np.copysign(np.floor(np.abs(v) + 0.5), v)
-    return np.clip(rounded, -32768, 32767).astype(np.int16)
+    buf = np.abs(v)
+    buf += 0.5
+    np.floor(buf, out=buf)
+    np.copysign(buf, v, out=buf)
+    np.clip(buf, -32768, 32767, out=buf)
+    return buf.astype(np.int16)
 
 
 @dataclass(frozen=True)

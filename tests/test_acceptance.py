@@ -10,14 +10,13 @@ import time
 import numpy as np
 import pytest
 from conftest import record_acceptance
+from curve_checks import estimate_linear_K, find_extrema
 
 from ringbf import _core_py
 from ringbf.analysis import (
     NoiseDistribution,
     compute_curve,
     estimate_K,
-    estimate_linear_K,
-    find_extrema,
     linear_k0,
     solve_threshold,
 )

@@ -1,9 +1,11 @@
 """Monte-Carlo deviation-reduction estimation, threshold solving, extrema."""
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from curve_checks import estimate_linear_K, find_extrema
 
 import ringbf.analysis as analysis
 from ringbf.analysis import (
@@ -13,8 +15,6 @@ from ringbf.analysis import (
     compute_curve,
     curve_to_csv,
     estimate_K,
-    estimate_linear_K,
-    find_extrema,
     linear_k0,
     solve_threshold,
 )
@@ -60,6 +60,18 @@ def test_unit_draws_normal_moments():
     draws = analysis._unit_draws(NORMAL, 81 * 81, 0)
     assert abs(draws.mean()) < 0.03
     assert draws.std() == pytest.approx(1.0, abs=0.02)
+
+
+# sha256 of the first 64 Normal draws of seed 0, little-endian float64.  numpy
+# does not promise that Generator streams stay fixed across releases (NEP 19);
+# a release that changes them fails here, by name, before it moves any
+# threshold, curve or phantom.
+NORMAL_SEED0_DIGEST = "4ab6795e6c089114c2bc5596c4cb82299db54790e4d6dd882f53e5d74201c2b5"
+
+
+def test_normal_draws_of_seed_0_are_pinned():
+    draws = analysis._unit_draws(NORMAL, 64, 0)
+    assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == NORMAL_SEED0_DIGEST
 
 
 # --- estimator fundamentals ------------------------------------------------

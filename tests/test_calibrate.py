@@ -3,8 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.ndimage
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import ringbf.calibrate as calibrate
 from ringbf.calibrate import (
     SUMMARY_BINS,
     PolyFit,
@@ -15,7 +20,6 @@ from ringbf.calibrate import (
     format_calibration_report,
     format_points,
     local_maps,
-    local_mean_map,
     local_std_map,
     regress_noise,
     summarize_points,
@@ -31,7 +35,7 @@ from ringbf.filter import Image
 def test_constant_image_has_zero_deviation():
     img = np.full((12, 9), 37.0)
     assert np.array_equal(local_std_map(img), np.zeros((12, 9)))
-    assert np.allclose(local_mean_map(img), 37.0, rtol=1e-15)
+    assert np.array_equal(local_maps(img, img).f_a, img)
 
 
 def test_checkerboard_interior_deviation_closed_form():
@@ -54,7 +58,7 @@ def test_std_map_shift_invariance_and_scaling():
 def test_mean_map_window_oracle():
     img = np.zeros((9, 9))
     img[4, 4] = 25.0
-    m = local_mean_map(img, half=2)
+    m = local_maps(img, img, half=2).f_a
     assert m[4, 4] == pytest.approx(1.0, rel=1e-15)  # 25 / (5*5)
     assert m[4, 1] == 0.0
 
@@ -71,8 +75,6 @@ def test_map_validation():
         local_std_map(np.zeros((8, 8)), half=-1)
     with pytest.raises(ValueError):
         local_std_map(np.zeros(8))
-    with pytest.raises(ValueError):
-        local_std_map(np.zeros((8, 8)), mean=np.zeros((8, 9)))
 
 
 def test_pair_maps_equal_separate_maps_bitwise():
@@ -83,7 +85,54 @@ def test_pair_maps_equal_separate_maps_bitwise():
         maps = local_maps(high, low, half)
         assert np.array_equal(maps.s_h, local_std_map(high, half))
         assert np.array_equal(maps.s_l, local_std_map(low, half))
-        assert np.array_equal(maps.f_a, local_mean_map(low, half))
+        assert np.array_equal(maps.f_a, _clamped_window_sum(low, half) / (2 * half + 1) ** 2)
+
+
+def _clamped_window_sum(f, half):
+    """Window sums by direct indexing, edge-clamped: exact for small integer images."""
+    ys, xs = np.indices(f.shape)
+    h, w = f.shape
+    return sum(f[np.clip(ys + dy, 0, h - 1), np.clip(xs + dx, 0, w - 1)]
+               for dy in range(-half, half + 1) for dx in range(-half, half + 1))
+
+
+_int16_images = arrays(np.int16, st.tuples(st.integers(1, 24), st.integers(1, 24)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(img=_int16_images, half=st.integers(1, 10))
+def test_window_sums_match_uniform_filter(img, half):
+    # images smaller than the window repeat their edge pixels, like mode="nearest"
+    f = img.astype(np.float64)
+    k = (2 * half + 1) ** 2
+    s1, s2 = calibrate._window_sums(img, half)
+    ref1 = scipy.ndimage.uniform_filter(f, size=2 * half + 1, mode="nearest") * k
+    ref2 = scipy.ndimage.uniform_filter(f * f, size=2 * half + 1, mode="nearest") * k
+    # uniform_filter rounds each partial sum: its error scales with the terms, not the sum
+    assert np.allclose(s1, ref1, rtol=0, atol=1e-12 * k * max(1.0, np.abs(f).max()))
+    assert np.allclose(s2, ref2, rtol=0, atol=1e-12 * k * max(1.0, (f * f).max()))
+    dev = np.sqrt(np.maximum(ref2 / k - (ref1 / k) ** 2, 0.0))
+    assert np.allclose(local_std_map(img, half), dev, rtol=0,
+                       atol=1e-6 * max(1.0, np.abs(f).max()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(img=_int16_images, half=st.integers(1, 26))
+def test_window_sums_of_integer_images_are_exact(img, half):
+    # up to 53x53 windows the deviation's numerator k*S2 - S1^2 is exact too
+    f = img.astype(np.float64)
+    s1, s2 = calibrate._window_sums(img, half)
+    assert np.array_equal(s1, _clamped_window_sum(f, half))
+    assert np.array_equal(s2, _clamped_window_sum(f * f, half))
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=st.integers(-32768, 32767), h=st.integers(1, 30), w=st.integers(1, 30),
+       half=st.integers(1, 10))
+def test_constant_integer_image_has_exactly_zero_deviation(value, h, w, half):
+    img = np.full((h, w), value, dtype=np.int16)
+    assert np.array_equal(local_std_map(img, half), np.zeros((h, w)))
+    assert np.array_equal(local_maps(img, img, half).f_a, np.full((h, w), float(value)))
 
 
 # --- empirical reduction points ---------------------------------------------
@@ -249,6 +298,36 @@ def test_regression_p_values_match_reference_distribution():
         if math.isfinite(s.t_stat):
             expected = 2.0 * scipy.stats.t.sf(abs(s.t_stat), report.dof)
             assert s.p_value == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+
+def _two_sided_t_reference(t, dof):
+    if dof == 1:
+        # scipy's dof = 1 path is off by 3e-9 relative at |t| = 1e-8; the
+        # Cauchy closed form is accurate for every t
+        return 2.0 / math.pi * math.atan(1.0 / abs(t)) if t else 1.0
+    return 2.0 * scipy.stats.t.sf(abs(t), dof)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dof=st.sampled_from([1, 3, 27, 1021, 10_000, 100_000, 4_194_301, 16_777_213]),
+       t=st.floats(-1e3, 1e3, allow_nan=False)
+       | st.floats(0.5, 4.0)  # around the switch between the fraction's two sides
+       | st.floats(-1e-6, 1e-6))
+def test_t_p_values_match_scipy(dof, t):
+    ref = _two_sided_t_reference(t, dof)
+    got = calibrate._t_p_value(t, dof)
+    assert 0.0 <= got <= 1.0
+    if ref >= 1e-300:
+        assert got == pytest.approx(ref, rel=1e-9, abs=0)
+
+
+def test_t_p_value_edges():
+    assert calibrate._t_p_value(0.0, 5) == 1.0
+    assert calibrate._t_p_value(1e-170, 5) == 1.0  # t^2 underflows
+    assert calibrate._t_p_value(math.inf, 5) == 0.0
+    assert calibrate._t_p_value(-1e200, 5) == 0.0
+    assert calibrate._t_p_value(1e154, 5) == 0.0
+    assert calibrate._t_p_value(2.5, 7) == calibrate._t_p_value(-2.5, 7)
 
 
 def test_regression_degenerate_design():

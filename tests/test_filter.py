@@ -53,6 +53,27 @@ def test_quantize_clips_to_int16_range():
     assert quantize_to_int16(vals).tolist() == [[32767, -32768, 32767, -32768]]
 
 
+_halves = st.integers(-40000, 40000).map(lambda k: k + 0.5)
+_quantize_inputs = st.lists(
+    _halves
+    | st.sampled_from([32767.5, -32767.5, 32768.5, -32768.5, 1e300, -1e300, np.inf, -np.inf])
+    | st.floats(-1e6, 1e6)
+    | st.floats(allow_nan=False),
+    min_size=1, max_size=64,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_quantize_inputs)
+def test_quantize_matches_round_then_clip_formula(values):
+    v = np.array([values])
+    expected = np.clip(np.copysign(np.floor(np.abs(v) + 0.5), v), -32768, 32767).astype(np.int16)
+    out = quantize_to_int16(v)
+    assert out.dtype == np.int16
+    assert np.array_equal(out, expected)
+    assert np.array_equal(v, np.array([values]))  # the input is left alone
+
+
 def test_integers_survive_quantization():
     vals = np.array([[-32768.0, -1.0, 0.0, 1.0, 32767.0]])
     assert quantize_to_int16(vals).tolist() == [[-32768, -1, 0, 1, 32767]]
