@@ -46,7 +46,7 @@ SUMMARY_BINS = 32  # equal-count bins over t in the calibration report
 _POINTS_BLOCK = 1 << 14  # rows per formatting call (and per written block) in format_points
 _CF_EPS = 1e-15  # relative change that ends the incomplete-beta continued fraction
 _CF_TINY = 1e-300  # Lentz's guard against a zero denominator
-_CF_MAX_TERMS = 1 << 20
+_CF_MAX_TERMS = 1000  # no dof up to 1e12 with |t| <= 1e3 needed more than 55
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
 
 
@@ -260,6 +260,11 @@ class RegressionReport:
     count: int
 
 
+def _nonzero(v: float) -> float:
+    """Lentz's guard: a zero denominator becomes a tiny one."""
+    return v if abs(v) > _CF_TINY else _CF_TINY
+
+
 def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
     """The continued fraction of I_x(a, b) (Numerical Recipes' ``betacf``); y = 1 - x.
 
@@ -289,11 +294,6 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
         if abs(step - 1.0) < _CF_EPS:
             return h
     raise NumericalError(f"incomplete beta fraction did not converge for a={a}, b={b}, x={x}")
-
-
-def _nonzero(v: float) -> float:
-    """Lentz's guard: a zero denominator becomes a tiny one."""
-    return v if abs(v) > _CF_TINY else _CF_TINY
 
 
 def _log_gamma_half_ratio(a: float) -> float:

@@ -32,10 +32,13 @@ from ringbf.filter import Image
 # --- local statistics maps --------------------------------------------------
 
 
-def test_constant_image_has_zero_deviation():
-    img = np.full((12, 9), 37.0)
-    assert np.array_equal(local_std_map(img), np.zeros((12, 9)))
-    assert np.array_equal(local_maps(img, img).f_a, img)
+@settings(max_examples=60, deadline=None)
+@given(value=st.integers(-32768, 32767), h=st.integers(1, 30), w=st.integers(1, 30),
+       half=st.integers(1, 10))
+def test_constant_image_has_zero_deviation(value, h, w, half):
+    img = np.full((h, w), float(value))
+    assert np.array_equal(local_std_map(img, half), np.zeros((h, w)))
+    assert np.array_equal(local_maps(img, img, half).f_a, img)
 
 
 def test_checkerboard_interior_deviation_closed_form():
@@ -119,20 +122,11 @@ def test_window_sums_match_uniform_filter(img, half):
 @settings(max_examples=100, deadline=None)
 @given(img=_int16_images, half=st.integers(1, 26))
 def test_window_sums_of_integer_images_are_exact(img, half):
-    # up to 53x53 windows the deviation's numerator k*S2 - S1^2 is exact too
+    # up to 53x53 windows, where the deviation's numerator k*S2 - S1^2 is exact too
     f = img.astype(np.float64)
     s1, s2 = calibrate._window_sums(img, half)
     assert np.array_equal(s1, _clamped_window_sum(f, half))
     assert np.array_equal(s2, _clamped_window_sum(f * f, half))
-
-
-@settings(max_examples=60, deadline=None)
-@given(value=st.integers(-32768, 32767), h=st.integers(1, 30), w=st.integers(1, 30),
-       half=st.integers(1, 10))
-def test_constant_integer_image_has_exactly_zero_deviation(value, h, w, half):
-    img = np.full((h, w), value, dtype=np.int16)
-    assert np.array_equal(local_std_map(img, half), np.zeros((h, w)))
-    assert np.array_equal(local_maps(img, img, half).f_a, np.full((h, w), float(value)))
 
 
 # --- empirical reduction points ---------------------------------------------
