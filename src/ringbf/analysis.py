@@ -51,7 +51,7 @@ DEFAULT_TRIALS_TABLE = 200_000
 DEFAULT_TRIALS_CURVE = 20_000
 
 _BATCH_TRIALS = 2_000
-_CHUNK_VALUES = 1 << 18  # stream words read per chunk (bounds the temporaries)
+_CHUNK_VALUES = 1 << 18  # values drawn per chunk (bounds the temporaries)
 _SQRT3 = math.sqrt(3.0)
 _MAX_BISECTIONS = 80
 
