@@ -7,10 +7,14 @@ deviation and the local intensity average verifies that noise scales with
 deviation, not with intensity — the property that justifies applying one
 intensity-shift-invariant filter across the whole gated range.
 
-The windowed maps of a pair are computed once (:func:`local_maps`) and shared
-by the point set and the regression.  The report summarizes the points in
-``SUMMARY_BINS`` equal-count bins over ``t``; :func:`format_points` writes the
-full per-pixel list on request.
+:func:`scan_pair` reads a pair once, in strips of ``_STRIP_ROWS`` image rows.
+Each strip yields its windowed maps, appends its points to one array and
+folds its regression rows into a small R factor (TSQR: Demmel, Grigori,
+Hoemmen and Langou, SIAM J. Sci. Comput. 34(1), 2012), so no full-size map or
+design matrix is ever held.  :func:`fit_polynomial` folds the points into an R
+factor ``_POINTS_BLOCK`` at a time in the same way.  The report summarizes the
+points in ``SUMMARY_BINS`` equal-count bins over ``t``; :func:`format_points`
+writes the full per-pixel list on request.
 """
 from __future__ import annotations
 
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, NumericalError
-from .filter import _as_values
+from .filter import Image, _as_values
 
 __all__ = [
-    "LocalMaps",
+    "PairScan",
     "PointSummary",
     "PolyFit",
     "PredictorStats",
@@ -32,8 +36,7 @@ __all__ = [
     "S_L_FLOOR",
     "SUMMARY_BINS",
     "local_std_map",
-    "local_maps",
-    "empirical_K_points",
+    "scan_pair",
     "summarize_points",
     "fit_polynomial",
     "regress_noise",
@@ -43,7 +46,8 @@ __all__ = [
 
 S_L_FLOOR = 1e-6  # HU; below this a local deviation is treated as zero
 SUMMARY_BINS = 32  # equal-count bins over t in the calibration report
-_POINTS_BLOCK = 1 << 14  # rows per formatting call (and per written block) in format_points
+_STRIP_ROWS = 32  # image rows per strip of scan_pair
+_POINTS_BLOCK = 1 << 14  # points per block folded by fit_polynomial and formatted by format_points
 _CF_EPS = 1e-15  # relative change that ends the incomplete-beta continued fraction
 _CF_TINY = 1e-300  # Lentz's guard against a zero denominator
 _CF_MAX_TERMS = 1000  # no dof up to 1e12 with |t| <= 1e3 needed more than 55
@@ -56,18 +60,32 @@ def _window(half: int) -> int:
     return 2 * half + 1
 
 
-def _window_sums(img, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of f and of f^2 over (2*half+1)^2 windows, edge-clamped.
+def _as_array(img) -> np.ndarray:
+    """An ``Image``'s int16 pixels as they are, any other image as float64 values.
 
-    Each axis takes running sums over the edge-padded image and differences
-    them ``size`` apart, so the cost does not grow with the window.  For an
-    int16 image every running sum is an integer below 2**53, hence exact,
-    while ``(width + size) * size`` and ``height + size`` stay below 2**23.
+    The strips convert only the rows they read, so an ``Image`` is never
+    copied whole to float64.
+    """
+    return img.pixels if isinstance(img, Image) else _as_values(img)
+
+
+def _window_sums(f: np.ndarray, half: int, start: int = 0,
+                 stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of f and of f^2 over (2*half+1)^2 windows, edge-clamped, for rows start..stop-1.
+
+    The strip reads the ``half`` rows around it through clamped row indices,
+    so its sums are the same rows of the whole image's.  Each axis takes
+    running sums and differences them ``size`` apart, so the cost does not
+    grow with the window.  For an int16 image every running sum is an
+    integer below 2**53, hence exact and independent of the strip, while
+    ``(width + size) * size`` and ``rows + size`` stay below 2**23.
     """
     size = _window(half)
-    f = _as_values(img)
+    height = f.shape[0]
+    stop = height if stop is None else stop
     # one leading zero row and column, so each window sum is a difference of two running sums
-    s1 = np.pad(f, ((half + 1, half), (half + 1, half)), mode="edge")
+    rows = np.clip(np.arange(start - half - 1, stop + half), 0, height - 1)
+    s1 = np.pad(f[rows].astype(np.float64), ((0, 0), (half + 1, half)), mode="edge")
     s1[0] = 0.0
     s1[:, 0] = 0.0
     s2 = s1 * s1
@@ -97,39 +115,71 @@ def _deviation(s1: np.ndarray, s2: np.ndarray, half: int) -> np.ndarray:
 
 def local_std_map(img, half: int = 2) -> np.ndarray:
     """Per-pixel population deviation over (2*half+1)^2 windows, edge-clamped."""
-    return _deviation(*_window_sums(img, half), half)
+    return _deviation(*_window_sums(_as_array(img), half), half)
+
+
+def _strip_maps(high: np.ndarray, low: np.ndarray, half: int, start: int,
+                stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows start..stop-1 of s_H and s_L (local deviations) and f_a (low-dose local mean)."""
+    s1, s2 = _window_sums(low, half, start, stop)
+    s_l = _deviation(s1, s2, half)
+    s1 /= _window(half) ** 2
+    return _deviation(*_window_sums(high, half, start, stop), half), s_l, s1
+
+
+def _fold(r: np.ndarray, rows: int, columns) -> np.ndarray:
+    """The R factor of ``r`` stacked on ``rows`` new rows, given column by column.
+
+    Folding every block of a tall matrix in turn yields the matrix's own R
+    factor, up to the signs of its rows, without ever holding the matrix.
+    A column may be a scalar, repeated down the rows.
+    """
+    stacked = np.empty((len(columns), r.shape[0] + rows))  # column-major: each column is one row here
+    stacked[:, : r.shape[0]] = r.T
+    for dst, col in zip(stacked[:, r.shape[0]:], columns):
+        dst[:] = col
+    return np.linalg.qr(stacked.T, mode="r")
 
 
 @dataclass(frozen=True, eq=False)
-class LocalMaps:
-    """The windowed maps of one high/low-dose pair, all of the same shape."""
+class PairScan:
+    """What one pass over a high/low-dose pair keeps.
 
-    s_h: np.ndarray  # high-dose local deviation
-    s_l: np.ndarray  # low-dose local deviation
-    f_a: np.ndarray  # low-dose local mean
+    ``points`` holds the (t, ratio) points, t = s_L and ratio = s_H / s_L, in
+    row-major pixel order; pixels whose low-dose deviation falls below
+    ``S_L_FLOOR`` are excluded.  ``noise_r`` is the 4x4 R factor of the
+    ``count`` rows ``[1, s_L, f_a | s_H]``, one per pixel, which is all that
+    :func:`regress_noise` needs.
+    """
+
+    points: np.ndarray  # (N, 2)
+    noise_r: np.ndarray  # (4, 4), upper triangular
+    count: int
 
 
-def local_maps(high, low, half: int = 2) -> LocalMaps:
-    """Compute a pair's maps once, from the window sums of each image."""
-    h = _as_values(high)
-    lo = _as_values(low)
+def scan_pair(high, low, half: int = 2) -> PairScan:
+    """Read a pair once, ``_STRIP_ROWS`` rows at a time, into its points and regression R.
+
+    For int16 images the points do not depend on the strip height, bit for
+    bit; the R factor does only through rounding.
+    """
+    h = _as_array(high)
+    lo = _as_array(low)
     if h.shape != lo.shape:
         raise ValueError(f"image dimensions differ: {h.shape} vs {lo.shape}")
-    s1, s2 = _window_sums(lo, half)
-    s_l = _deviation(s1, s2, half)
-    s1 /= _window(half) ** 2
-    return LocalMaps(s_h=local_std_map(h, half), s_l=s_l, f_a=s1)
-
-
-def empirical_K_points(maps: LocalMaps) -> np.ndarray:
-    """Per-pixel (t, ratio) points: t = low-dose local deviation, ratio = s_H/s_L.
-
-    Pixels whose low-dose deviation falls below ``S_L_FLOOR`` are excluded.
-    Returns an (N, 2) array with columns (t, ratio), in row-major pixel order.
-    """
-    mask = maps.s_l > S_L_FLOOR
-    s_l = maps.s_l[mask]
-    return np.column_stack([s_l, maps.s_h[mask] / s_l])
+    height, width = lo.shape
+    points = np.empty((height * width, 2))
+    n = 0
+    r = np.empty((0, 4))
+    for start in range(0, height, _STRIP_ROWS):
+        s_h, s_l, f_a = _strip_maps(h, lo, half, start, min(start + _STRIP_ROWS, height))
+        mask = s_l > S_L_FLOOR
+        t = s_l[mask]
+        np.divide(s_h[mask], t, out=points[n : n + t.size, 1])
+        points[n : n + t.size, 0] = t
+        n += t.size
+        r = _fold(r, s_l.size, (1.0, s_l.ravel(), f_a.ravel(), s_h.ravel()))
+    return PairScan(points=points[:n], noise_r=r, count=height * width)
 
 
 def _as_points(points) -> np.ndarray:
@@ -169,19 +219,21 @@ def summarize_points(points) -> PointSummary:
         empty = np.empty(0)
         return PointSummary(empty, empty, np.empty(0, np.int64), empty, empty, empty)
     ranks = np.append(np.arange(SUMMARY_BINS) * t.size // SUMMARY_BINS, t.size - 1)
-    edges = np.unique(np.partition(t, ranks)[ranks])
+    edges = np.unique(np.sort(t)[ranks])
     bins = max(edges.size - 1, 1)
     idx = np.searchsorted(edges[1:-1], t, side="right")
     count = np.bincount(idx, minlength=bins)
     ratio_mean = np.bincount(idx, weights=ratio, minlength=bins) / count
-    dev = ratio - ratio_mean[idx]
+    sq_dev = ratio_mean[idx]  # one full-size buffer for the squared deviations
+    np.subtract(ratio, sq_dev, out=sq_dev)
+    sq_dev *= sq_dev
     return PointSummary(
         t_lo=edges[:bins],
         t_hi=edges[-bins:],
         count=count,
         t_mean=np.bincount(idx, weights=t, minlength=bins) / count,
         ratio_mean=ratio_mean,
-        ratio_std=np.sqrt(np.bincount(idx, weights=dev * dev, minlength=bins) / count),
+        ratio_std=np.sqrt(np.bincount(idx, weights=sq_dev, minlength=bins) / count),
     )
 
 
@@ -194,26 +246,33 @@ class PolyFit:
     r_squared: float
 
 
-def _least_squares(design: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """Coefficients minimizing |design @ coef - y| and the residual sum of squares.
+def _least_squares(r: np.ndarray, rows: int, what: str) -> tuple[np.ndarray, float]:
+    """Coefficients minimizing |X @ coef - y| and the residual sum of squares, from R of [X | y].
 
-    A rank-deficient design raises ``DegenerateFitError`` naming ``what``.
+    With p columns in X, ``R[:p, :p] @ coef = R[:p, p]`` and the residual sum
+    of squares is ``R[p, p]^2``.  Column j of X counts toward the rank when
+    ``|R[j, j]|``, its part outside the span of the columns before it, exceeds
+    ``eps * rows`` of its norm ``|R[:j+1, j]|``; a rank below p raises
+    ``DegenerateFitError`` naming ``what``.
     """
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise DegenerateFitError(
-            f"design matrix rank {rank} < {design.shape[1]}: {what} is degenerate"
-        )
-    resid = y - design @ coef
-    return coef, float(resid @ resid)
+    p = r.shape[1] - 1
+    cutoff = np.finfo(np.float64).eps * max(rows, p) * np.linalg.norm(r[:p, :p], axis=0)
+    rank = int(np.count_nonzero(np.abs(np.diagonal(r)[:p]) > cutoff))
+    if rank < p:
+        raise DegenerateFitError(f"design matrix rank {rank} < {p}: {what} is degenerate")
+    coef = np.linalg.solve(r[:p, :p], r[:p, p])
+    return coef, float(r[p, p]) ** 2 if r.shape[0] > p else 0.0
 
 
 def fit_polynomial(points, degree: int) -> PolyFit:
     """Fit y = c0 + c1*x + ... + cd*x^d by least squares.
 
-    Requires more points than coefficients and a full-rank design; a constant
-    dataset fitted with any degree yields the constant with R^2 = 1 (zero
-    total and zero residual variation counts as a perfect fit).
+    The fit is taken in u = (x - centre) / scale, which maps the x range onto
+    [-1, 1] and keeps the powers of u well conditioned, then expanded into
+    ascending powers of x.  Requires more points than coefficients and a
+    full-rank design; a constant dataset fitted with any degree yields the
+    constant with R^2 = 1 (zero total and zero residual variation counts as a
+    perfect fit).
     """
     pts = _as_points(points)
     if not isinstance(degree, int) or degree < 0:
@@ -225,13 +284,28 @@ def fit_polynomial(points, degree: int) -> PolyFit:
         )
     if degree >= 1 and np.all(x == x[0]):
         raise DegenerateFitError("all x values identical: polynomial fit is degenerate")
-    design = np.vander(x, degree + 1, increasing=True)
-    coeffs, ss_res = _least_squares(design, y, "polynomial fit")
-    centered = y - y.mean()
-    ss_tot = float(centered @ centered)
+    lo, hi = float(x.min()), float(x.max())
+    centre, scale = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
+    mean = y.mean()
+    ss_tot = 0.0
+    r = np.empty((0, degree + 2))
+    for start in range(0, len(pts), _POINTS_BLOCK):
+        yb = y[start : start + _POINTS_BLOCK]
+        u = x[start : start + _POINTS_BLOCK] - centre
+        u /= scale
+        powers = [1.0]
+        for _ in range(degree):
+            powers.append(powers[-1] * u)
+        r = _fold(r, yb.size, powers + [yb])
+        centered = yb - mean
+        ss_tot += float(centered @ centered)
+    coef_u, ss_res = _least_squares(r, len(pts), "polynomial fit")
+    coeffs = coef_u[-1:]
+    for c in coef_u[-2::-1]:  # Horner's rule in polynomials: p <- p * (x - centre) / scale + c
+        coeffs = np.convolve(coeffs, (-centre, 1.0)) / scale
+        coeffs[0] += c
     if ss_tot == 0.0:
-        scale = max(1.0, float(y @ y))
-        r_squared = 1.0 if ss_res <= 1e-12 * scale else 0.0
+        r_squared = 1.0 if ss_res <= 1e-12 * max(1.0, float(y @ y)) else 0.0
     else:
         r_squared = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return PolyFit(
@@ -329,25 +403,21 @@ def _t_p_value(t_stat: float, dof: int) -> float:
     return 1.0 - front * _beta_fraction(0.5, a, y, x) / 0.5
 
 
-def regress_noise(maps: LocalMaps) -> RegressionReport:
+def regress_noise(scan: PairScan) -> RegressionReport:
     """Regress the high-dose local deviation on the low-dose deviation and intensity.
 
     A significant s_L coefficient with an insignificant f_a coefficient is the
     expected signature: local noise follows local deviation and is independent
-    of the intensity level.
+    of the intensity level.  The scan's R factor gives the coefficients and
+    ``(X^T X)^-1 = R^-1 R^-T`` for their standard errors.
     """
-    s_h = maps.s_h.ravel()
-    s_l = maps.s_l.ravel()
-    f_a = maps.f_a.ravel()
-    count = s_h.size
+    count = scan.count
     if count < 30:
         raise ValueError(f"need at least 30 sample pixels, got {count}")
-    design = np.column_stack([np.ones(count), s_l, f_a])
-    beta, ss_res = _least_squares(design, s_h, "noise regression")
+    beta, ss_res = _least_squares(scan.noise_r, count, "noise regression")
     dof = count - 3
-    sigma2 = ss_res / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    r_inv = np.linalg.inv(scan.noise_r[:3, :3])
+    se = np.sqrt(ss_res / dof * np.einsum("ij,ij->i", r_inv, r_inv))  # diagonal of R^-1 R^-T
     stats = []
     for b, s in zip(beta, se):
         t_stat = float(b / s) if s > 0 else float(np.copysign(np.inf, b)) if b != 0 else 0.0

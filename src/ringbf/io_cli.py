@@ -55,12 +55,11 @@ from .analysis import (
     solve_threshold,
 )
 from .calibrate import (
-    empirical_K_points,
     fit_polynomial,
     format_calibration_report,
     format_points,
-    local_maps,
     regress_noise,
+    scan_pair,
     summarize_points,
 )
 from .ctmodel import (
@@ -380,15 +379,12 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    maps = local_maps(read_image(args.high), read_image(args.low), args.window)
-    points = empirical_K_points(maps)
-    regression = regress_noise(maps)
-    del maps  # free the maps before the fit: its design matrix and lstsq copy are the peak
-    fit = fit_polynomial(points, args.degree)
-    report = format_calibration_report(summarize_points(points), fit, regression)
+    scan = scan_pair(read_image(args.high), read_image(args.low), args.window)
+    fit = fit_polynomial(scan.points, args.degree)
+    report = format_calibration_report(summarize_points(scan.points), fit, regress_noise(scan))
     files = {Path(args.out): report.encode("ascii")}
     if args.points:
-        files[Path(args.points)] = format_points(points)
+        files[Path(args.points)] = format_points(scan.points)
     _write_files(files)
     return 0
 

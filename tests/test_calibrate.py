@@ -1,11 +1,12 @@
 """Local-deviation maps, empirical reduction points, fitting, and regression."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.ndimage
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,13 +16,12 @@ from ringbf.calibrate import (
     PolyFit,
     PredictorStats,
     RegressionReport,
-    empirical_K_points,
     fit_polynomial,
     format_calibration_report,
     format_points,
-    local_maps,
     local_std_map,
     regress_noise,
+    scan_pair,
     summarize_points,
 )
 from ringbf.ctmodel import synth_phantom_values
@@ -38,7 +38,7 @@ from ringbf.filter import Image
 def test_constant_image_has_zero_deviation(value, h, w, half):
     img = np.full((h, w), float(value))
     assert np.array_equal(local_std_map(img, half), np.zeros((h, w)))
-    assert np.array_equal(local_maps(img, img, half).f_a, img)
+    assert np.array_equal(_whole_maps(img, img, half)[2], img)
 
 
 def test_checkerboard_interior_deviation_closed_form():
@@ -61,7 +61,7 @@ def test_std_map_shift_invariance_and_scaling():
 def test_mean_map_window_oracle():
     img = np.zeros((9, 9))
     img[4, 4] = 25.0
-    m = local_maps(img, img, half=2).f_a
+    m = _whole_maps(img, img, half=2)[2]
     assert m[4, 4] == pytest.approx(1.0, rel=1e-15)  # 25 / (5*5)
     assert m[4, 1] == 0.0
 
@@ -85,10 +85,15 @@ def test_pair_maps_equal_separate_maps_bitwise():
     high = rng.integers(-300, 300, (23, 31)).astype(np.float64)
     low = rng.integers(-900, 900, (23, 31)).astype(np.float64)
     for half in (1, 2, 3):
-        maps = local_maps(high, low, half)
-        assert np.array_equal(maps.s_h, local_std_map(high, half))
-        assert np.array_equal(maps.s_l, local_std_map(low, half))
-        assert np.array_equal(maps.f_a, _clamped_window_sum(low, half) / (2 * half + 1) ** 2)
+        s_h, s_l, f_a = _whole_maps(high, low, half)
+        assert np.array_equal(s_h, local_std_map(high, half))
+        assert np.array_equal(s_l, local_std_map(low, half))
+        assert np.array_equal(f_a, _clamped_window_sum(low, half) / (2 * half + 1) ** 2)
+
+
+def _whole_maps(high, low, half):
+    """(s_H, s_L, f_a) of a whole pair: one strip as tall as the image."""
+    return calibrate._strip_maps(high, low, half, 0, len(low))
 
 
 def _clamped_window_sum(f, half):
@@ -134,7 +139,7 @@ def test_window_sums_of_integer_images_are_exact(img, half):
 
 def test_equal_images_give_unit_ratio():
     img = synth_phantom_values([100], sigma=20.0, seed=1, size=(24, 24))
-    pts = empirical_K_points(local_maps(img, img))
+    pts = scan_pair(img, img).points
     assert pts.shape == (24 * 24, 2)
     assert np.allclose(pts[:, 1], 1.0, rtol=1e-12)
     assert np.all(pts[:, 0] > 0)
@@ -142,19 +147,47 @@ def test_equal_images_give_unit_ratio():
 
 def test_halved_image_gives_half_ratio():
     low = synth_phantom_values([0], sigma=40.0, seed=2, size=(20, 20))
-    pts = empirical_K_points(local_maps(0.5 * low, low))
+    pts = scan_pair(0.5 * low, low).points
     assert np.allclose(pts[:, 1], 0.5, rtol=1e-12)
 
 
 def test_flat_regions_are_excluded():
     low = np.full((16, 16), 100.0)
     high = low + np.random.default_rng(0).normal(size=(16, 16))
-    assert empirical_K_points(local_maps(high, low)).shape == (0, 2)
+    assert scan_pair(high, low).points.shape == (0, 2)
 
 
 def test_points_shape_mismatch():
     with pytest.raises(ValueError):
-        local_maps(np.zeros((8, 8)), np.zeros((8, 9)))
+        scan_pair(np.zeros((8, 8)), np.zeros((8, 9)))
+
+
+def _calibrated(high, low, half, rows):
+    """Points, degree-2 fit and regression with ``rows`` per strip and per fit block."""
+    with mock.patch.object(calibrate, "_STRIP_ROWS", rows), \
+            mock.patch.object(calibrate, "_POINTS_BLOCK", rows):
+        scan = scan_pair(high, low, half)
+        return scan.points, fit_polynomial(scan.points, 2), regress_noise(scan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), h=st.integers(6, 30), w=st.integers(5, 30), half=st.integers(1, 3))
+def test_scan_fit_and_regression_do_not_depend_on_the_strip_height(data, h, w, half):
+    pair = arrays(np.int16, (2, h, w), elements=st.integers(-2000, 2000))
+    high, low = (Image(img) for img in data.draw(pair))
+    rows = data.draw(st.sampled_from([1, 2, 3]) | st.integers(1, h + 3), label="rows")
+    try:
+        points, fit, reg = _calibrated(high, low, half, h)  # one strip, one block
+    except DegenerateFitError:
+        assume(False)
+    strip_points, strip_fit, strip_reg = _calibrated(high, low, half, rows)
+    assert np.array_equal(strip_points, points)
+    assert strip_fit.coefficients == pytest.approx(fit.coefficients, rel=1e-9)
+    assert strip_fit.r_squared == pytest.approx(fit.r_squared, rel=1e-9, abs=1e-12)
+    for term in ("intercept", "s_l", "f_a"):
+        got, want = getattr(strip_reg, term), getattr(reg, term)
+        assert got.coefficient == pytest.approx(want.coefficient, rel=1e-9)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-9)
 
 
 # --- binned point summary ---------------------------------------------------
@@ -263,6 +296,29 @@ def test_fit_validation():
         fit_polynomial(np.zeros((3, 3)), degree=1)
 
 
+def test_fit_recovers_a_quartic_over_a_million_points_of_raw_t():
+    # t in [29, 150] HU, as with --window 10: the powers of raw t are so nearly
+    # dependent that a rank cutoff growing with the row count rejected them
+    coef = (1.2, -0.03, 4e-4, -2e-6, 4e-9)
+    t = np.random.default_rng(0).uniform(29.0, 150.0, 1 << 20)
+    fit = fit_polynomial(np.column_stack([t, np.polynomial.polynomial.polyval(t, coef)]), 4)
+    assert fit.coefficients == pytest.approx(coef, rel=1e-10)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 5])
+def test_fit_matches_lstsq_on_well_conditioned_data(degree):
+    rng = np.random.default_rng(degree)
+    x = rng.uniform(-1.5, 2.0, 40_000)  # more than two blocks of points
+    y = np.cos(x) + rng.normal(scale=0.1, size=x.size)
+    fit = fit_polynomial(np.column_stack([x, y]), degree)
+    coef, ss_res, *_ = np.linalg.lstsq(np.vander(x, degree + 1, increasing=True), y, rcond=None)
+    assert fit.coefficients == pytest.approx(coef, rel=1e-9)
+    centered = y - y.mean()
+    assert fit.r_squared == pytest.approx(1.0 - ss_res[0] / (centered @ centered),
+                                          rel=1e-9, abs=1e-12)
+
+
 # --- noise regression -------------------------------------------------------
 
 
@@ -274,7 +330,7 @@ def _dose_pair(seed=7, size=(32, 32)):
 
 def test_regression_finds_deviation_coupling():
     high, low = _dose_pair()
-    report = regress_noise(local_maps(high, low))
+    report = regress_noise(scan_pair(high, low))
     assert report.count == 32 * 32
     assert report.dof == 32 * 32 - 3
     assert report.s_l.coefficient == pytest.approx(0.5, abs=1e-6)
@@ -287,7 +343,7 @@ def test_regression_p_values_match_reference_distribution():
     rng = np.random.default_rng(11)
     low = synth_phantom_values([100], sigma=25.0, seed=3, size=(32, 32))
     high = 0.5 * low + rng.normal(scale=1.0, size=(32, 32))
-    report = regress_noise(local_maps(high, low))
+    report = regress_noise(scan_pair(high, low))
     for s in (report.intercept, report.s_l, report.f_a):
         if math.isfinite(s.t_stat):
             expected = 2.0 * scipy.stats.t.sf(abs(s.t_stat), report.dof)
@@ -328,12 +384,27 @@ def test_regression_degenerate_design():
     low = np.full((16, 16), 50.0)  # zero deviation everywhere
     high = np.full((16, 16), 25.0)
     with pytest.raises(DegenerateFitError):
-        regress_noise(local_maps(high, low))
+        regress_noise(scan_pair(high, low))
+
+
+def test_regression_matches_lstsq_on_the_whole_image_design():
+    rng = np.random.default_rng(12)
+    low = synth_phantom_values([40, 300], sigma=30.0, seed=6, size=(70, 45))
+    high = np.round(0.5 * low + rng.normal(scale=3.0, size=low.shape))
+    report = regress_noise(scan_pair(high, low))  # 70 rows: strips of 32, 32 and 6
+    s_h, s_l, f_a = _whole_maps(high, low, 2)
+    design = np.column_stack([np.ones(s_l.size), s_l.ravel(), f_a.ravel()])
+    beta, ss_res, *_ = np.linalg.lstsq(design, s_h.ravel(), rcond=None)
+    se = np.sqrt(ss_res[0] / report.dof * np.diag(np.linalg.inv(design.T @ design)))
+    assert report.count == s_l.size and report.dof == s_l.size - 3
+    for stats, b, s in zip((report.intercept, report.s_l, report.f_a), beta, se):
+        assert stats.coefficient == pytest.approx(b, rel=1e-9)
+        assert stats.std_error == pytest.approx(s, rel=1e-9)
 
 
 def test_regression_validation():
     with pytest.raises(ValueError):
-        regress_noise(local_maps(np.zeros((5, 5)), np.zeros((5, 5))))  # 25 pixels < 30
+        regress_noise(scan_pair(np.zeros((5, 5)), np.zeros((5, 5))))  # 25 pixels < 30
 
 
 # --- report formatting ------------------------------------------------------
@@ -371,10 +442,10 @@ def test_report_structure_pins_every_section():
 
 def test_report_with_regression_parses_back():
     high, low = _dose_pair(seed=9)
-    maps = local_maps(high, low)
-    pts = empirical_K_points(maps)
+    scan = scan_pair(high, low)
+    pts = scan.points
     fit = fit_polynomial(pts, degree=2)
-    reg = regress_noise(maps)
+    reg = regress_noise(scan)
     summary = summarize_points(pts)
     report = format_calibration_report(summary, fit, reg)
     lines = report.splitlines()
@@ -405,7 +476,7 @@ def test_report_with_regression_parses_back():
 
 def test_points_file_matches_point_list_rows():
     high, low = _dose_pair(seed=5, size=(12, 9))
-    pts = empirical_K_points(local_maps(high, low))
+    pts = scan_pair(high, low).points
     expected = "t,ratio\n" + "".join(f"{t:.9g},{ratio:.9g}\n" for t, ratio in pts)
     assert b"".join(format_points(pts)) == expected.encode("ascii")
     assert b"".join(format_points(np.empty((0, 2)))) == b"t,ratio\n"

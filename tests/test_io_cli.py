@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ringbf
-from ringbf.calibrate import empirical_K_points, format_points, local_maps, summarize_points
+from ringbf.calibrate import format_points, scan_pair, summarize_points
 from ringbf.errors import FormatError, RangeError
 from ringbf.filter import Image
 from ringbf.io_cli import _write_files, cli_dispatch, read_image, write_image
@@ -419,7 +419,7 @@ def test_cli_calibrate_end_to_end(tmp_path):
     assert lines[0] == "t_lo,t_hi,count,t_mean,ratio_mean,ratio_std"
     blank = lines.index("")
     rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:blank]])
-    pts = empirical_K_points(local_maps(read_image(high), read_image(low)))
+    pts = scan_pair(read_image(high), read_image(low)).points
     assert rows[:, 2].sum() == len(pts) == 32 * 32
     # the report rounds edges to 9 digits, so bin membership uses the exact ones
     summary = summarize_points(pts)
@@ -449,7 +449,7 @@ def test_cli_calibrate_points_file_is_the_full_point_list(tmp_path):
          "--points", str(points)]
     )
     assert rc == 0
-    pts = empirical_K_points(local_maps(read_image(high), read_image(low)))
+    pts = scan_pair(read_image(high), read_image(low)).points
     # the (t, ratio) block that earlier reports began with, byte for byte
     rows = "".join(f"{t:.9g},{r:.9g}\n" for t, r in pts)
     assert points.read_bytes() == ("t,ratio\n" + rows).encode("ascii")
@@ -471,6 +471,26 @@ def test_cli_calibrate_write_failure_keeps_old_report(tmp_path, monkeypatch, cap
         assert "No space left" in capsys.readouterr().err
         assert report.read_text() == "old report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_calibrate_holds_the_points_not_full_size_maps_or_designs(tmp_path):
+    for name, sigma, seed in (("high", "10", "1"), ("low", "40", "2")):
+        assert cli_dispatch(["phantom", "--densities", "0,120,400", "--sigma", sigma,
+                             "--size", "512x512", "--seed", seed,
+                             "--out", str(tmp_path / f"{name}.raw")]) == 0
+    tracemalloc.start()
+    try:
+        rc = cli_dispatch(["calibrate", "--high", str(tmp_path / "high.raw"),
+                           "--low", str(tmp_path / "low.raw"), "--out", str(tmp_path / "r.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # the (t, ratio) array of every pixel, plus the binned summary's three
+    # half-size temporaries; whole-image maps and design matrices would add
+    # one point array's worth each (21 MiB with them, at 4 MiB of points)
+    points_bytes = 512 * 512 * 2 * 8
+    assert peak < 3.5 * points_bytes
 
 
 def test_points_are_written_without_holding_their_whole_text(tmp_path):
