@@ -78,14 +78,14 @@ def _window_sums(f: np.ndarray, half: int, start: int = 0,
     running sums and differences them ``size`` apart, so the cost does not
     grow with the window.  For an int16 image every running sum is an
     integer below 2**53, hence exact and independent of the strip, while
-    ``(width + size) * size`` and ``rows + size`` stay below 2**23.
+    ``(width + size) * size`` and ``stop - start + size`` stay below 2**23.
     """
     size = _window(half)
     height = f.shape[0]
     stop = height if stop is None else stop
     # one leading zero row and column, so each window sum is a difference of two running sums
-    rows = np.clip(np.arange(start - half - 1, stop + half), 0, height - 1)
-    s1 = np.pad(f[rows].astype(np.float64), ((0, 0), (half + 1, half)), mode="edge")
+    read = np.clip(np.arange(start - half - 1, stop + half), 0, height - 1)
+    s1 = np.pad(f[read].astype(np.float64), ((0, 0), (half + 1, half)), mode="edge")
     s1[0] = 0.0
     s1[:, 0] = 0.0
     s2 = s1 * s1
@@ -134,7 +134,8 @@ def _fold(r: np.ndarray, rows: int, columns) -> np.ndarray:
     factor, up to the signs of its rows, without ever holding the matrix.
     A column may be a scalar, repeated down the rows.
     """
-    stacked = np.empty((len(columns), r.shape[0] + rows))  # column-major: each column is one row here
+    # held transposed: each column is written contiguously, and qr gets a Fortran-ordered matrix
+    stacked = np.empty((len(columns), r.shape[0] + rows))
     stacked[:, : r.shape[0]] = r.T
     for dst, col in zip(stacked[:, r.shape[0]:], columns):
         dst[:] = col
@@ -224,14 +225,17 @@ def summarize_points(points) -> PointSummary:
     idx = np.searchsorted(edges[1:-1], t, side="right")
     count = np.bincount(idx, minlength=bins)
     ratio_mean = np.bincount(idx, weights=ratio, minlength=bins) / count
-    sq_dev = ratio_mean[idx]  # one full-size buffer for the squared deviations
+    t_mean = np.bincount(idx, weights=t, minlength=bins) / count
+    # one full-size buffer for the squared deviations, made after the bincounts'
+    # contiguous copies of t and ratio are freed
+    sq_dev = ratio_mean[idx]
     np.subtract(ratio, sq_dev, out=sq_dev)
     sq_dev *= sq_dev
     return PointSummary(
         t_lo=edges[:bins],
         t_hi=edges[-bins:],
         count=count,
-        t_mean=np.bincount(idx, weights=t, minlength=bins) / count,
+        t_mean=t_mean,
         ratio_mean=ratio_mean,
         ratio_std=np.sqrt(np.bincount(idx, weights=sq_dev, minlength=bins) / count),
     )

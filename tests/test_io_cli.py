@@ -486,11 +486,11 @@ def test_calibrate_holds_the_points_not_full_size_maps_or_designs(tmp_path):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    # the (t, ratio) array of every pixel, plus the binned summary's three
-    # half-size temporaries; whole-image maps and design matrices would add
-    # one point array's worth each (21 MiB with them, at 4 MiB of points)
+    # the (t, ratio) array of every pixel, plus at most two half-size
+    # temporaries of the binned summary at a time; whole-image maps and
+    # design matrices take the peak past five point arrays
     points_bytes = 512 * 512 * 2 * 8
-    assert peak < 3.5 * points_bytes
+    assert peak < 3 * points_bytes
 
 
 def test_points_are_written_without_holding_their_whole_text(tmp_path):
