@@ -9,10 +9,11 @@ intensity-shift-invariant filter across the whole gated range.
 
 :func:`scan_pair` reads a pair once, in strips of ``_STRIP_ROWS`` image rows.
 Each strip yields its windowed maps, appends its points to one array and
-folds its regression rows into a small R factor (TSQR: Demmel, Grigori,
-Hoemmen and Langou, SIAM J. Sci. Comput. 34(1), 2012), so no full-size map or
-design matrix is ever held.  :func:`fit_polynomial` folds the points into an R
-factor ``_POINTS_BLOCK`` at a time in the same way.  The report summarizes the
+folds its centred regression rows, an image row at a time, into a small R
+factor (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput.
+34(1), 2012), so no full-size map or design matrix is ever held.
+:func:`fit_polynomial` folds the points into an R factor ``_POINTS_BLOCK`` at
+a time in the same way.  The report summarizes the
 points in ``SUMMARY_BINS`` equal-count bins over ``t``; :func:`format_points`
 writes the full per-pixel list on request.
 """
@@ -48,6 +49,7 @@ S_L_FLOOR = 1e-6  # HU; below this a local deviation is treated as zero
 SUMMARY_BINS = 32  # equal-count bins over t in the calibration report
 _STRIP_ROWS = 32  # image rows per strip of scan_pair
 _POINTS_BLOCK = 1 << 14  # points per block folded by fit_polynomial and formatted by format_points
+_REFINE_COND = 1e3  # fits whose R is worse conditioned are refined; 2048^2 pairs read 150-320
 _CF_EPS = 1e-15  # relative change that ends the incomplete-beta continued fraction
 _CF_TINY = 1e-300  # Lentz's guard against a zero denominator
 _CF_MAX_TERMS = 1000  # no dof up to 1e12 with |t| <= 1e3 needed more than 55
@@ -142,6 +144,34 @@ def _fold(r: np.ndarray, rows: int, columns) -> np.ndarray:
     return np.linalg.qr(stacked.T, mode="r")
 
 
+def _fold_centred(r: np.ndarray, count: int, mean: np.ndarray,
+                  columns) -> tuple[np.ndarray, int, np.ndarray]:
+    """Fold a block into the R factor of the centred columns seen so far.
+
+    ``r`` is the R factor of the ``count`` rows so far minus their column
+    ``mean``.  The block is centred on its own mean, and one more row,
+    ``sqrt(count * rows / (count + rows))`` times the difference of the two
+    means, accounts for the shift between them (Chan, Golub and LeVeque's
+    pairwise update of the scatter matrix, in R form).  Returns the R factor,
+    the count and the mean of all the rows.  Centring keeps a column that is
+    nearly constant, like an intensity average far from zero, from losing its
+    variation to rounding against its mean.
+    """
+    rows = columns[0].size
+    k = r.shape[0]
+    stacked = np.empty((len(columns), k + rows + 1))  # held transposed, as in _fold
+    stacked[:, :k] = r.T
+    block = stacked[:, k : k + rows]
+    for dst, col in zip(block, columns):
+        dst[:] = col
+    block_mean = block.mean(axis=1)
+    block -= block_mean[:, None]
+    total = count + rows
+    shift = block_mean - mean
+    stacked[:, -1] = math.sqrt(count * rows / total) * shift
+    return np.linalg.qr(stacked.T, mode="r"), total, mean + shift * (rows / total)
+
+
 @dataclass(frozen=True, eq=False)
 class PairScan:
     """What one pass over a high/low-dose pair keeps.
@@ -161,8 +191,9 @@ class PairScan:
 def scan_pair(high, low, half: int = 2) -> PairScan:
     """Read a pair once, ``_STRIP_ROWS`` rows at a time, into its points and regression R.
 
-    For int16 images the points do not depend on the strip height, bit for
-    bit; the R factor does only through rounding.
+    For int16 images neither the points nor the R factor depend on the strip
+    height, bit for bit: the window sums are exact integers, and the R factor
+    folds in one image row at a time whatever the strip height.
     """
     h = _as_array(high)
     lo = _as_array(low)
@@ -171,7 +202,7 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
     height, width = lo.shape
     points = np.empty((height * width, 2))
     n = 0
-    r = np.empty((0, 4))
+    r, count, mean = np.empty((0, 3)), 0, np.zeros(3)
     for start in range(0, height, _STRIP_ROWS):
         s_h, s_l, f_a = _strip_maps(h, lo, half, start, min(start + _STRIP_ROWS, height))
         mask = s_l > S_L_FLOOR
@@ -179,8 +210,14 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
         np.divide(s_h[mask], t, out=points[n : n + t.size, 1])
         points[n : n + t.size, 0] = t
         n += t.size
-        r = _fold(r, s_l.size, (1.0, s_l.ravel(), f_a.ravel(), s_h.ravel()))
-    return PairScan(points=points[:n], noise_r=r, count=height * width)
+        for row in range(s_l.shape[0]):  # a row at a time: R does not depend on _STRIP_ROWS
+            r, count, mean = _fold_centred(r, count, mean, (s_l[row], f_a[row], s_h[row]))
+    # [1 | X] = [1/sqrt(N) | Q] [[sqrt(N), sqrt(N) mean], [0, R]] when X - mean = Q R
+    noise_r = np.zeros((1 + r.shape[0], 4))
+    noise_r[0, 0] = math.sqrt(count)
+    noise_r[0, 1:] = math.sqrt(count) * mean
+    noise_r[1:, 1:] = r
+    return PairScan(points=points[:n], noise_r=noise_r, count=count)
 
 
 def _as_points(points) -> np.ndarray:
@@ -268,15 +305,44 @@ def _least_squares(r: np.ndarray, rows: int, what: str) -> tuple[np.ndarray, flo
     return coef, float(r[p, p]) ** 2 if r.shape[0] > p else 0.0
 
 
+def _refinement(coef: np.ndarray, r: np.ndarray, blocks) -> np.ndarray:
+    """The step that refines ``coef``, the least-squares fit in u of R factor ``r``.
+
+    Rounding in a QR fold perturbs the coefficients by up to about
+    ``cond(R)^2 * eps`` of their size when the residuals are large.  One
+    step of iterative refinement, ``(R^T R)^-1 V^T (y - V coef)`` with the
+    residuals and their products summed in ``np.longdouble``, takes that
+    error down to the extended precision's (on platforms where ``longdouble``
+    is wider than double).  ``blocks`` yields the points' ``(u, y)`` a block
+    at a time.
+    """
+    g = np.zeros(len(coef), np.longdouble)
+    for u, y in blocks:
+        u = u.astype(np.longdouble)
+        fit = np.full_like(u, coef[-1])
+        for c in coef[-2::-1]:
+            fit *= u
+            fit += c
+        res = y.astype(np.longdouble)
+        res -= fit
+        for k in range(len(coef)):
+            g[k] += res.sum()
+            res *= u
+    rp = r[: len(coef), : len(coef)]
+    return np.linalg.solve(rp, np.linalg.solve(rp.T, g.astype(np.float64)))
+
+
 def fit_polynomial(points, degree: int) -> PolyFit:
     """Fit y = c0 + c1*x + ... + cd*x^d by least squares.
 
     The fit is taken in u = (x - centre) / scale, which maps the x range onto
     [-1, 1] and keeps the powers of u well conditioned, then expanded into
-    ascending powers of x.  Requires more points than coefficients and a
-    full-rank design; a constant dataset fitted with any degree yields the
-    constant with R^2 = 1 (zero total and zero residual variation counts as a
-    perfect fit).
+    ascending powers of x.  When R's condition number exceeds
+    ``_REFINE_COND``, and is small enough for the step to converge, the
+    coefficients get one step of iterative refinement.  Requires more points
+    than coefficients and a full-rank design; a constant dataset fitted with
+    any degree yields the constant with R^2 = 1 (zero total and zero residual
+    variation counts as a perfect fit).
     """
     pts = _as_points(points)
     if not isinstance(degree, int) or degree < 0:
@@ -293,17 +359,24 @@ def fit_polynomial(points, degree: int) -> PolyFit:
     mean = y.mean()
     ss_tot = 0.0
     r = np.empty((0, degree + 2))
-    for start in range(0, len(pts), _POINTS_BLOCK):
-        yb = y[start : start + _POINTS_BLOCK]
-        u = x[start : start + _POINTS_BLOCK] - centre
-        u /= scale
+
+    def blocks():  # (u, y - mean), _POINTS_BLOCK points at a time
+        for start in range(0, len(pts), _POINTS_BLOCK):
+            u = x[start : start + _POINTS_BLOCK] - centre
+            u /= scale
+            yield u, y[start : start + _POINTS_BLOCK] - mean
+
+    for u, centered in blocks():
         powers = [1.0]
         for _ in range(degree):
             powers.append(powers[-1] * u)
-        r = _fold(r, yb.size, powers + [yb])
-        centered = yb - mean
+        r = _fold(r, u.size, powers + [centered])
         ss_tot += float(centered @ centered)
     coef_u, ss_res = _least_squares(r, len(pts), "polynomial fit")
+    cond = np.linalg.cond(r[: degree + 1, : degree + 1])
+    if _REFINE_COND < cond and cond * cond * np.finfo(np.float64).eps < 1.0:  # the step converges
+        coef_u += _refinement(coef_u, r, blocks())
+    coef_u[0] += mean
     coeffs = coef_u[-1:]
     for c in coef_u[-2::-1]:  # Horner's rule in polynomials: p <- p * (x - centre) / scale + c
         coeffs = np.convolve(coeffs, (-centre, 1.0)) / scale

@@ -1,5 +1,6 @@
 """Local-deviation maps, empirical reduction points, fitting, and regression."""
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -317,6 +318,44 @@ def test_fit_matches_lstsq_on_well_conditioned_data(degree):
     centered = y - y.mean()
     assert fit.r_squared == pytest.approx(1.0 - ss_res[0] / (centered @ centered),
                                           rel=1e-9, abs=1e-12)
+
+
+def _exact_fit(pts, degree):
+    """Least-squares coefficients in ascending powers of x, in exact rational arithmetic.
+
+    The fit is solved in fit_polynomial's u = (x - centre) / scale, from the
+    same rounded u values, and expanded into powers of x exactly.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    centre, scale = 0.5 * (x.min() + x.max()), 0.5 * (x.max() - x.min())
+    n = degree + 1
+    rows = [[Fraction(float(u)) ** k for k in range(n)] + [Fraction(float(v))]
+            for u, v in zip((x - centre) / scale, y)]
+    m = [[sum(r[i] * r[j] for r in rows) for j in range(n + 1)] for i in range(n)]
+    for i in range(n):  # Gauss-Jordan elimination on the normal equations
+        m[i] = [v / m[i][i] for v in m[i]]
+        for j in range(n):
+            if j != i:
+                m[j] = [a - m[j][i] * b for a, b in zip(m[j], m[i])]
+    c, s = Fraction(float(centre)), Fraction(float(scale))
+    coef = []
+    for a in [m[i][n] for i in range(n)][::-1]:  # p <- p * (x - centre) / scale + a
+        coef = [(lo - c * hi) / s for lo, hi in zip([0] + coef, coef + [0])]
+        coef[0] += a
+    return [float(v) for v in coef]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="the refinement step needs a longdouble wider than double")
+@pytest.mark.parametrize("block", [1, 5, 1 << 14])
+def test_ill_conditioned_fit_matches_the_exact_least_squares_solution(block):
+    # two of three abscissa clusters 1e-3 apart: cond(R) 2.6e4, so the fold
+    # alone is off by 1e-12 to 2e-11 relative and the refinement step runs
+    t = np.repeat([10.0, 29.999, 30.0], 8)
+    pts = np.column_stack([t, np.random.default_rng(3).normal(1.0, 0.5, t.size)])
+    with mock.patch.object(calibrate, "_POINTS_BLOCK", block):
+        fit = fit_polynomial(pts, 2)
+    assert fit.coefficients == pytest.approx(_exact_fit(pts, 2), rel=1e-14, abs=0)
 
 
 # --- noise regression -------------------------------------------------------
