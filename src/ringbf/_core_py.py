@@ -10,7 +10,10 @@ through ``out=`` ufuncs and writes into a preallocated output:
   on one thread per available core (capped at the strip count); numpy
   releases the GIL inside each ufunc, and every strip writes its own rows.
 - ``ensemble_filter`` walks the trial rows in chunks of ``_TRIAL_CHUNK`` on
-  the calling thread.
+  the calling thread.  It reads the ``(trials, 1 + support size)`` array in
+  Fortran order, as the Monte-Carlo draws are laid out, so the center and
+  each support offset are contiguous runs of trials, like an image strip's
+  rows.
 
 Every pixel or trial keeps a pinned operation sequence, so results do not
 depend on the tiling or the thread count:
@@ -165,10 +168,12 @@ def ensemble_filter(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
     ``vals`` has one row per trial: column 0 is the center value, the
     remaining columns are the support values in ring order.  Returns the
-    filtered center per trial (float64).
+    filtered center per trial (float64).  The rows are read in Fortran
+    order (copied into it if need be), so each chunk hands ``_filter_tile``
+    one contiguous run of trials per column.
     """
     rings = build_rings(spec.n, spec.w)
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    vals = np.asfortranarray(vals, dtype=np.float64)
     if vals.ndim != 2 or vals.shape[1] != 1 + rings.size:
         raise ValueError(f"trial rows must hold 1 + {rings.size} values, got shape {vals.shape}")
     n_trials = vals.shape[0]

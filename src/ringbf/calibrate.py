@@ -339,8 +339,9 @@ def fit_polynomial(points, degree: int) -> PolyFit:
     [-1, 1] and keeps the powers of u well conditioned, then expanded into
     ascending powers of x.  When R's condition number exceeds
     ``_REFINE_COND``, and is small enough for the step to converge, the
-    coefficients get one step of iterative refinement.  Requires more points
-    than coefficients and a full-rank design; a constant dataset fitted with
+    coefficients get one step of iterative refinement.  Requires finite
+    points (``ValueError`` otherwise), more points than coefficients and a
+    full-rank design; a constant dataset fitted with
     any degree yields the constant with R^2 = 1 (zero total and zero residual
     variation counts as a perfect fit).
     """
@@ -352,11 +353,13 @@ def fit_polynomial(points, degree: int) -> PolyFit:
         raise DegenerateFitError(
             f"need more than {degree} points for a degree-{degree} fit, got {pts.shape[0]}"
         )
-    if degree >= 1 and np.all(x == x[0]):
-        raise DegenerateFitError("all x values identical: polynomial fit is degenerate")
     lo, hi = float(x.min()), float(x.max())
-    centre, scale = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
     mean = y.mean()
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(mean)):  # NaN or inf spreads to these
+        raise ValueError(f"fit points must be finite: x spans [{lo}, {hi}], y has mean {mean}")
+    if degree >= 1 and lo == hi:
+        raise DegenerateFitError("all x values identical: polynomial fit is degenerate")
+    centre, scale = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
     ss_tot = 0.0
     r = np.empty((0, degree + 2))
 

@@ -14,6 +14,7 @@ from ringbf.analysis import (
     KCurve,
     KEstimate,
     NoiseDistribution,
+    _batch_deviations,
     _check_trials,
     _ratio_estimate,
     _unit_draws,
@@ -57,7 +58,7 @@ def estimate_linear_K(
     w_off = rings.offset_weights()
     vals = _unit_draws(dist, (trials, 1 + rings.size), seed)
     h = vals[:, 1:] @ w_off / w_off.sum()
-    return _ratio_estimate(vals[:, 0], h, 0.0)
+    return _ratio_estimate(_batch_deviations(vals[:, 0]), h, 0.0)
 
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:

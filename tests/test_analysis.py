@@ -6,8 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from curve_checks import estimate_linear_K, find_extrema
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ringbf.analysis as analysis
+from ringbf import _core_py
 from ringbf.analysis import (
     KCurve,
     KEstimate,
@@ -99,6 +102,30 @@ def test_draws_hold_one_chunk_of_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * draws.nbytes
+
+
+@pytest.mark.parametrize("dist", [NORMAL, UNIFORM])
+def test_support_draws_are_the_unit_draws_in_fortran_order(dist, monkeypatch):
+    # blocks of whole rows, of one row, and of one row read in chunks of 5 values
+    spec = _spec(n=3)  # rows of 13 values
+    expected = analysis._unit_draws(dist, (301, 13), 4)
+    for chunk in (1 << 18, 100, 13, 5):
+        monkeypatch.setattr(analysis, "_CHUNK_VALUES", chunk)
+        vals = analysis._support_draws(spec, dist, 301, 4)
+        assert vals.flags.f_contiguous and vals.shape == (301, 13)
+        assert np.array_equal(vals, expected)
+
+
+def test_support_draws_hold_one_block_of_temporaries():
+    # the Fortran-ordered rows pass through one block buffer of about
+    # _CHUNK_VALUES values (2 MiB), not a C-ordered copy of the whole array
+    tracemalloc.start()
+    try:
+        vals = analysis._support_draws(_spec(n=5), NORMAL, 100_000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * vals.nbytes
 
 
 def test_estimate_is_deterministic_and_chunk_invariant(monkeypatch):
@@ -231,10 +258,10 @@ def test_heavier_tails_keep_smoothing_at_large_scale():
 
 
 def test_degenerate_batch_raises():
-    # uniform draws scaled by zero would be needed for a zero denominator;
-    # simulate by monkeypatching is overkill — a direct constructed call:
+    # no unit-deviation draw set has a zero denominator; construct one: the
+    # two batch deviations of 1000 raw centers, both zero
     with pytest.raises(NumericalError):
-        analysis._ratio_estimate(np.zeros(1000), np.zeros(1000), 0.0)
+        analysis._ratio_estimate(np.zeros(2), np.zeros(1000), 0.0)
 
 
 # --- curves ----------------------------------------------------------------
@@ -304,6 +331,33 @@ def test_solve_threshold_consistent_with_estimates():
     assert e.k_hat == pytest.approx(0.5, abs=0.005)
 
 
+# acceptance 01's thresholds (power W, n=3, Normal, 200k trials, seed 0, the
+# default bracket and tol) as bisection solved them, with 18 filter calls each
+BISECTION_T0 = {
+    VFamily.Abs: 15.35689033508301,
+    VFamily.Frac: 1.401704635620117,
+    VFamily.Quad: 0.7792705535888671,
+    VFamily.Exp: 0.6747687530517578,
+}
+
+
+def test_acceptance_solves_take_at_most_12_probes_within_tol_of_bisection(monkeypatch):
+    shapes = []
+    ensemble_filter = _core_py.ensemble_filter
+
+    def counted(vals, spec):
+        shapes.append(vals.shape)
+        return ensemble_filter(vals, spec)
+
+    monkeypatch.setattr(_core_py, "ensemble_filter", counted)
+    for v, t_bisection in BISECTION_T0.items():
+        shapes.clear()
+        t0 = solve_threshold(_spec(v), NORMAL, trials=200_000, seed=0)
+        assert len(shapes) <= 12, v
+        assert set(shapes) == {(200_000, 13)}  # one whole draw set per probe
+        assert abs(t0 - t_bisection) <= 1e-3, v
+
+
 def test_solve_threshold_bracket_error():
     # the reduction at both ends of [5, 10] is above one half for this family
     with pytest.raises(BracketError):
@@ -324,12 +378,69 @@ def test_solve_threshold_validation():
     with pytest.raises(ValueError, match="scale t"):
         solve_threshold(_spec(), NORMAL, bracket=(0.01, math.inf), trials=2000)
     # tol must lie strictly inside (0, bracket width): a tol at least the
-    # width would return the bracket midpoint without a single bisection
+    # width would return the bracket midpoint without a single probe inside it
     for tol in (0.0, -1e-3, math.nan, math.inf, 60.0, 50.0 - 0.01):
         with pytest.raises(ValueError, match="tol"):
             solve_threshold(_spec(), NORMAL, tol=tol, trials=2000)
     with pytest.raises(ValueError, match="tol"):
         solve_threshold(_spec(), NORMAL, bracket=(1.0, 1.5), tol=0.5, trials=2000)
+
+
+# --- the ITP root finder on synthetic increasing functions --------------------
+
+# each is increasing through its root r, with f(x) < 0 exactly when x < r
+_INCREASING = {
+    "line": lambda r: lambda x: x - r,
+    "cubic": lambda r: lambda x: (x - r) ** 3,  # flat at the root: interpolation crawls
+    "arctan": lambda r: lambda x: math.atan(50.0 * (x - r)),
+    "step": lambda r: lambda x: -1.0 if x < r else 1.0,  # regula falsi lands mid-bracket
+    "skewed": lambda r: lambda x: math.expm1(min(x - r, 30.0)),
+}
+
+_brackets = st.tuples(
+    st.floats(-1e3, 1e3),  # lower end
+    st.floats(1e-3, 1e3),  # width
+    st.floats(1e-6, 1.0),  # where the root sits, as a fraction of the width
+    st.sampled_from(sorted(_INCREASING)),
+)
+
+
+def _root_problem(bracket):
+    lo, width, at, name = bracket
+    hi = lo + width
+    r = lo + at * (hi - lo)
+    f = _INCREASING[name](r)
+    assume(abs(r) > 1e-9 and f(lo) < 0 <= f(hi))  # floats near 0 are closer than any tol
+    probes = []
+
+    def counted(x):
+        assert lo <= x <= hi
+        probes.append(x)
+        return f(x)
+
+    return lo, hi, r, f, counted, probes
+
+
+@settings(max_examples=400, deadline=None)
+@given(bracket=_brackets, tol_exp=st.floats(-12.0, 0.0))
+def test_itp_root_is_within_half_tol_in_at_most_one_probe_more_than_bisection(bracket, tol_exp):
+    lo, hi, r, f, counted, probes = _root_problem(bracket)
+    tol = (hi - lo) * 10.0 ** tol_exp
+    assume(1e3 * math.ulp(max(abs(lo), abs(hi))) < tol < hi - lo)  # floats can resolve tol
+    x = analysis._itp_root(counted, lo, hi, f(lo), f(hi), tol)
+    assert abs(x - r) <= tol / 2 + math.ulp(r)
+    halvings = next(k for k in range(2000) if math.ldexp(tol, k) >= hi - lo)
+    assert len(probes) + 2 <= halvings + 1 + 2  # the two ends, then bisection's count plus n0
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket=_brackets, tol=st.sampled_from([1e-300, 5e-324]))
+def test_itp_root_fails_on_a_tol_below_the_float_spacing(bracket, tol):
+    # 5e-324 needs 2**1080 in the radius; computed naively it raises OverflowError
+    lo, hi, r, f, counted, probes = _root_problem(bracket)
+    with pytest.raises(ConvergenceError, match=f"did not reach tol={tol} within 80 iterations"):
+        analysis._itp_root(counted, lo, hi, f(lo), f(hi), tol)
+    assert len(probes) == 80
 
 
 # --- extrema extraction -----------------------------------------------------

@@ -297,6 +297,18 @@ def test_fit_validation():
         fit_polynomial(np.zeros((3, 3)), degree=1)
 
 
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_non_finite_points(column, bad):
+    # a NaN or inf in y once gave NaN coefficients, and one in x a "rank 1 < 2" error
+    x = np.linspace(0.0, 2.0, 9)
+    pts = np.column_stack([x, 3.0 - 2.0 * x])
+    pts[4, column] = bad
+    for degree in (0, 2):
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_polynomial(pts, degree)
+
+
 def test_fit_recovers_a_quartic_over_a_million_points_of_raw_t():
     # t in [29, 150] HU, as with --window 10: the raw powers of t have a
     # singular-value ratio of 1.2e-10, below eps times the 2**20 rows

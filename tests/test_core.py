@@ -136,6 +136,8 @@ def test_ensemble_is_independent_of_trial_chunk(n_trials, chunk, monkeypatch):
     expected = _core_py.ensemble_filter(vals, spec).tobytes()
     monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", chunk)
     assert _core_py.ensemble_filter(vals, spec).tobytes() == expected
+    # the Monte-Carlo draws come in Fortran order; rows in either order filter alike
+    assert _core_py.ensemble_filter(np.asfortranarray(vals), spec).tobytes() == expected
 
 
 @pytest.mark.parametrize("w", [WFamily.power(), WFamily.gaussian(1.5)])

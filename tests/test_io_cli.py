@@ -623,7 +623,7 @@ def test_cli_threshold_non_finite_target_exits_one(capsys, target):
 
 
 # a tol at least the bracket width (49.99 for the default bracket) would
-# print the bracket midpoint, 25.005, without one bisection
+# print the bracket midpoint, 25.005, without one probe inside the bracket
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "60", repr(50.0 - 0.01)])
 def test_cli_threshold_tol_outside_bracket_width_exits_one(capsys, tol):
     rc = cli_dispatch(["threshold", "--v", "frac", "--n", "3", "--dist", "normal",
@@ -635,10 +635,13 @@ def test_cli_threshold_tol_outside_bracket_width_exits_one(capsys, tol):
 
 
 def test_cli_threshold_unreachable_tol_exits_three(capsys):
-    rc = cli_dispatch(["threshold", "--v", "frac", "--n", "3", "--dist", "normal",
-                       "--trials", "2000", "--tol", "1e-300"])
-    assert rc == 3
-    assert "did not reach tol=1e-300 within 80 iterations" in capsys.readouterr().err
+    # 5e-324, the least subnormal, would make a naive 2.0 ** 1080 in the ITP
+    # radius raise OverflowError, which maps to no exit code
+    for tol in ("1e-300", "5e-324"):
+        rc = cli_dispatch(["threshold", "--v", "frac", "--n", "3", "--dist", "normal",
+                           "--trials", "2000", "--tol", tol])
+        assert rc == 3
+        assert f"did not reach tol={float(tol)} within 80 iterations" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", [["--densities", "nan,0"], ["--densities", "0,inf"],
