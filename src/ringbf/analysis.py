@@ -98,12 +98,6 @@ class KCurve:
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("curve points must have strictly increasing t")
 
-    def t_values(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    def k_values(self) -> np.ndarray:
-        return np.array([p.k_hat for p in self.points])
-
 
 def _stream(dist: NoiseDistribution, seed: int):
     """A function that fills a float64 vector with the next draws of Q from the seed's stream.

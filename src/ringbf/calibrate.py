@@ -9,13 +9,14 @@ intensity-shift-invariant filter across the whole gated range.
 
 :func:`scan_pair` reads a pair once, in strips of ``_STRIP_ROWS`` image rows.
 Each strip yields its windowed maps, appends its points to one array and
-folds its centred regression rows, an image row at a time, into a small R
-factor (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput.
-34(1), 2012), so no full-size map or design matrix is ever held.
-:func:`fit_polynomial` folds the points into an R factor ``_POINTS_BLOCK`` at
-a time in the same way.  The report summarizes the
-points in ``SUMMARY_BINS`` equal-count bins over ``t``; :func:`format_points`
-writes the full per-pixel list on request.
+folds its regression rows, an image row at a time, into a small R factor
+(TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1),
+2012), so no full-size map or design matrix is ever held.
+:func:`fit_polynomial` folds its fit basis ``_POINTS_BLOCK`` points at a
+time through the same centred fold, and both add the intercept back to the
+R factor in the same way.  The report summarizes the points in
+``SUMMARY_BINS`` equal-count bins over ``t``; :func:`format_points` writes
+the full per-pixel list on request.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ __all__ = [
     "RegressionReport",
     "S_L_FLOOR",
     "SUMMARY_BINS",
-    "local_std_map",
     "scan_pair",
     "summarize_points",
     "fit_polynomial",
@@ -115,11 +115,6 @@ def _deviation(s1: np.ndarray, s2: np.ndarray, half: int) -> np.ndarray:
     return var
 
 
-def local_std_map(img, half: int = 2) -> np.ndarray:
-    """Per-pixel population deviation over (2*half+1)^2 windows, edge-clamped."""
-    return _deviation(*_window_sums(_as_array(img), half), half)
-
-
 def _strip_maps(high: np.ndarray, low: np.ndarray, half: int, start: int,
                 stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows start..stop-1 of s_H and s_L (local deviations) and f_a (low-dose local mean)."""
@@ -127,21 +122,6 @@ def _strip_maps(high: np.ndarray, low: np.ndarray, half: int, start: int,
     s_l = _deviation(s1, s2, half)
     s1 /= _window(half) ** 2
     return _deviation(*_window_sums(high, half, start, stop), half), s_l, s1
-
-
-def _fold(r: np.ndarray, rows: int, columns) -> np.ndarray:
-    """The R factor of ``r`` stacked on ``rows`` new rows, given column by column.
-
-    Folding every block of a tall matrix in turn yields the matrix's own R
-    factor, up to the signs of its rows, without ever holding the matrix.
-    A column may be a scalar, repeated down the rows.
-    """
-    # held transposed: each column is written contiguously, and qr gets a Fortran-ordered matrix
-    stacked = np.empty((len(columns), r.shape[0] + rows))
-    stacked[:, : r.shape[0]] = r.T
-    for dst, col in zip(stacked[:, r.shape[0]:], columns):
-        dst[:] = col
-    return np.linalg.qr(stacked.T, mode="r")
 
 
 def _fold_centred(r: np.ndarray, count: int, mean: np.ndarray,
@@ -153,13 +133,18 @@ def _fold_centred(r: np.ndarray, count: int, mean: np.ndarray,
     ``sqrt(count * rows / (count + rows))`` times the difference of the two
     means, accounts for the shift between them (Chan, Golub and LeVeque's
     pairwise update of the scatter matrix, in R form).  Returns the R factor,
-    the count and the mean of all the rows.  Centring keeps a column that is
-    nearly constant, like an intensity average far from zero, from losing its
-    variation to rounding against its mean.
+    the count and the mean of all the rows.  Folding every block of a tall
+    matrix in turn yields the R factor of the whole centred matrix, up to the
+    signs of its rows, without ever holding the matrix.  Centring keeps a
+    column that is nearly constant, like an intensity average far from zero,
+    from losing its variation to rounding against its mean.  :func:`scan_pair`
+    folds its regression rows and :func:`fit_polynomial` its fit basis here;
+    :func:`_with_intercept` then adds the ones column back.
     """
     rows = columns[0].size
     k = r.shape[0]
-    stacked = np.empty((len(columns), k + rows + 1))  # held transposed, as in _fold
+    # held transposed: each column is written contiguously, and qr gets a Fortran-ordered matrix
+    stacked = np.empty((len(columns), k + rows + 1))
     stacked[:, :k] = r.T
     block = stacked[:, k : k + rows]
     for dst, col in zip(block, columns):
@@ -170,6 +155,18 @@ def _fold_centred(r: np.ndarray, count: int, mean: np.ndarray,
     shift = block_mean - mean
     stacked[:, -1] = math.sqrt(count * rows / total) * shift
     return np.linalg.qr(stacked.T, mode="r"), total, mean + shift * (rows / total)
+
+
+def _with_intercept(r: np.ndarray, count: int, mean: np.ndarray) -> np.ndarray:
+    """The R factor of ``[1 | X]``, given R of the ``count`` rows of X minus their ``mean``.
+
+    ``[1 | X] = [1/sqrt(N) | Q] [[sqrt(N), sqrt(N) mean], [0, R]]`` when ``X - mean = Q R``.
+    """
+    full = np.zeros((1 + r.shape[0], 1 + r.shape[1]))
+    full[0, 0] = math.sqrt(count)
+    full[0, 1:] = math.sqrt(count) * mean
+    full[1:, 1:] = r
+    return full
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,12 +209,7 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
         n += t.size
         for row in range(s_l.shape[0]):  # a row at a time: R does not depend on _STRIP_ROWS
             r, count, mean = _fold_centred(r, count, mean, (s_l[row], f_a[row], s_h[row]))
-    # [1 | X] = [1/sqrt(N) | Q] [[sqrt(N), sqrt(N) mean], [0, R]] when X - mean = Q R
-    noise_r = np.zeros((1 + r.shape[0], 4))
-    noise_r[0, 0] = math.sqrt(count)
-    noise_r[0, 1:] = math.sqrt(count) * mean
-    noise_r[1:, 1:] = r
-    return PairScan(points=points[:n], noise_r=noise_r, count=count)
+    return PairScan(points=points[:n], noise_r=_with_intercept(r, count, mean), count=count)
 
 
 def _as_points(points) -> np.ndarray:
@@ -337,12 +329,14 @@ def fit_polynomial(points, degree: int) -> PolyFit:
 
     The fit is taken in u = (x - centre) / scale, which maps the x range onto
     [-1, 1] and keeps the powers of u well conditioned, then expanded into
-    ascending powers of x.  When R's condition number exceeds
-    ``_REFINE_COND``, and is small enough for the step to converge, the
-    coefficients get one step of iterative refinement.  Requires finite
-    points (``ValueError`` otherwise), more points than coefficients and a
-    full-rank design; a constant dataset fitted with
-    any degree yields the constant with R^2 = 1 (zero total and zero residual
+    ascending powers of x.  The columns ``[u, ..., u^d | y - mean(y)]`` go
+    through the centred fold, so SS_tot and SS_res both come from R's last
+    column and a degree-0 fit, the mean, reports R^2 = 0 exactly.  When R's
+    condition number exceeds ``_REFINE_COND``, and is small enough for the
+    step to converge, the coefficients get one step of iterative refinement.
+    Requires finite points (``ValueError`` otherwise), more points than
+    coefficients and a full-rank design; a constant dataset fitted with any
+    degree yields the constant with R^2 = 1 (zero total and zero residual
     variation counts as a perfect fit).
     """
     pts = _as_points(points)
@@ -360,8 +354,7 @@ def fit_polynomial(points, degree: int) -> PolyFit:
     if degree >= 1 and lo == hi:
         raise DegenerateFitError("all x values identical: polynomial fit is degenerate")
     centre, scale = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
-    ss_tot = 0.0
-    r = np.empty((0, degree + 2))
+    r, count, col_mean = np.empty((0, degree + 1)), 0, np.zeros(degree + 1)
 
     def blocks():  # (u, y - mean), _POINTS_BLOCK points at a time
         for start in range(0, len(pts), _POINTS_BLOCK):
@@ -370,11 +363,13 @@ def fit_polynomial(points, degree: int) -> PolyFit:
             yield u, y[start : start + _POINTS_BLOCK] - mean
 
     for u, centered in blocks():
-        powers = [1.0]
-        for _ in range(degree):
+        powers = [u] if degree else []
+        for _ in range(degree - 1):
             powers.append(powers[-1] * u)
-        r = _fold(r, u.size, powers + [centered])
-        ss_tot += float(centered @ centered)
+        r, count, col_mean = _fold_centred(r, count, col_mean, powers + [centered])
+    # SS_tot is the squared norm of the centred y column of R; SS_res is its last entry squared
+    ss_tot = float(r[:, -1] @ r[:, -1])
+    r = _with_intercept(r, count, col_mean)
     coef_u, ss_res = _least_squares(r, len(pts), "polynomial fit")
     cond = np.linalg.cond(r[: degree + 1, : degree + 1])
     if _REFINE_COND < cond and cond * cond * np.finfo(np.float64).eps < 1.0:  # the step converges

@@ -78,8 +78,8 @@ def find_extrema(curve: KCurve, window: int = 5) -> CurveExtrema:
         raise ValueError(f"curve must have at least 5 points, got {len(curve.points)}")
     if window < 1 or window % 2 == 0:
         raise ValueError(f"smoothing window must be a positive odd integer, got {window}")
-    t = curve.t_values()
-    sm = _moving_average(curve.k_values(), window)
+    t = [p.t for p in curve.points]
+    sm = _moving_average(np.array([p.k_hat for p in curve.points]), window)
     k_0 = float(sm[0])
     plateau = float(sm[-1])
 

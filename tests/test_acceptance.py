@@ -12,7 +12,7 @@ import pytest
 from conftest import record_acceptance
 from curve_checks import estimate_linear_K, find_extrema
 
-from ringbf import _core_py
+from ringbf import _core_py, calibrate
 from ringbf.analysis import (
     NoiseDistribution,
     compute_curve,
@@ -20,7 +20,7 @@ from ringbf.analysis import (
     linear_k0,
     solve_threshold,
 )
-from ringbf.calibrate import fit_polynomial, local_std_map
+from ringbf.calibrate import fit_polynomial
 from ringbf.ctmodel import (
     DEFAULT_DOSE_MODEL,
     noise_sigma,
@@ -274,6 +274,11 @@ def test_09_dose_planned_filter_halves_flat_region_noise():
     assert copied_ok
 
 
+def _std_map(f, half):
+    """Local deviation over (2*half+1)^2 windows: s_H of the pair (f, f), one strip as tall as f."""
+    return calibrate._strip_maps(f, f, half, 0, len(f))[0]
+
+
 def test_10_iteration_drives_local_deviation_down():
     vals = synth_phantom_values([100], sigma=20.0, seed=3, size=(128, 128))
     cfg = FilterConfig(spec=_spec(VFamily.Frac, t=0.05))
@@ -281,8 +286,8 @@ def test_10_iteration_drives_local_deviation_down():
     for _ in range(10):
         out = filter_image_values(out, cfg)
     interior = (slice(4, -4), slice(4, -4))
-    before = local_std_map(vals.round(), half=2)[interior].mean()
-    after = local_std_map(out, half=2)[interior].mean()
+    before = _std_map(vals.round(), half=2)[interior].mean()
+    after = _std_map(out, half=2)[interior].mean()
     ratio = float(after / before)
     ok = ratio < 0.10
     _verdict(ok, f"10 ten passes shrink local deviation to {ratio:.3f} "

@@ -280,7 +280,7 @@ def test_curve_fingerprint():
         _spec(v=VFamily.Exp, w=WFamily.gaussian(2.0)), [0.1, 0.2, 0.3, 0.4, 0.5],
         UNIFORM, trials=1000, seed=8,
     )
-    assert np.array_equal(curve.t_values(), [0.1, 0.2, 0.3, 0.4, 0.5])
+    assert [p.t for p in curve.points] == [0.1, 0.2, 0.3, 0.4, 0.5]
     assert [p.trials for p in curve.points] == [1000] * 5
 
 

@@ -20,7 +20,6 @@ from ringbf.calibrate import (
     fit_polynomial,
     format_calibration_report,
     format_points,
-    local_std_map,
     regress_noise,
     scan_pair,
     summarize_points,
@@ -38,14 +37,14 @@ from ringbf.filter import Image
        half=st.integers(1, 10))
 def test_constant_image_has_zero_deviation(value, h, w, half):
     img = np.full((h, w), float(value))
-    assert np.array_equal(local_std_map(img, half), np.zeros((h, w)))
+    assert np.array_equal(_std_map(img, half), np.zeros((h, w)))
     assert np.array_equal(_whole_maps(img, img, half)[2], img)
 
 
 def test_checkerboard_interior_deviation_closed_form():
     y, x = np.indices((16, 16))
     board = np.where((y + x) % 2 == 0, 1.0, -1.0)
-    s = local_std_map(board, half=1)
+    s = _std_map(board, half=1)
     # 3x3 window: five of one sign, four of the other -> mean 1/9, E[x^2] = 1
     expected = math.sqrt(80.0) / 9.0
     assert np.allclose(s[1:-1, 1:-1], expected, rtol=1e-12)
@@ -54,9 +53,9 @@ def test_checkerboard_interior_deviation_closed_form():
 def test_std_map_shift_invariance_and_scaling():
     rng = np.random.default_rng(0)
     img = rng.normal(size=(20, 20)) * 10
-    base = local_std_map(img)
-    assert np.allclose(local_std_map(img + 500.0), base, atol=1e-9)
-    assert np.allclose(local_std_map(img * 2.0), 2.0 * base, rtol=1e-12)
+    base = _std_map(img)
+    assert np.allclose(_std_map(img + 500.0), base, atol=1e-9)
+    assert np.allclose(_std_map(img * 2.0), 2.0 * base, rtol=1e-12)
 
 
 def test_mean_map_window_oracle():
@@ -69,16 +68,16 @@ def test_mean_map_window_oracle():
 
 def test_maps_accept_image_objects():
     img = Image.from_values(np.full((8, 8), 5.0))
-    assert np.array_equal(local_std_map(img), np.zeros((8, 8)))
+    assert np.array_equal(_std_map(img), np.zeros((8, 8)))
 
 
 def test_map_validation():
     with pytest.raises(ValueError):
-        local_std_map(np.zeros((8, 8)), half=0)
+        scan_pair(np.zeros((8, 8)), np.zeros((8, 8)), half=0)
     with pytest.raises(ValueError):
-        local_std_map(np.zeros((8, 8)), half=-1)
+        scan_pair(np.zeros((8, 8)), np.zeros((8, 8)), half=-1)
     with pytest.raises(ValueError):
-        local_std_map(np.zeros(8))
+        scan_pair(np.zeros(8), np.zeros(8))
 
 
 def test_pair_maps_equal_separate_maps_bitwise():
@@ -87,14 +86,20 @@ def test_pair_maps_equal_separate_maps_bitwise():
     low = rng.integers(-900, 900, (23, 31)).astype(np.float64)
     for half in (1, 2, 3):
         s_h, s_l, f_a = _whole_maps(high, low, half)
-        assert np.array_equal(s_h, local_std_map(high, half))
-        assert np.array_equal(s_l, local_std_map(low, half))
+        assert np.array_equal(s_h, _std_map(high, half))
+        assert np.array_equal(s_l, _std_map(low, half))
         assert np.array_equal(f_a, _clamped_window_sum(low, half) / (2 * half + 1) ** 2)
 
 
 def _whole_maps(high, low, half):
     """(s_H, s_L, f_a) of a whole pair: one strip as tall as the image."""
     return calibrate._strip_maps(high, low, half, 0, len(low))
+
+
+def _std_map(img, half=2):
+    """The local deviation map of one whole image, as s_H of the pair (img, img)."""
+    f = calibrate._as_array(img)
+    return _whole_maps(f, f, half)[0]
 
 
 def _clamped_window_sum(f, half):
@@ -121,7 +126,7 @@ def test_window_sums_match_uniform_filter(img, half):
     assert np.allclose(s1, ref1, rtol=0, atol=1e-12 * k * max(1.0, np.abs(f).max()))
     assert np.allclose(s2, ref2, rtol=0, atol=1e-12 * k * max(1.0, (f * f).max()))
     dev = np.sqrt(np.maximum(ref2 / k - (ref1 / k) ** 2, 0.0))
-    assert np.allclose(local_std_map(img, half), dev, rtol=0,
+    assert np.allclose(_std_map(img, half), dev, rtol=0,
                        atol=1e-6 * max(1.0, np.abs(f).max()))
 
 
@@ -368,6 +373,44 @@ def test_ill_conditioned_fit_matches_the_exact_least_squares_solution(block):
     with mock.patch.object(calibrate, "_POINTS_BLOCK", block):
         fit = fit_polynomial(pts, 2)
     assert fit.coefficients == pytest.approx(_exact_fit(pts, 2), rel=1e-14, abs=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1),
+       level=st.floats(-1e6, 1e6), spread=st.floats(1e-3, 1e3))
+def test_degree_zero_fit_reports_zero_r_squared(n, seed, level, spread):
+    # a degree-0 fit is the mean: its residuals are the centred values, so
+    # SS_res = SS_tot and R^2 is 0, not a rounding error above it
+    rng = np.random.default_rng(seed)
+    y = level + spread * rng.normal(size=n)
+    assume(np.ptp(y) > 0)
+    fit = fit_polynomial(np.column_stack([rng.uniform(0.0, 100.0, n), y]), 0)
+    assert fit.r_squared == 0.0
+    assert fit.coefficients == pytest.approx((y.mean(),), rel=1e-12, abs=1e-12 * spread)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+def test_fit_does_not_depend_on_the_block_height_far_from_zero(offset):
+    # the fold centres the ratio on its global mean first: block means alone
+    # leave rounding that grows with the offset and differs with the blocks
+    rng = np.random.default_rng(21)
+    t = rng.uniform(20.0, 150.0, 3000)
+    ratio = offset + 1.0 + 0.01 * t + 1e-3 * rng.normal(size=t.size)
+    pts = np.column_stack([t, ratio])
+    fits = []
+    for block in (1, 5, 1 << 14):
+        with mock.patch.object(calibrate, "_POINTS_BLOCK", block):
+            fits.append(fit_polynomial(pts, 2))
+    for fit in fits[1:]:
+        assert fit.coefficients == pytest.approx(fits[0].coefficients, rel=1e-13)
+        assert fit.r_squared == pytest.approx(fits[0].r_squared, rel=1e-13)
+    y = ratio - offset  # exact: the offset-free data
+    coef, ss_res, *_ = np.linalg.lstsq(np.vander(t, 3, increasing=True), y, rcond=None)
+    centred = y - y.mean()
+    for fit in fits:
+        assert fit.coefficients[0] - offset == pytest.approx(coef[0], rel=1e-9)
+        assert fit.coefficients[1:] == pytest.approx(coef[1:], rel=1e-9)
+        assert fit.r_squared == pytest.approx(1.0 - ss_res[0] / (centred @ centred), rel=1e-13)
 
 
 # --- noise regression -------------------------------------------------------
