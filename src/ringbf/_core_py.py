@@ -4,12 +4,12 @@ There is one compute path.  Both entry points cut their input into tiles and
 hand every tile to ``_filter_tile``, which reuses one fixed set of buffers
 through ``out=`` ufuncs and writes into a preallocated output:
 
-- ``filter_values`` walks the image in row strips of about ``_STRIP_ELEMS``
-  pixels, so the per-offset temporaries stay in cache instead of streaming
+- ``filter_values`` walks the image in row strips of ``_tile_rows(width)``
+  rows, so the per-offset temporaries stay in cache instead of streaming
   whole-image arrays through memory once per support offset.  The strips run
   on one thread per available core (capped at the strip count); numpy
   releases the GIL inside each ufunc, and every strip writes its own rows.
-- ``ensemble_filter`` walks the trial rows in chunks of ``_TRIAL_CHUNK`` on
+- ``ensemble_filter`` walks the trial rows in chunks of ``_tile_rows(1)`` on
   the calling thread.  It reads the ``(trials, 1 + support size)`` array in
   Fortran order, as the Monte-Carlo draws are laid out, so the center and
   each support offset are contiguous runs of trials, like an image strip's
@@ -42,10 +42,14 @@ from .kernel import KernelSpec, RingNeighborhood, VFamily, build_rings
 
 _ONE = np.float32(1.0)
 
-_STRIP_ELEMS = 1 << 16  # pixels per image strip (32 rows at 2048 wide)
-_TRIAL_CHUNK = 4096  # trial rows per ensemble chunk
+_TILE_ELEMS = 1 << 16  # values per tile of every tiled loop in the package (32 rows at 2048 wide)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+
+def _tile_rows(width: int) -> int:
+    """Rows of ``width`` values per tile: about ``_TILE_ELEMS`` values, at least one row."""
+    return max(1, _TILE_ELEMS // width)
 
 
 def _v_in_place(u: np.ndarray, v: VFamily) -> np.ndarray:
@@ -132,7 +136,7 @@ def filter_values(
     pad = np.pad(f, margin, mode="edge")
     out = np.empty((h, w), dtype=np.float64)
     offsets = [(margin + dy, margin + dx) for dx, dy in rings.all_offsets()]
-    rows = max(1, _STRIP_ELEMS // w)
+    rows = _tile_rows(w)
     strips = [(y, min(y + rows, h)) for y in range(0, h, rows)]
 
     def run(part):
@@ -178,9 +182,9 @@ def ensemble_filter(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise ValueError(f"trial rows must hold 1 + {rings.size} values, got shape {vals.shape}")
     n_trials = vals.shape[0]
     out = np.empty(n_trials, dtype=np.float64)
-    buffers = _buffers(min(_TRIAL_CHUNK, n_trials))
-    for start in range(0, n_trials, _TRIAL_CHUNK):
-        block = vals[start : start + _TRIAL_CHUNK]
-        _filter_tile(block[:, 0], block[:, 1:].T, out[start : start + _TRIAL_CHUNK],
-                     buffers, spec, rings)
+    chunk = _tile_rows(1)
+    buffers = _buffers(min(chunk, n_trials))
+    for start in range(0, n_trials, chunk):
+        block = vals[start : start + chunk]
+        _filter_tile(block[:, 0], block[:, 1:].T, out[start : start + chunk], buffers, spec, rings)
     return out

@@ -25,7 +25,7 @@ seed and read front to back, trial after trial.  A Normal draw takes a
 variable number of stream words (the ziggurat sampler of Marsaglia and Tsang,
 2000, as numpy implements it), so trial ``i`` holds no fixed run of stream
 positions; the values still depend only on the seed and the shape drawn, not
-on how the stream is chunked, so results are bit-reproducible per seed.  The
+on how the stream is cut into tiles, so results are bit-reproducible per seed.  The
 trial rows are stored in Fortran order, each support position one contiguous
 column, which is the layout the ensemble kernel reads.
 """
@@ -58,7 +58,6 @@ DEFAULT_TRIALS_TABLE = 200_000
 DEFAULT_TRIALS_CURVE = 20_000
 
 _BATCH_TRIALS = 2_000
-_CHUNK_VALUES = 1 << 18  # values drawn per chunk (bounds the temporaries)
 _SQRT3 = math.sqrt(3.0)
 _MAX_ITERATIONS = 80  # probes inside the bracket
 _ITP_K1, _ITP_K2, _ITP_N0 = 0.01, 2.0, 1
@@ -102,12 +101,11 @@ class KCurve:
 def _stream(dist: NoiseDistribution, seed: int):
     """A function that fills a float64 vector with the next draws of Q from the seed's stream.
 
-    Each call continues where the last one stopped, ``_CHUNK_VALUES`` values
-    at a time, each chunk drawn straight into its slice, so the values do not
-    depend on the chunk size or on how the calls split the stream, and the
-    only temporaries are a few chunk-sized arrays.  Normal values come from
-    numpy's ziggurat sampler over the stream; Uniform values are one 53-bit
-    word each.
+    Each call continues where the last one stopped, drawing ``_tile_rows(1)``
+    values at a time straight into their slice, so the values do not depend
+    on the tile or on how the calls split the stream, and the only
+    temporaries are tile-sized.  Normal values come from numpy's ziggurat
+    sampler over the stream; Uniform values are one 53-bit word each.
     """
     if not 0 <= seed < 2 ** 128:  # Philox's key range
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
@@ -115,8 +113,9 @@ def _stream(dist: NoiseDistribution, seed: int):
     gen = np.random.Generator(bg)
 
     def fill(flat: np.ndarray):
-        for start in range(0, flat.size, _CHUNK_VALUES):
-            part = flat[start:start + _CHUNK_VALUES]
+        chunk = _core_py._tile_rows(1)
+        for start in range(0, flat.size, chunk):
+            part = flat[start:start + chunk]
             if dist is NoiseDistribution.Normal:
                 gen.standard_normal(out=part)
             else:
@@ -144,13 +143,12 @@ def _support_draws(
     ``1 + support size`` values drawn from the seed's stream, as in
     ``_unit_draws``, but the array is in Fortran order, so each column (the
     center, or one support offset) is contiguous across trials.  The stream
-    is still read front to back in trial order, a block of about
-    ``_CHUNK_VALUES`` values at a time through one block buffer.
+    is still read front to back, ``_tile_rows(width)`` rows at a time.
     """
     fill = _stream(dist, seed)
     width = 1 + build_rings(spec.n, spec.w).size
     out = np.empty((trials, width), dtype=np.float64, order="F")
-    block = np.empty((min(trials, max(1, _CHUNK_VALUES // width)), width))
+    block = np.empty((min(trials, _core_py._tile_rows(width)), width))
     for start in range(0, trials, len(block)):
         rows = block[: trials - start]
         fill(rows.reshape(-1))

@@ -7,12 +7,12 @@ deviation and the local intensity average verifies that noise scales with
 deviation, not with intensity — the property that justifies applying one
 intensity-shift-invariant filter across the whole gated range.
 
-:func:`scan_pair` reads a pair once, in strips of ``_STRIP_ROWS`` image rows.
+:func:`scan_pair` reads a pair once, in strips of ``_tile_rows`` image rows.
 Each strip yields its windowed maps, appends its points to one array and
 folds its regression rows, an image row at a time, into a small R factor
 (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1),
 2012), so no full-size map or design matrix is ever held.
-:func:`fit_polynomial` folds its fit basis ``_POINTS_BLOCK`` points at a
+:func:`fit_polynomial` folds its fit basis ``_tile_rows`` points at a
 time through the same centred fold, and both add the intercept back to the
 R factor in the same way.  The report summarizes the points in
 ``SUMMARY_BINS`` equal-count bins over ``t``; :func:`format_points` writes
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._core_py import _tile_rows
 from .errors import DegenerateFitError, NumericalError
 from .filter import Image, _as_values
 
@@ -47,8 +48,6 @@ __all__ = [
 
 S_L_FLOOR = 1e-6  # HU; below this a local deviation is treated as zero
 SUMMARY_BINS = 32  # equal-count bins over t in the calibration report
-_STRIP_ROWS = 32  # image rows per strip of scan_pair
-_POINTS_BLOCK = 1 << 14  # points per block folded by fit_polynomial and formatted by format_points
 _REFINE_COND = 1e3  # fits whose R is worse conditioned are refined; 2048^2 pairs read 150-320
 _CF_EPS = 1e-15  # relative change that ends the incomplete-beta continued fraction
 _CF_TINY = 1e-300  # Lentz's guard against a zero denominator
@@ -78,9 +77,10 @@ def _window_sums(f: np.ndarray, half: int, start: int = 0,
     The strip reads the ``half`` rows around it through clamped row indices,
     so its sums are the same rows of the whole image's.  Each axis takes
     running sums and differences them ``size`` apart, so the cost does not
-    grow with the window.  For an int16 image every running sum is an
-    integer below 2**53, hence exact and independent of the strip, while
-    ``(width + size) * size`` and ``stop - start + size`` stay below 2**23.
+    grow with the window.  For an integer-valued image every running sum is
+    an integer below 2**53, hence exact and independent of the strip, while
+    ``(width + size) * size * m^2`` and ``(stop - start + size) * m^2`` stay
+    below 2**53, m bounding the values' magnitude (see ``_check_window``).
     """
     size = _window(half)
     height = f.shape[0]
@@ -103,8 +103,9 @@ def _window_sums(f: np.ndarray, half: int, start: int = 0,
 def _deviation(s1: np.ndarray, s2: np.ndarray, half: int) -> np.ndarray:
     """Population deviation from window sums: sqrt(k*S2 - S1^2) / k, k pixels a window.
 
-    The numerator is exact for integer-valued images and windows up to 53x53;
-    the clamp at 0 only absorbs rounding on real-valued input.
+    The numerator is exact for integer-valued images while ``(k * m)^2`` is
+    below 2**53, m bounding the values' magnitude: windows up to 53x53 at
+    full int16 range.  The clamp at 0 only absorbs rounding on real-valued input.
     """
     k = float(_window(half) ** 2)
     var = s2 * k
@@ -113,6 +114,25 @@ def _deviation(s1: np.ndarray, s2: np.ndarray, half: int) -> np.ndarray:
     np.sqrt(var, out=var)
     var /= k
     return var
+
+
+def _check_window(half: int, width: int, rows: int, peak: float) -> None:
+    """Refuse a window whose sums over a ``width``-wide image would not stay exact.
+
+    With ``m = max(1, ceil(peak))`` and ``k`` pixels a window, ``_deviation``
+    needs ``(k * m)^2`` and ``_window_sums`` needs ``(width + size) * size *
+    m^2`` and ``(rows + size) * m^2`` below 2**53, for strips of ``rows``
+    rows.  They are checked in integers, before anything is allocated.
+    """
+    size = _window(half)
+    if not math.isfinite(peak):
+        raise ValueError(f"image values must be finite, got a value of magnitude {peak}")
+    m = max(1, math.ceil(peak))
+    if max((size * size) ** 2, (width + size) * size, rows + size) * m * m >= 2 ** 53:
+        raise ValueError(
+            f"window half-size {half} is too large for exact local deviations of values up to "
+            f"{m} in rows of {width}: the sums would pass 2**53"
+        )
 
 
 def _strip_maps(high: np.ndarray, low: np.ndarray, half: int, start: int,
@@ -186,28 +206,32 @@ class PairScan:
 
 
 def scan_pair(high, low, half: int = 2) -> PairScan:
-    """Read a pair once, ``_STRIP_ROWS`` rows at a time, into its points and regression R.
+    """Read a pair once, ``_tile_rows(width)`` rows at a time, into its points and regression R.
 
     For int16 images neither the points nor the R factor depend on the strip
     height, bit for bit: the window sums are exact integers, and the R factor
-    folds in one image row at a time whatever the strip height.
+    folds in one image row at a time whatever the strip height.  A window
+    too large for exact sums over the pair's values raises ``ValueError``.
     """
     h = _as_array(high)
     lo = _as_array(low)
     if h.shape != lo.shape:
         raise ValueError(f"image dimensions differ: {h.shape} vs {lo.shape}")
     height, width = lo.shape
+    rows = _tile_rows(width)
+    extremes = np.array([h.min(), h.max(), lo.min(), lo.max()], dtype=np.float64)
+    _check_window(half, width, min(rows, height), float(np.abs(extremes).max()))
     points = np.empty((height * width, 2))
     n = 0
     r, count, mean = np.empty((0, 3)), 0, np.zeros(3)
-    for start in range(0, height, _STRIP_ROWS):
-        s_h, s_l, f_a = _strip_maps(h, lo, half, start, min(start + _STRIP_ROWS, height))
+    for start in range(0, height, rows):
+        s_h, s_l, f_a = _strip_maps(h, lo, half, start, min(start + rows, height))
         mask = s_l > S_L_FLOOR
         t = s_l[mask]
         np.divide(s_h[mask], t, out=points[n : n + t.size, 1])
         points[n : n + t.size, 0] = t
         n += t.size
-        for row in range(s_l.shape[0]):  # a row at a time: R does not depend on _STRIP_ROWS
+        for row in range(s_l.shape[0]):  # a row at a time: R does not depend on the strip height
             r, count, mean = _fold_centred(r, count, mean, (s_l[row], f_a[row], s_h[row]))
     return PairScan(points=points[:n], noise_r=_with_intercept(r, count, mean), count=count)
 
@@ -356,11 +380,12 @@ def fit_polynomial(points, degree: int) -> PolyFit:
     centre, scale = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
     r, count, col_mean = np.empty((0, degree + 1)), 0, np.zeros(degree + 1)
 
-    def blocks():  # (u, y - mean), _POINTS_BLOCK points at a time
-        for start in range(0, len(pts), _POINTS_BLOCK):
-            u = x[start : start + _POINTS_BLOCK] - centre
+    def blocks():  # (u, y - mean) a block at a time; a block's fold holds degree + 2 columns
+        size = _tile_rows(degree + 2)
+        for start in range(0, len(pts), size):
+            u = x[start : start + size] - centre
             u /= scale
-            yield u, y[start : start + _POINTS_BLOCK] - mean
+            yield u, y[start : start + size] - mean
 
     for u, centered in blocks():
         powers = [u] if degree else []
@@ -512,16 +537,17 @@ def regress_noise(scan: PairScan) -> RegressionReport:
 def format_points(points) -> Iterator[bytes]:
     """The full per-pixel list as ASCII byte blocks: a ``t,ratio`` header, then one row per point.
 
-    Rows are formatted ``_POINTS_BLOCK`` at a time, each block by one ``%``
+    Rows are formatted ``_tile_rows(4)`` at a time, each block by one ``%``
     over its values and only when the iterator reaches it, so a writer that
     takes the blocks in turn holds one block of text, not the whole list.
     """
     pts = _as_points(points)
+    size = _tile_rows(4)  # a row's 2 values are each held twice: in a list and in a tuple
 
     def blocks():
         yield b"t,ratio\n"
-        for start in range(0, len(pts), _POINTS_BLOCK):
-            block = pts[start : start + _POINTS_BLOCK]
+        for start in range(0, len(pts), size):
+            block = pts[start : start + size]
             yield (b"%.9g,%.9g\n" * len(block)) % tuple(block.ravel().tolist())
 
     return blocks()

@@ -167,8 +167,17 @@ def synth_phantom_values(
 def synth_phantom(
     densities, sigma: float = 0.0, seed: int = 0, size: tuple[int, int] = (512, 512),
 ) -> Image:
-    """Phantom image (int16), quantized from :func:`synth_phantom_values`."""
-    return Image.from_values(synth_phantom_values(densities, sigma, seed, size))
+    """Phantom image (int16), quantized from :func:`synth_phantom_values`.
+
+    A density outside the int16 range [-32768, 32767] raises ``ValueError``;
+    noise that carries a pixel past that range is still clipped to it by
+    ``quantize_to_int16``.
+    """
+    dens = [float(d) for d in densities]
+    for d in dens:
+        if math.isfinite(d) and not -32768 <= d <= 32767:  # synth_phantom_values refuses the rest
+            raise ValueError(f"density {d} lies outside the int16 range [-32768, 32767]")
+    return Image.from_values(synth_phantom_values(dens, sigma, seed, size))
 
 
 def load_dose_model(path) -> DoseNoiseModel:

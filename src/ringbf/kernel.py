@@ -22,7 +22,6 @@ __all__ = [
     "RingNeighborhood",
     "MAX_SUPPORT_SIZE",
     "build_rings",
-    "eval_W",
 ]
 
 MAX_SUPPORT_SIZE = 5
@@ -187,13 +186,13 @@ def build_rings(n: int, w: WFamily) -> RingNeighborhood:
     if not isinstance(n, int) or not 1 <= n <= MAX_SUPPORT_SIZE:
         raise ValueError(f"support size n must be an integer in 1..{MAX_SUPPORT_SIZE}, got {n!r}")
     rings = tuple(
-        Ring(offsets=offsets, weight=eval_W(w, radius))
+        Ring(offsets=offsets, weight=_eval_w(w, radius))
         for radius, offsets in zip(_RING_RADII[:n], _RING_OFFSETS)
     )
     return RingNeighborhood(rings)
 
 
-def eval_W(w: WFamily, r: float) -> float:
+def _eval_w(w: WFamily, r: float) -> float:
     """Spatial weight at one distance ``r >= 0`` (NaN is rejected); W(0) = 1 for both families."""
     if not r >= 0:
         raise ValueError(f"distance r must be >= 0, got {r}")

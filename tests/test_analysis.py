@@ -83,11 +83,11 @@ def test_normal_draws_of_seed_0_are_pinned():
 def test_stream_positions_are_independent_of_read_layout(monkeypatch):
     # one chunk of 1 << 18 words reads each array whole; chunks of 1, 3, 5, 13
     # and 29 words end mid counter block (4 words) and mid trial row (29 values)
-    monkeypatch.setattr(analysis, "_CHUNK_VALUES", 1 << 18)
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 1 << 18)
     wholes = {(dist, shape): analysis._unit_draws(dist, shape, 7)
               for dist in (NORMAL, UNIFORM) for shape in ((200,), (37, 29))}
     for chunk in (1, 3, 4, 5, 13, 29):
-        monkeypatch.setattr(analysis, "_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(_core_py, "_TILE_ELEMS", chunk)
         for (dist, shape), whole in wholes.items():
             assert np.array_equal(analysis._unit_draws(dist, shape, 7), whole)
 
@@ -110,7 +110,7 @@ def test_support_draws_are_the_unit_draws_in_fortran_order(dist, monkeypatch):
     spec = _spec(n=3)  # rows of 13 values
     expected = analysis._unit_draws(dist, (301, 13), 4)
     for chunk in (1 << 18, 100, 13, 5):
-        monkeypatch.setattr(analysis, "_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(_core_py, "_TILE_ELEMS", chunk)
         vals = analysis._support_draws(spec, dist, 301, 4)
         assert vals.flags.f_contiguous and vals.shape == (301, 13)
         assert np.array_equal(vals, expected)
@@ -118,7 +118,7 @@ def test_support_draws_are_the_unit_draws_in_fortran_order(dist, monkeypatch):
 
 def test_support_draws_hold_one_block_of_temporaries():
     # the Fortran-ordered rows pass through one block buffer of about
-    # _CHUNK_VALUES values (2 MiB), not a C-ordered copy of the whole array
+    # _TILE_ELEMS values (0.5 MiB), not a C-ordered copy of the whole array
     tracemalloc.start()
     try:
         vals = analysis._support_draws(_spec(n=5), NORMAL, 100_000, 3)
@@ -132,8 +132,9 @@ def test_estimate_is_deterministic_and_chunk_invariant(monkeypatch):
     a = estimate_K(_spec(), 1.0, NORMAL, trials=4000, seed=3)
     b = estimate_K(_spec(), 1.0, NORMAL, trials=4000, seed=3)
     assert (a.k_hat, a.std_err) == (b.k_hat, b.std_err)
-    # chunks of 30 words end mid counter block and mid trial row (13 values)
-    monkeypatch.setattr(analysis, "_CHUNK_VALUES", 30)
+    # tiles of 30 words end mid counter block and mid trial row (13 values);
+    # the kernel then filters 30 trials a chunk
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 30)
     c = estimate_K(_spec(), 1.0, NORMAL, trials=4000, seed=3)
     assert (a.k_hat, a.std_err) == (c.k_hat, c.std_err)
 

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ringbf.calibrate as calibrate
+from ringbf import _core_py
 from ringbf.calibrate import (
+    S_L_FLOOR,
     SUMMARY_BINS,
     PolyFit,
     PredictorStats,
@@ -140,6 +142,49 @@ def test_window_sums_of_integer_images_are_exact(img, half):
     assert np.array_equal(s2, _clamped_window_sum(f * f, half))
 
 
+def _full_range_pair(shape=(64, 64)):
+    pair = np.random.default_rng(5).integers(-32768, 32767, (2, *shape), endpoint=True)
+    pair[1, 0, 0] = -32768  # the largest magnitude int16 holds
+    return Image(pair[0].astype(np.int16)), Image(pair[1].astype(np.int16))
+
+
+def test_window_past_the_exact_range_is_refused():
+    # 55x55 windows at full int16 range: (k * m)^2 = (3025 * 32768)^2 > 2**53
+    high, low = _full_range_pair()
+    with pytest.raises(ValueError, match="half-size 27 is too large"):
+        scan_pair(high, low, 27)
+
+
+def test_widest_exact_window_matches_an_integer_reference():
+    # 53x53 windows at full int16 range: (k * m)^2 = (2809 * 32768)^2 < 2**53
+    high, low = _full_range_pair()
+    half, size = 26, 53
+    g = np.pad(low.pixels.astype(np.int64), half, mode="edge")
+    running = [np.pad(p.cumsum(0).cumsum(1), ((1, 0), (1, 0))) for p in (g, g * g)]
+    s1, s2 = (c[size:, size:] - c[:-size, size:] - c[size:, :-size] + c[:-size, :-size]
+              for c in running)
+    k = size * size
+    numerator = k * s2 - s1 * s1  # int64, exact: at most (k * m)^2 < 2**53
+    assert 0 <= numerator.min() and numerator.max() < 2 ** 53
+    expected = np.sqrt(numerator.astype(np.float64)) / k
+    s_l = calibrate._strip_maps(high.pixels, low.pixels, half, 0, 64)[1]
+    assert s_l.tobytes() == expected.tobytes()
+    assert np.array_equal(scan_pair(high, low, half).points[:, 0], expected[expected > S_L_FLOOR])
+
+
+@pytest.mark.parametrize("shape, tile_elems", [((1, 2_800_000), None), ((1 << 23, 1), 1 << 24)],
+                         ids=["wide-rows", "tall-strips"])
+def test_window_sums_past_2_53_along_a_row_or_a_strip_are_refused(shape, tile_elems, monkeypatch):
+    # at full int16 range, the running sums along (width + 3) * 3 values of a
+    # row, or down rows + 3 values of a strip, pass 2**53 at half 1
+    img = np.zeros(shape, np.int16)
+    img.flat[0] = -32768
+    if tile_elems is not None:
+        monkeypatch.setattr(_core_py, "_TILE_ELEMS", tile_elems)
+    with pytest.raises(ValueError, match="half-size 1 is too large"):
+        scan_pair(Image(img), Image(img), 1)
+
+
 # --- empirical reduction points ---------------------------------------------
 
 
@@ -170,9 +215,9 @@ def test_points_shape_mismatch():
 
 def _calibrated(high, low, half, rows):
     """Points, degree-2 fit and regression with ``rows`` per strip and per fit block."""
-    with mock.patch.object(calibrate, "_STRIP_ROWS", rows), \
-            mock.patch.object(calibrate, "_POINTS_BLOCK", rows):
+    with mock.patch.object(_core_py, "_TILE_ELEMS", rows * low.width):
         scan = scan_pair(high, low, half)
+    with mock.patch.object(_core_py, "_TILE_ELEMS", rows * 4):  # a degree-2 fold holds 4 columns
         return scan.points, fit_polynomial(scan.points, 2), regress_noise(scan)
 
 
@@ -370,7 +415,7 @@ def test_ill_conditioned_fit_matches_the_exact_least_squares_solution(block):
     # alone is off by 1e-12 to 2e-11 relative and the refinement step runs
     t = np.repeat([10.0, 29.999, 30.0], 8)
     pts = np.column_stack([t, np.random.default_rng(3).normal(1.0, 0.5, t.size)])
-    with mock.patch.object(calibrate, "_POINTS_BLOCK", block):
+    with mock.patch.object(_core_py, "_TILE_ELEMS", 4 * block):  # blocks of `block` points
         fit = fit_polynomial(pts, 2)
     assert fit.coefficients == pytest.approx(_exact_fit(pts, 2), rel=1e-14, abs=0)
 
@@ -399,7 +444,7 @@ def test_fit_does_not_depend_on_the_block_height_far_from_zero(offset):
     pts = np.column_stack([t, ratio])
     fits = []
     for block in (1, 5, 1 << 14):
-        with mock.patch.object(calibrate, "_POINTS_BLOCK", block):
+        with mock.patch.object(_core_py, "_TILE_ELEMS", 4 * block):  # blocks of `block` points
             fits.append(fit_polynomial(pts, 2))
     for fit in fits[1:]:
         assert fit.coefficients == pytest.approx(fits[0].coefficients, rel=1e-13)

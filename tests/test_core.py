@@ -117,9 +117,9 @@ def test_output_is_independent_of_strip_size_and_worker_count(case):
     sys.setswitchinterval(1e-6)  # hand the GIL between strip workers as often as possible
     try:
         with pytest.MonkeyPatch.context() as mp:
-            for strip_elems in (1, 3 * w, h * w):  # 1-row strips, 3-row strips, one strip
+            for tile_elems in (1, 3 * w, h * w):  # 1-row strips, 3-row strips, one strip
                 for workers in (1, h):
-                    mp.setattr(_core_py, "_STRIP_ELEMS", strip_elems)
+                    mp.setattr(_core_py, "_TILE_ELEMS", tile_elems)
                     mp.setattr(_core_py, "_WORKERS", workers)
                     outputs.append(filter_image_values(f, cfg))
                     assert outputs[-1].tobytes() == expected.tobytes()
@@ -132,9 +132,9 @@ def test_ensemble_is_independent_of_trial_chunk(n_trials, chunk, monkeypatch):
     spec = KernelSpec(v=VFamily.Exp, t=0.8, n=3)
     width = 1 + build_rings(spec.n, spec.w).size
     vals = np.random.default_rng(n_trials).normal(0.0, 1.0, (n_trials, width))
-    monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", n_trials)
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", n_trials)  # one chunk
     expected = _core_py.ensemble_filter(vals, spec).tobytes()
-    monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", chunk)
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", chunk)
     assert _core_py.ensemble_filter(vals, spec).tobytes() == expected
     # the Monte-Carlo draws come in Fortran order; rows in either order filter alike
     assert _core_py.ensemble_filter(np.asfortranarray(vals), spec).tobytes() == expected
@@ -150,8 +150,7 @@ def test_trial_rows_filter_like_the_image_pixels_they_copy(v, n, w, monkeypatch)
     support = [f[np.clip(ys + dy, 0, h - 1), np.clip(xs + dx, 0, wd - 1)]
                for dx, dy in build_rings(n, w).all_offsets()]
     rows = np.stack([f] + support, axis=-1).reshape(h * wd, -1)  # clamped, ring order
-    monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", 7)
-    monkeypatch.setattr(_core_py, "_STRIP_ELEMS", wd)
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 7)  # 7-trial chunks and one-row strips
     # at 3e38 every family sends some pixels to the support-mean fallback
     for t in (0.0, 0.004, 0.05, 5.0, 3e38):
         spec = KernelSpec(v=v, t=t, w=w, n=n)
@@ -187,7 +186,7 @@ def test_filter_values_output_is_pinned(v):
 
 
 def test_strip_workers_follow_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(_core_py, "_STRIP_ELEMS", 1)
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 1)
     monkeypatch.setattr(_core_py, "_WORKERS", 2)
     f = np.zeros((4, 3))
     f[2:, :] = np.inf  # inf - inf is invalid, in strips that only the workers run
@@ -224,11 +223,11 @@ def test_only_the_pixel_whose_weights_all_underflow_gets_the_support_mean(monkey
     # the values tell the summation orders apart
     assert expected != _support_mean(f, 3, 4, offsets[::-1])
     outputs = [_core_py.filter_values(f, spec)]
-    monkeypatch.setattr(_core_py, "_STRIP_ELEMS", f.shape[1])  # one-row strips
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", f.shape[1])  # one-row strips
     for workers in (1, 2):
         monkeypatch.setattr(_core_py, "_WORKERS", workers)
         outputs.append(_core_py.filter_values(f, spec))
-    monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", 5)
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 5)
     outputs.append(_core_py.ensemble_filter(_trial_rows(f, offsets), spec).reshape(f.shape))
     spike = np.zeros(f.shape, dtype=bool)
     spike[3, 4] = True
@@ -250,5 +249,5 @@ def test_a_tile_where_every_weight_underflows_is_all_support_means(monkeypatch):
     image = _core_py.filter_values(f, spec)
     assert image[1:-1, 1:-1].tobytes() == expected[1:-1, 1:-1].tobytes()
     rows = _trial_rows(f, offsets).reshape(9, 8, -1)[1:-1, 1:-1].reshape(-1, 1 + len(offsets))
-    monkeypatch.setattr(_core_py, "_TRIAL_CHUNK", 6)
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 6)
     assert _core_py.ensemble_filter(rows, spec).tobytes() == expected[1:-1, 1:-1].tobytes()

@@ -193,6 +193,19 @@ def test_phantom_image_is_quantized():
     )
 
 
+def test_phantom_image_refuses_densities_outside_int16_but_clips_noise():
+    # the real-valued phantom keeps any finite density; only the int16 image refuses it
+    assert synth_phantom_values([0, 1e10], size=(2, 2))[0, 1] == 1e10
+    for bad in (1e10, 40000, -32769, 32767.5):
+        with pytest.raises(ValueError, match="int16 range"):
+            synth_phantom([0, bad], size=(2, 2))
+    img = synth_phantom([-32768, 32767], size=(2, 2))
+    assert img.values()[0].tolist() == [-32768, 32767]
+    # noise tails past the range are clipped, not refused
+    noisy = synth_phantom([-32768, 32767], sigma=100.0, seed=1, size=(16, 16)).values()
+    assert noisy.min() == -32768 and noisy.max() == 32767
+
+
 def test_phantom_custom_layout_and_validation():
     # the layout is always the band layout: density i fills band i
     vals = synth_phantom_values([1, 2], size=(8, 4))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ringbf
+from ringbf import _core_py
 from ringbf.calibrate import format_points, scan_pair, summarize_points
 from ringbf.errors import FormatError, RangeError
 from ringbf.filter import Image
@@ -654,6 +655,73 @@ def test_cli_phantom_non_finite_input_exits_one(tmp_path, capsys, option):
     assert rc == 1
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("densities, name", [("0,1e10", "p.raw"), ("0,40000", "p.pgm"),
+                                             ("-32769", "p.raw")])
+def test_cli_phantom_density_outside_int16_exits_one(tmp_path, capsys, densities, name):
+    out = tmp_path / name
+    rc = cli_dispatch(["phantom", "--densities", densities, "--size", "8x8", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: density ") and "int16 range" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_calibrate_window_past_its_exact_range_exits_one(tmp_path, capsys):
+    # half 100000 once asked for 298 GiB on this pair; it is refused before any allocation
+    for name, sigma, seed in (("low", "40", "1"), ("high", "10", "2")):
+        assert cli_dispatch(["phantom", "--densities", "0,400", "--sigma", sigma, "--size", "64x64",
+                             "--seed", seed, "--out", str(tmp_path / f"{name}.raw")]) == 0
+    report = tmp_path / "report.txt"
+    tracemalloc.start()
+    try:
+        rc = cli_dispatch(["calibrate", "--high", str(tmp_path / "high.raw"),
+                           "--low", str(tmp_path / "low.raw"), "--window", "100000",
+                           "--out", str(report)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window half-size 100000 is too large") and err.count("\n") == 1
+    assert peak < 1 << 20
+    assert not report.exists()
+
+
+def test_cli_outputs_do_not_depend_on_the_tile_budget(tmp_path, capsys, monkeypatch):
+    # at 7 values a tile: one-row image and calibrate strips, 7-trial chunks,
+    # 7-value draws, one-point fit blocks and one-row point blocks
+    runs = []
+    for tile_elems in (7, _core_py._TILE_ELEMS):
+        monkeypatch.setattr(_core_py, "_TILE_ELEMS", tile_elems)
+        out = tmp_path / str(tile_elems)
+        out.mkdir()
+        for argv in (
+            ["phantom", "--densities", "0,120,400", "--sigma", "40", "--size", "24x20",
+             "--seed", "1", "--out", str(out / "low.raw")],
+            ["phantom", "--densities", "0,120,400", "--sigma", "10", "--size", "24x20",
+             "--seed", "2", "--out", str(out / "high.raw")],
+            ["filter", "--in", str(out / "low.raw"), "--out", str(out / "filtered.raw"),
+             "--v", "frac", "--t", "0.05", "--n", "3", "--gate", "-100:300", "--iterate", "2"],
+            ["curve", "--v", "exp", "--n", "2", "--dist", "uniform", "--t-grid", "0:2:0.5",
+             "--trials", "1000", "--seed", "3", "--out", str(out / "curve.csv")],
+            ["threshold", "--v", "frac", "--n", "3", "--dist", "normal", "--trials", "2000"],
+            ["calibrate", "--high", str(out / "high.raw"), "--low", str(out / "low.raw"),
+             "--out", str(out / "report.txt"), "--points", str(out / "points.txt")],
+        ):
+            assert cli_dispatch(argv) == 0, argv
+        runs.append((capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()}))
+    (stdout, files), (want_stdout, want_files) = runs
+    assert stdout == want_stdout
+    assert sorted(files) == sorted(want_files)
+    # the fit folds its points a block at a time, so only its rounding may differ
+    report, want_report = (f.pop("report.txt").splitlines() for f in (files, want_files))
+    fit = [line.startswith(b"degree,") for line in want_report].index(True) + 1
+    assert report[:fit] + report[fit + 1:] == want_report[:fit] + want_report[fit + 1:]
+    got, want = ([float(v) for v in r[fit].split(b",")] for r in (report, want_report))
+    assert got == pytest.approx(want, rel=1e-12)
+    assert files == want_files
 
 
 def test_cli_numerical_failure_exits_three(capsys):

@@ -12,8 +12,8 @@ from ringbf.kernel import (
     KernelSpec,
     VFamily,
     WFamily,
+    _eval_w,
     build_rings,
-    eval_W,
 )
 
 ALL_V = [VFamily.Abs, VFamily.Frac, VFamily.Quad, VFamily.Exp]
@@ -179,19 +179,19 @@ def test_eval_v_monotone_and_bounded(v, t, seed):
 
 def test_eval_w_reference_points():
     p = WFamily.power()
-    assert eval_W(p, 0.0) == 1.0
-    assert eval_W(p, 1.0) == 0.5
-    assert eval_W(p, 2.0) == 0.25
+    assert _eval_w(p, 0.0) == 1.0
+    assert _eval_w(p, 1.0) == 0.5
+    assert _eval_w(p, 2.0) == 0.25
     g = WFamily.gaussian(2.0)
-    assert eval_W(g, 0.0) == 1.0
-    assert eval_W(g, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert _eval_w(g, 0.0) == 1.0
+    assert _eval_w(g, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_eval_w_rejects_negative_distance():
     for w in (WFamily.power(), WFamily.gaussian(2.0)):
         for r in (-1.0, math.nan):
             with pytest.raises(ValueError, match="distance r"):
-                eval_W(w, r)
+                _eval_w(w, r)
 
 
 def test_wfamily_validation():
@@ -207,7 +207,7 @@ def test_wfamily_validation():
     for sigma_d in (0.0367, 1e-200):
         with pytest.raises(ValueError, match="normal float"):
             WFamily.gaussian(sigma_d)
-    assert eval_W(WFamily.gaussian(0.0376), 1.0) >= np.finfo(np.float64).tiny
+    assert _eval_w(WFamily.gaussian(0.0376), 1.0) >= np.finfo(np.float64).tiny
     assert WFamily() == WFamily.power() and WFamily.power().sigma_d is None
     assert WFamily(sigma_d=2.0) == WFamily.gaussian(2.0)
 
