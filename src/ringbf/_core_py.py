@@ -6,9 +6,12 @@ through ``out=`` ufuncs and writes into a preallocated output:
 
 - ``filter_values`` walks the image in row strips of ``_tile_rows(width)``
   rows, so the per-offset temporaries stay in cache instead of streaming
-  whole-image arrays through memory once per support offset.  The strips run
-  on one thread per available core (capped at the strip count); numpy
-  releases the GIL inside each ufunc, and every strip writes its own rows.
+  whole-image arrays through memory once per support offset.  Each strip
+  reads its edge-clamped rows as one float64 block through ``_clamped_rows``,
+  as the calibration's window sums do, so a pass holds its output and
+  strip-sized blocks, not a padded copy.  The strips run on one thread per
+  available core (capped at the strip count); numpy releases the GIL inside
+  each ufunc, and every strip writes its own rows.
 - ``ensemble_filter`` walks the trial rows in chunks of ``_tile_rows(1)`` on
   the calling thread.  It reads the ``(trials, 1 + support size)`` array in
   Fortran order, as the Monte-Carlo draws are laid out, so the center and
@@ -50,6 +53,13 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 def _tile_rows(width: int) -> int:
     """Rows of ``width`` values per tile: about ``_TILE_ELEMS`` values, at least one row."""
     return max(1, _TILE_ELEMS // width)
+
+
+def _clamped_rows(f: np.ndarray, start: int, stop: int, before: int, after: int) -> np.ndarray:
+    """Rows ``start .. stop + before + after - 1`` of ``f`` edge-padded by ``(before, after)``
+    on both axes, as float64; only the rows read are converted."""
+    read = np.clip(np.arange(start - before, stop + after), 0, f.shape[0] - 1)
+    return np.pad(f[read].astype(np.float64, copy=False), ((0, 0), (before, after)), mode="edge")
 
 
 def _v_in_place(u: np.ndarray, v: VFamily) -> np.ndarray:
@@ -122,28 +132,27 @@ def filter_values(
     gate: tuple[float, float] | None = None,
     skip: bool = False,
 ) -> np.ndarray:
-    """Ring-separated bilateral filter over a float64 image.
+    """Ring-separated bilateral filter over int16 pixels or float64 values.
 
     Centers outside the closed interval ``gate`` keep their input value;
     ``skip`` copies the input over the support's margin, where the clamped
-    (edge-replicated) support would leave the image.
+    (edge-replicated) support would leave the image.  The center and every
+    support offset are views of a strip's ``_clamped_rows`` block.
     Returns the pre-rounding float64 output image.
     """
-    f = np.ascontiguousarray(f, dtype=np.float64)
     h, w = f.shape
     rings = build_rings(spec.n, spec.w)
     margin = rings.margin()
-    pad = np.pad(f, margin, mode="edge")
     out = np.empty((h, w), dtype=np.float64)
-    offsets = [(margin + dy, margin + dx) for dx, dy in rings.all_offsets()]
-    rows = _tile_rows(w)
+    rows = min(_tile_rows(w), h)
     strips = [(y, min(y + rows, h)) for y in range(0, h, rows)]
 
     def run(part):
         buffers = _buffers((rows, w))
         for y0, y1 in part:
-            center = f[y0:y1]
-            neighbours = [pad[oy + y0 : oy + y1, ox : ox + w] for oy, ox in offsets]
+            block = _clamped_rows(f, y0, y1, margin, margin)
+            center, *neighbours = [block[margin + dy : margin + dy + y1 - y0, margin + dx : margin + dx + w]
+                                   for dx, dy in ((0, 0), *rings.all_offsets())]
             _filter_tile(center, neighbours, out[y0:y1], buffers, spec, rings)
             if gate is not None:
                 np.copyto(out[y0:y1], center, where=~((center >= gate[0]) & (center <= gate[1])))

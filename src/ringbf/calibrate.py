@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core_py import _tile_rows
+from ._core_py import _clamped_rows, _tile_rows
 from .errors import DegenerateFitError, NumericalError
-from .filter import Image, _as_values
+from .filter import _as_array
 
 __all__ = [
     "PairScan",
@@ -61,33 +61,22 @@ def _window(half: int) -> int:
     return 2 * half + 1
 
 
-def _as_array(img) -> np.ndarray:
-    """An ``Image``'s int16 pixels as they are, any other image as float64 values.
-
-    The strips convert only the rows they read, so an ``Image`` is never
-    copied whole to float64.
-    """
-    return img.pixels if isinstance(img, Image) else _as_values(img)
-
-
 def _window_sums(f: np.ndarray, half: int, start: int = 0,
                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sums of f and of f^2 over (2*half+1)^2 windows, edge-clamped, for rows start..stop-1.
 
-    The strip reads the ``half`` rows around it through clamped row indices,
-    so its sums are the same rows of the whole image's.  Each axis takes
-    running sums and differences them ``size`` apart, so the cost does not
-    grow with the window.  For an integer-valued image every running sum is
-    an integer below 2**53, hence exact and independent of the strip, while
-    ``(width + size) * size * m^2`` and ``(stop - start + size) * m^2`` stay
+    The strip reads the ``half`` rows around it through ``_clamped_rows``, as
+    the filter's strips do, so its sums are the same rows of the whole image's.
+    Each axis takes running sums and differences them ``size`` apart, so the
+    cost does not grow with the window.  For an integer-valued image every
+    running sum is an integer below 2**53, hence exact and independent of the
+    strip, while ``(width + size) * size * m^2`` and ``(stop - start + size) * m^2`` stay
     below 2**53, m bounding the values' magnitude (see ``_check_window``).
     """
     size = _window(half)
-    height = f.shape[0]
-    stop = height if stop is None else stop
+    stop = f.shape[0] if stop is None else stop
     # one leading zero row and column, so each window sum is a difference of two running sums
-    read = np.clip(np.arange(start - half - 1, stop + half), 0, height - 1)
-    s1 = np.pad(f[read].astype(np.float64), ((0, 0), (half + 1, half)), mode="edge")
+    s1 = _clamped_rows(f, start, stop, half + 1, half)
     s1[0] = 0.0
     s1[:, 0] = 0.0
     s2 = s1 * s1

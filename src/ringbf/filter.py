@@ -103,9 +103,11 @@ class FilterConfig:
         return build_rings(self.spec.n, self.spec.w)
 
 
-def _as_values(img) -> np.ndarray:
+def _as_array(img) -> np.ndarray:
+    """An ``Image``'s int16 pixels as they are, any other image as float64 values; the
+    filter's and calibration's strips convert only the rows they read (``_clamped_rows``)."""
     if isinstance(img, Image):
-        return img.values()
+        return img.pixels
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("image must be a non-empty 2-D array")
@@ -139,7 +141,7 @@ def filter_pixel_dense(img, p0: tuple[int, int], cfg: FilterConfig) -> float:
     run over the flattened support with no ring grouping.  Serves as the
     independent oracle for the ring-separated form.
     """
-    f = _as_values(img)
+    f = _as_array(img)
     rings = cfg.rings()
     support = _support_values(f, p0[0], p0[1], rings, cfg.border)
     f0 = f[p0[1], p0[0]]
@@ -157,15 +159,15 @@ def filter_pixel_dense(img, p0: tuple[int, int], cfg: FilterConfig) -> float:
     return float(support.sum() / support.size)
 
 
-def filter_image_values(values: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """Filter a float64 image, returning the pre-rounding real output.
+def filter_image_values(values, cfg: FilterConfig) -> np.ndarray:
+    """Filter an ``Image`` or float64 values, returning the pre-rounding real output.
 
     In-gate centers (original value within ``hu_gate``) are replaced by the
     ring-filtered value; out-of-gate centers are copied through unchanged.
     Borders follow the config policy (clamp replicates edges, skip copies the
     input margin).
     """
-    return _core_py.filter_values(_as_values(values), cfg.spec, gate=cfg.hu_gate,
+    return _core_py.filter_values(_as_array(values), cfg.spec, gate=cfg.hu_gate,
                                   skip=cfg.border == "skip")
 
 
@@ -181,7 +183,7 @@ def filter_image(img: Image, cfg: FilterConfig, passes: int = 1) -> Image:
         raise ValueError(f"iteration count must be a non-negative integer, got {passes!r}")
     if passes == 0:
         return img
-    values = img.values()
+    values = img  # the first pass reads the int16 pixels, later ones the float64 output
     for _ in range(passes):
         values = filter_image_values(values, cfg)
     return Image.from_values(values)

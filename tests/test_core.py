@@ -1,15 +1,17 @@
 """The tiled compute kernels: oracle agreement, invariants, tiling independence."""
 import hashlib
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ringbf import _core_py
-from ringbf.filter import FilterConfig, filter_image_values, filter_pixel_dense
+from ringbf.filter import FilterConfig, Image, filter_image, filter_image_values, filter_pixel_dense
 from ringbf.kernel import KernelSpec, VFamily, WFamily, build_rings
 
 @st.composite
@@ -125,6 +127,41 @@ def test_output_is_independent_of_strip_size_and_worker_count(case):
                     assert outputs[-1].tobytes() == expected.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.int16, np.float64]))
+def test_clamped_rows_are_rows_of_the_edge_padded_image(data, dtype):
+    # the one border rule of the filter's strips and the calibration's window sums;
+    # before and after reach up to 3 rows past the far edge of the image
+    h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    f = data.draw(arrays(dtype, (h, w)))
+    stop = data.draw(st.integers(1, h))
+    start = data.draw(st.integers(0, stop - 1))
+    before, after = data.draw(st.integers(0, h + 3)), data.draw(st.integers(0, h + 3))
+    block = _core_py._clamped_rows(f, start, stop, before, after)
+    padded = np.pad(f.astype(np.float64), ((before, after), (before, after)), mode="edge")
+    assert block.dtype == np.float64
+    assert block.tobytes() == padded[start : stop + before + after].tobytes()
+
+
+# tracemalloc peaks of one single-worker pass: a 64x64 image gets strip buffers of
+# its 64 rows (those of a 1024-row tile would take 3.1 MB); a 1024^2 pass holds its
+# output and strip-sized blocks, then the quantizer's float64 buffer and int16
+# result (2.25 float64 images), not a float64 copy and a padded one (3.4 images)
+@pytest.mark.parametrize("side, bound", [(64, 1e6), (1024, 2.8 * 1024 * 1024 * 8)],
+                         ids=["64x64", "1024x1024"])
+def test_a_filter_pass_holds_no_whole_image_copy_of_its_input(side, bound, monkeypatch):
+    monkeypatch.setattr(_core_py, "_WORKERS", 1)
+    img = Image(np.random.default_rng(side).integers(-200, 400, (side, side)).astype(np.int16))
+    cfg = FilterConfig(spec=KernelSpec(v=VFamily.Frac, t=0.05, n=3))
+    tracemalloc.start()
+    try:
+        filter_image(img, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 @pytest.mark.parametrize("n_trials, chunk", [(1, 1), (300, 1), (300, 7), (9000, 4096), (9000, 4097)])
