@@ -15,8 +15,13 @@ folds its regression rows, an image row at a time, into a small R factor
 :func:`fit_polynomial` folds its fit basis ``_tile_rows`` points at a
 time through the same centred fold, and both add the intercept back to the
 R factor in the same way.  The report summarizes the points in
-``SUMMARY_BINS`` equal-count bins over ``t``; :func:`format_points` writes
-the full per-pixel list on request.
+``SUMMARY_BINS`` equal-count bins over ``t``, also a block at a time:
+:func:`summarize_points` finds the exact bin edges from a histogram of ``t``
+over ``_CELLS`` equal cells, sorting only the values of the cells that hold
+an edge; a ``_CELLS``-entry table gives each point's bin, and the per-bin
+sums are added block by block in point order, so they equal one sum over
+all the points bit for bit.  :func:`format_points` writes the full
+per-pixel list on request.
 """
 from __future__ import annotations
 
@@ -48,6 +53,7 @@ __all__ = [
 
 S_L_FLOOR = 1e-6  # HU; below this a local deviation is treated as zero
 SUMMARY_BINS = 32  # equal-count bins over t in the calibration report
+_CELLS = 1 << 16  # equal t cells of the summary's histogram and bin table
 _REFINE_COND = 1e3  # fits whose R is worse conditioned are refined; 2048^2 pairs read 150-320
 _CF_EPS = 1e-15  # relative change that ends the incomplete-beta continued fraction
 _CF_TINY = 1e-300  # Lentz's guard against a zero denominator
@@ -248,6 +254,38 @@ class PointSummary:
     ratio_std: np.ndarray
 
 
+def _cells(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The cell of each t in [lo, hi] among ``_CELLS`` equal cells over that range.
+
+    The cell never decreases as t grows: each step, ``t - lo``, its division
+    by the span, the scaling by a power of two, the clamp and the truncation,
+    is monotone.
+    The quotient lies in [0, 1] whatever the span, so a subnormal span
+    overflows no reciprocal; a span past the largest double is taken in
+    halves, and a zero span puts every t in cell 0.
+    """
+    if math.isinf(hi - lo):
+        t, lo, hi = t * 0.5, lo * 0.5, hi * 0.5
+    u = t - lo
+    u /= (hi - lo) or 1.0
+    u *= _CELLS
+    np.minimum(u, _CELLS - 1, out=u)
+    return u.astype(np.uint16)
+
+
+def _add_in_order(sums: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sums`` plus the per-bin sums of ``weights``, bit for bit as one ``np.bincount`` over
+    every block would give them.
+
+    ``np.bincount`` adds each bin's weights in order, starting from 0.  Each
+    bin's running sum goes in as that bin's first weight, so the in-order sum
+    continues across blocks.
+    """
+    bins = np.arange(sums.size)
+    return np.bincount(np.concatenate([bins, idx]), weights=np.concatenate([sums, weights]),
+                       minlength=sums.size)
+
+
 def summarize_points(points) -> PointSummary:
     """Bin (t, ratio) points into ``SUMMARY_BINS`` equal-count bins over t.
 
@@ -255,31 +293,91 @@ def summarize_points(points) -> PointSummary:
     (counting from 0) among the N points, so every bin holds at least one
     point and, without ties, the counts differ by at most one.  Edges that coincide (tied t values) are
     merged, which leaves fewer bins.  The counts sum to the number of points.
+    Non-finite points raise ``ValueError``.
+
+    The points are read ``_tile_rows(2)`` at a time, and nothing but a one-byte
+    bin index per point is held for all of them:
+    - a histogram of t over ``_CELLS`` equal cells (see :func:`_cells`) finds
+      the cell that holds each rank; only those cells' t values are gathered
+      and sorted, to read each rank's exact value;
+    - the cell never decreases as t grows, so a ``_CELLS``-entry table gives
+      the bin of every cell that holds no inner edge, and only the points in
+      the cells that do go through ``np.searchsorted``;
+    - the counts and the sums of t, of ratio and then of the squared ratio
+      deviations are added block by block, in point order
+      (:func:`_add_in_order`), so they equal a sort of every t and one
+      ``np.bincount`` over all the points bit for bit.
+
+    When most points share one cell (few distinct t values), the gathered
+    values approach the points' number, and so does the memory.
     """
     pts = _as_points(points)
     t, ratio = pts[:, 0], pts[:, 1]
-    if t.size == 0:
+    n = t.size
+    if n == 0:
         empty = np.empty(0)
         return PointSummary(empty, empty, np.empty(0, np.int64), empty, empty, empty)
-    ranks = np.append(np.arange(SUMMARY_BINS) * t.size // SUMMARY_BINS, t.size - 1)
-    edges = np.unique(np.sort(t)[ranks])
+    least, most = float(pts.min()), float(pts.max())
+    if not (math.isfinite(least) and math.isfinite(most)):  # NaN or inf spreads to these
+        raise ValueError(f"summary points must be finite, got values from {least} to {most}")
+    lo, hi = float(t.min()), float(t.max())
+    size = _tile_rows(2)
+    blocks = [slice(start, start + size) for start in range(0, n, size)]
+
+    through = np.zeros(_CELLS, np.int64)
+    for b in blocks:
+        through += np.bincount(_cells(t[b], lo, hi), minlength=_CELLS)
+    np.cumsum(through, out=through)  # points in each cell and the cells before it
+    ranks = np.append(np.arange(SUMMARY_BINS) * n // SUMMARY_BINS, n - 1)
+    rank_cells = np.searchsorted(through, ranks, side="right")
+    gather = np.zeros(_CELLS, bool)
+    gather[rank_cells] = True
+    held = np.concatenate([t[b][gather[_cells(t[b], lo, hi)]] for b in blocks])
+    held.sort()
+    held_cells = np.unique(rank_cells)
+    first = np.where(held_cells > 0, through[held_cells - 1], 0)  # rank of each cell's first point
+    sizes = through[held_cells] - first
+    at = np.searchsorted(held_cells, rank_cells)
+    # rank r of held cell c sits in `held` after the values of the held cells before c
+    edges = np.unique(held[ranks - first[at] + (np.cumsum(sizes) - sizes)[at]])
+    del held
+
     bins = max(edges.size - 1, 1)
-    idx = np.searchsorted(edges[1:-1], t, side="right")
-    count = np.bincount(idx, minlength=bins)
-    ratio_mean = np.bincount(idx, weights=ratio, minlength=bins) / count
-    t_mean = np.bincount(idx, weights=t, minlength=bins) / count
-    # one full-size buffer for the squared deviations, made after the bincounts'
-    # contiguous copies of t and ratio are freed
-    sq_dev = ratio_mean[idx]
-    np.subtract(ratio, sq_dev, out=sq_dev)
-    sq_dev *= sq_dev
+    inner = edges[1:-1]
+    inner_cells = _cells(inner, lo, hi)
+    table = np.zeros(_CELLS, np.uint8)  # inner edges in earlier cells: the bin where none is inside
+    for cell in inner_cells.tolist():
+        table[cell + 1 :] += 1
+    split = np.zeros(_CELLS, bool)
+    split[inner_cells] = True
+    idx = np.empty(n, np.uint8)
+    count = np.zeros(bins, np.int64)
+    t_sum = np.zeros(bins)
+    ratio_sum = np.zeros(bins)
+    for b in blocks:
+        cells = _cells(t[b], lo, hi)
+        i = idx[b]
+        i[:] = table[cells]
+        near = split[cells]
+        if near.any():
+            i[near] = np.searchsorted(inner, t[b][near], side="right")
+        count += np.bincount(i, minlength=bins)
+        t_sum = _add_in_order(t_sum, i, t[b])
+        ratio_sum = _add_in_order(ratio_sum, i, ratio[b])
+    ratio_mean = ratio_sum / count
+    sq_sum = np.zeros(bins)
+    for b in blocks:
+        sq_dev = ratio_mean[idx[b]]
+        np.subtract(ratio[b], sq_dev, out=sq_dev)
+        sq_dev *= sq_dev
+        sq_sum = _add_in_order(sq_sum, idx[b], sq_dev)
     return PointSummary(
         t_lo=edges[:bins],
         t_hi=edges[-bins:],
         count=count,
-        t_mean=t_mean,
+        t_mean=t_sum / count,
         ratio_mean=ratio_mean,
-        ratio_std=np.sqrt(np.bincount(idx, weights=sq_dev, minlength=bins) / count),
+        ratio_std=np.sqrt(sq_sum / count),
     )
 
 

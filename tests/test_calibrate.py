@@ -1,5 +1,6 @@
 """Local-deviation maps, empirical reduction points, fitting, and regression."""
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -297,6 +298,94 @@ def test_summary_of_one_value_and_of_nothing():
     assert len(empty.count) == 0
     with pytest.raises(ValueError):
         summarize_points(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_summary_rejects_non_finite_points(column, bad):
+    # a NaN t once gave a NaN upper edge, an inf t an inf edge, a NaN ratio a NaN mean
+    pts = np.column_stack([np.linspace(1.0, 3.0, 40), np.linspace(0.5, 0.7, 40)])
+    pts[17, column] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        summarize_points(pts)
+
+
+def _summary_by_one_sort(pts):
+    """The summary from a sort of every t and one ``np.bincount`` over all the points."""
+    t, ratio = pts[:, 0], pts[:, 1]
+    ranks = np.append(np.arange(SUMMARY_BINS) * t.size // SUMMARY_BINS, t.size - 1)
+    edges = np.unique(np.sort(t)[ranks])
+    bins = max(edges.size - 1, 1)
+    idx = np.searchsorted(edges[1:-1], t, side="right")
+    count = np.bincount(idx, minlength=bins)
+    ratio_mean = np.bincount(idx, weights=ratio, minlength=bins) / count
+    t_mean = np.bincount(idx, weights=t, minlength=bins) / count
+    sq_dev = (ratio - ratio_mean[idx]) ** 2
+    ratio_std = np.sqrt(np.bincount(idx, weights=sq_dev, minlength=bins) / count)
+    return edges[:bins], edges[-bins:], count, t_mean, ratio_mean, ratio_std
+
+
+def _assert_summary_is_one_sort(pts):
+    s = summarize_points(pts)
+    got = (s.t_lo, s.t_hi, s.count, s.t_mean, s.ratio_mean, s.ratio_std)
+    for field, a, b in zip(("t_lo", "t_hi", "count", "t_mean", "ratio_mean", "ratio_std"),
+                           got, _summary_by_one_sort(pts)):
+        # a bin of t values near -1e308 and 1e308 sums to inf - inf = NaN both ways
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), field
+
+
+@st.composite
+def _summary_points(draw):
+    n = draw(st.integers(1, 200), label="n")
+    kind = draw(st.sampled_from(["ties", "constant", "lognormal", "adjacent", "subnormal", "wide"]))
+    if kind == "ties":
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5))
+        t = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    elif kind == "constant":
+        t = np.full(n, draw(st.floats(-1e300, 1e300)))
+    elif kind == "lognormal":
+        t = np.exp(draw(arrays(np.float64, n, elements=st.floats(-30.0, 30.0))))
+    elif kind == "adjacent":  # a few ulps apart, so many points share a cell
+        base = np.array(draw(st.floats(-1e300, 1e300))).view(np.int64)
+        t = (base + draw(arrays(np.int64, n, elements=st.integers(0, 40)))).view(np.float64)
+    elif kind == "subnormal":  # a span of a few 5e-324 steps
+        t = draw(arrays(np.int64, n, elements=st.integers(1, 4))).view(np.float64)
+    else:  # a span past the largest double
+        t = draw(arrays(np.float64, n, elements=st.floats(-1.7e308, 1.7e308)))
+        t[: min(n, 2)] = (-1e308, 1e308)[: min(n, 2)]
+    # bounded ratios: their sums stay finite, as in every calibration
+    ratio = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    return np.column_stack([t, ratio])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=_summary_points(), tile_elems=st.sampled_from([1, 7, 4096, _core_py._TILE_ELEMS]))
+def test_summary_equals_one_sort_and_one_bincount_for_any_block_size(pts, tile_elems):
+    with mock.patch.object(_core_py, "_TILE_ELEMS", tile_elems):
+        _assert_summary_is_one_sort(pts)
+
+
+@pytest.mark.parametrize("tile_elems", [4096, _core_py._TILE_ELEMS])
+def test_summary_of_many_blocks_equals_one_sort_and_one_bincount(tile_elems):
+    rng = np.random.default_rng(18)
+    t = np.round(rng.lognormal(3.0, 1.0, 100_003), 2)  # tied values, a long upper tail
+    pts = np.column_stack([t, rng.normal(0.5, 0.2, t.size)])
+    with mock.patch.object(_core_py, "_TILE_ELEMS", tile_elems):
+        _assert_summary_is_one_sort(pts)
+
+
+def test_summary_holds_one_byte_a_point_beyond_its_blocks():
+    rng = np.random.default_rng(21)
+    n = 1 << 21
+    pts = np.column_stack([rng.gamma(4.0, 10.0, n), rng.normal(0.5, 0.1, n)])
+    tracemalloc.start()
+    try:
+        summarize_points(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a sorted copy of t and a full-length bin index took the peak past the point array's bytes
+    assert peak < pts.nbytes / 3
 
 
 # --- polynomial fitting -----------------------------------------------------

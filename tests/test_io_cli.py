@@ -494,6 +494,27 @@ def test_calibrate_holds_the_points_not_full_size_maps_or_designs(tmp_path):
     assert peak < 3 * points_bytes
 
 
+def test_calibrate_peaks_at_its_points_and_images_plus_blocks(tmp_path, monkeypatch):
+    for name, sigma, seed in (("high", "10", "1"), ("low", "40", "2")):
+        assert cli_dispatch(["phantom", "--densities", "0,120,400", "--sigma", sigma,
+                             "--size", "512x512", "--seed", seed,
+                             "--out", str(tmp_path / f"{name}.raw")]) == 0
+    # 32-row strips, as a 2048-wide pair gets: 128-row strips would hold more than the summary
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 32 * 512)
+    tracemalloc.start()
+    try:
+        rc = cli_dispatch(["calibrate", "--high", str(tmp_path / "high.raw"),
+                           "--low", str(tmp_path / "low.raw"), "--out", str(tmp_path / "r.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    points_bytes, images_bytes = 512 * 512 * 2 * 8, 2 * 512 * 512 * 2
+    # beyond those, a summary that sorted a copy of t and held a full-length
+    # bin index reached 1.03 point arrays; one byte a point and blocks, 0.44
+    assert peak < points_bytes + images_bytes + 0.75 * points_bytes
+
+
 def test_points_are_written_without_holding_their_whole_text(tmp_path):
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(0, 60, 300_000), rng.uniform(0, 1.2, 300_000)])
