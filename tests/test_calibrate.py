@@ -352,7 +352,7 @@ def _summary_points(draw):
         t = draw(arrays(np.int64, n, elements=st.integers(1, 4))).view(np.float64)
     else:  # a span past the largest double
         t = draw(arrays(np.float64, n, elements=st.floats(-1.7e308, 1.7e308)))
-        t[: min(n, 2)] = (-1e308, 1e308)[: min(n, 2)]
+        t[:2] = (-1e308, 1e308)[:n]
     # bounded ratios: their sums stay finite, as in every calibration
     ratio = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
     return np.column_stack([t, ratio])

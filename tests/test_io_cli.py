@@ -487,9 +487,8 @@ def test_calibrate_holds_the_points_not_full_size_maps_or_designs(tmp_path):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    # the (t, ratio) array of every pixel, plus at most two half-size
-    # temporaries of the binned summary at a time; whole-image maps and
-    # design matrices take the peak past five point arrays
+    # the (t, ratio) array of every pixel, plus the strip pass's blocks;
+    # whole-image maps and design matrices take the peak past five point arrays
     points_bytes = 512 * 512 * 2 * 8
     assert peak < 3 * points_bytes
 
