@@ -16,22 +16,25 @@ realization.  The threshold K(t0) = target is solved by the ITP method
 probe and on these curves takes 9 to 12 probes where bisection took 18.
 
 Estimates aggregate over fixed batches of trials: k_hat is the mean of
-per-batch deviation ratios and std_err the standard error of that mean.  The
-batch deviations of the raw centers do not depend on t, so each draw set
-computes them once for every t it is probed at.
+per-batch deviation ratios and std_err the standard error of that mean.  One
+estimator per draw set (``_estimator``) serves ``estimate_K``,
+``compute_curve`` and ``solve_threshold``: it draws the set and computes the
+batch deviations of its raw centers (which do not depend on t) once, then
+estimates K at every t asked of it.
 
-All randomness flows from one counter-based generator (Philox) keyed by the
-seed and read front to back, trial after trial.  A Normal draw takes a
-variable number of stream words (the ziggurat sampler of Marsaglia and Tsang,
-2000, as numpy implements it), so trial ``i`` holds no fixed run of stream
-positions; the values still depend only on the seed and the shape drawn, not
-on how the stream is cut into tiles, so results are bit-reproducible per seed.  The
-trial rows are stored in Fortran order, each support position one contiguous
-column, which is the layout the ensemble kernel reads.
+One draw routine (``_draws``) makes all randomness, reading one counter-based
+generator (Philox) keyed by the seed front to back, trial after trial.  A
+Normal draw takes a variable number of stream words (numpy's ziggurat
+sampler; Marsaglia and Tsang, 2000), so trial ``i`` holds no fixed run of
+stream positions; the values depend only on the seed and the shape drawn, not
+on the block size, so results are bit-reproducible per seed.  Trial rows are
+stored in Fortran order, one contiguous column per support position, the
+layout the ensemble kernel reads; the phantom's noise is a single column.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,105 +101,67 @@ class KCurve:
             raise ValueError("curve points must have strictly increasing t")
 
 
-def _stream(dist: NoiseDistribution, seed: int):
-    """A function that fills a float64 vector with the next draws of Q from the seed's stream.
+def _draws(dist: NoiseDistribution, seed: int, rows: int, width: int) -> np.ndarray:
+    """(rows, width) unit-scale draws of Q in Fortran order; row ``i`` is the ``i``-th run of
+    ``width`` values of the seed's stream.
 
-    Each call continues where the last one stopped, drawing ``_tile_rows(1)``
-    values at a time straight into their slice, so the values do not depend
-    on the tile or on how the calls split the stream, and the only
-    temporaries are tile-sized.  Normal values come from numpy's ziggurat
-    sampler over the stream; Uniform values are one 53-bit word each.
+    The stream is read front to back into one C-ordered block of
+    ``_tile_rows(width)`` rows at a time, copied into the output, so the
+    values do not depend on the block size and the only temporaries are
+    block-sized.  Normal values come from numpy's ziggurat sampler over the
+    stream; Uniform values are one 53-bit word each.
     """
     if not 0 <= seed < 2 ** 128:  # Philox's key range
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     bg = np.random.Philox(key=seed)
     gen = np.random.Generator(bg)
-
-    def fill(flat: np.ndarray):
-        chunk = _core_py._tile_rows(1)
-        for start in range(0, flat.size, chunk):
-            part = flat[start:start + chunk]
-            if dist is NoiseDistribution.Normal:
-                gen.standard_normal(out=part)
-            else:
-                raw = bg.random_raw(part.size)
-                u = ((raw >> np.uint64(11)) + 0.5) * (2.0 ** -53)  # uniform on (0, 1)
-                np.multiply(_SQRT3, 2.0 * u - 1.0, out=part)
-
-    return fill
-
-
-def _unit_draws(dist: NoiseDistribution, shape, seed: int) -> np.ndarray:
-    """An array of ``shape`` draws of Q, filled in C order from the seed-keyed stream."""
-    fill = _stream(dist, seed)
-    out = np.empty(shape, dtype=np.float64)
-    fill(out.reshape(-1))
+    out = np.empty((rows, width), order="F")
+    block = np.empty((min(rows, _core_py._tile_rows(width)), width))
+    for start in range(0, rows, len(block)):
+        part = block[: rows - start]
+        if dist is NoiseDistribution.Normal:
+            gen.standard_normal(out=part)
+        else:
+            u = ((bg.random_raw(part.shape) >> np.uint64(11)) + 0.5) * (2.0 ** -53)  # on (0, 1)
+            np.multiply(_SQRT3, 2.0 * u - 1.0, out=part)
+        out[start : start + len(part)] = part
     return out
-
-
-def _support_draws(
-    spec: KernelSpec, dist: NoiseDistribution, trials: int, seed: int
-) -> np.ndarray:
-    """(trials, 1 + support size) unit-scale draws: center value then ring values.
-
-    The spec's t plays no part.  Row ``i`` holds the ``i``-th run of
-    ``1 + support size`` values drawn from the seed's stream, as in
-    ``_unit_draws``, but the array is in Fortran order, so each column (the
-    center, or one support offset) is contiguous across trials.  The stream
-    is still read front to back, ``_tile_rows(width)`` rows at a time.
-    """
-    fill = _stream(dist, seed)
-    width = 1 + build_rings(spec.n, spec.w).size
-    out = np.empty((trials, width), dtype=np.float64, order="F")
-    block = np.empty((min(trials, _core_py._tile_rows(width)), width))
-    for start in range(0, trials, len(block)):
-        rows = block[: trials - start]
-        fill(rows.reshape(-1))
-        out[start : start + len(rows)] = rows
-    return out
-
-
-def _batch_slices(trials: int) -> list[slice]:
-    n_batches = max(2, round(trials / _BATCH_TRIALS))
-    edges = np.linspace(0, trials, n_batches + 1).astype(int)
-    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _batch_deviations(x: np.ndarray) -> np.ndarray:
-    """The sample deviation (ddof 1) of ``x`` over each trial batch."""
-    return np.array([x[sl].std(ddof=1) for sl in _batch_slices(x.size)])
+    """The sample deviation (ddof 1) of ``x`` over each of its trial batches: at least two
+    equal runs of about ``_BATCH_TRIALS`` trials."""
+    edges = np.linspace(0, x.size, max(2, round(x.size / _BATCH_TRIALS)) + 1).astype(int)
+    return np.array([x[a:b].std(ddof=1) for a, b in zip(edges[:-1], edges[1:])])
 
 
-def _draw_set(
-    spec: KernelSpec, dist: NoiseDistribution, trials: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trial rows from ``_support_draws`` and the batch deviations of their raw centers.
+def _estimator(spec: KernelSpec, dist: NoiseDistribution, trials: int, seed: int):
+    """``estimate(t) -> KEstimate``: K at t for the spec's V/W/n on one set of ``trials`` draws.
 
-    The deviations are the denominators of the batch ratios.  They do not
-    depend on t, so every t probed on the draw set shares them.
+    ``trials`` is checked here.  The first estimate, after the caller's own
+    checks, draws the set and the batch deviations of its raw centers, the
+    ratios' denominators; every later t reuses both (common random numbers).
+    A zero denominator raises ``NumericalError``.
     """
-    vals = _support_draws(spec, dist, trials, seed)
-    return vals, _batch_deviations(vals[:, 0])
-
-
-def _ratio_estimate(raw_dev: np.ndarray, h: np.ndarray, t: float) -> KEstimate:
-    """K from the filtered centers ``h`` and the batch deviations of the raw centers."""
-    if not raw_dev.all():
-        raise NumericalError("degenerate trial batch: zero deviation in the raw draws")
-    ratios = _batch_deviations(h) / raw_dev
-    k_hat = float(ratios.mean())
-    std_err = float(ratios.std(ddof=1) / math.sqrt(len(ratios)))
-    return KEstimate(t=float(t), k_hat=k_hat, std_err=std_err, trials=h.size)
-
-
-def _estimate_at(vals: np.ndarray, raw_dev: np.ndarray, spec: KernelSpec) -> KEstimate:
-    """K at the spec's own t, on a draw set from ``_draw_set``."""
-    return _ratio_estimate(raw_dev, _core_py.ensemble_filter(vals, spec), spec.t)
-
-
-def _check_trials(trials: int):
     if not isinstance(trials, int) or trials < 100:
         raise ValueError(f"trials must be an integer >= 100, got {trials!r}")
+
+    @functools.cache
+    def draw_set() -> tuple[np.ndarray, np.ndarray]:
+        vals = _draws(dist, seed, trials, 1 + build_rings(spec.n, spec.w).size)
+        raw_dev = _batch_deviations(vals[:, 0])
+        if not raw_dev.all():
+            raise NumericalError("degenerate trial batch: zero deviation in the raw draws")
+        return vals, raw_dev
+
+    def estimate(t: float) -> KEstimate:
+        probe = spec.with_t(t)
+        vals, raw_dev = draw_set()
+        ratios = _batch_deviations(_core_py.ensemble_filter(vals, probe)) / raw_dev
+        std_err = float(ratios.std(ddof=1) / math.sqrt(len(ratios)))
+        return KEstimate(t=float(t), k_hat=float(ratios.mean()), std_err=std_err, trials=trials)
+
+    return estimate
 
 
 def estimate_K(
@@ -235,15 +200,15 @@ def compute_curve(
 
     The spec supplies V, W and n; its own t field is ignored.
     """
-    _check_trials(trials)
+    estimate = _estimator(spec, dist, trials, seed)
     grid = [float(t) for t in t_grid]
     if not grid:
         raise ValueError("t grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t grid must be strictly ascending")
-    specs = [spec.with_t(t) for t in grid]  # checks every t before any draw
-    vals, raw_dev = _draw_set(spec, dist, trials, seed)
-    return KCurve(points=tuple(_estimate_at(vals, raw_dev, s) for s in specs))
+    for t in grid:  # every t is checked before the first estimate draws
+        spec.with_t(t)
+    return KCurve(points=tuple(estimate(t) for t in grid))
 
 
 def _itp_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
@@ -307,7 +272,7 @@ def solve_threshold(
     ends (at most 19 for the default bracket and tol, against bisection's 18;
     9 to 12 on the acceptance thresholds).  It fails after ``_MAX_ITERATIONS`` probes.
     """
-    _check_trials(trials)
+    estimate = _estimator(spec, dist, trials, seed)
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not 0 <= t_lo < t_hi:
         raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
@@ -316,18 +281,13 @@ def solve_threshold(
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     spec.with_t(t_hi)  # every probe lies in [t_lo, t_hi]: reject an unusable t_hi before drawing
-    vals, raw_dev = _draw_set(spec, dist, trials, seed)
-
-    def k_at(t: float) -> float:
-        return _estimate_at(vals, raw_dev, spec.with_t(t)).k_hat
-
-    k_lo, k_hi = k_at(t_lo), k_at(t_hi)
+    k_lo, k_hi = estimate(t_lo).k_hat, estimate(t_hi).k_hat
     if not (k_lo < target < k_hi):
         raise BracketError(
             f"bracket [{t_lo}, {t_hi}] does not straddle target {target}: "
             f"K({t_lo}) = {k_lo:.4f}, K({t_hi}) = {k_hi:.4f}"
         )
-    return _itp_root(lambda t: k_at(t) - target, t_lo, t_hi, k_lo - target, k_hi - target, tol)
+    return _itp_root(lambda t: estimate(t).k_hat - target, t_lo, t_hi, k_lo - target, k_hi - target, tol)
 
 
 def curve_to_csv(curve: KCurve) -> str:

@@ -293,7 +293,8 @@ def summarize_points(points) -> PointSummary:
     (counting from 0) among the N points, so every bin holds at least one
     point and, without ties, the counts differ by at most one.  Edges that coincide (tied t values) are
     merged, which leaves fewer bins.  The counts sum to the number of points.
-    Non-finite points raise ``ValueError``.
+    Non-finite points raise ``ValueError``, and so do finite points whose sum
+    of t, of ratio or of squared ratio deviations in some bin overflows.
 
     The points are read ``_tile_rows(2)`` at a time, and nothing but a one-byte
     bin index per point is held for all of them:
@@ -366,11 +367,15 @@ def summarize_points(points) -> PointSummary:
         ratio_sum = _add_in_order(ratio_sum, i, ratio[b])
     ratio_mean = ratio_sum / count
     sq_sum = np.zeros(bins)
-    for b in blocks:
-        sq_dev = ratio_mean[idx[b]]
-        np.subtract(ratio[b], sq_dev, out=sq_dev)
-        sq_dev *= sq_dev
-        sq_sum = _add_in_order(sq_sum, idx[b], sq_dev)
+    with np.errstate(over="ignore"):  # a sum that overflows is refused below
+        for b in blocks:
+            sq_dev = ratio_mean[idx[b]]
+            np.subtract(ratio[b], sq_dev, out=sq_dev)
+            sq_dev *= sq_dev
+            sq_sum = _add_in_order(sq_sum, idx[b], sq_dev)
+    if not all(np.isfinite(s).all() for s in (t_sum, ratio_sum, sq_sum)):
+        raise ValueError("summary points overflow a bin's sum of t, of ratio or of squared "
+                         "deviations: the bin means must be finite")
     return PointSummary(
         t_lo=edges[:bins],
         t_hi=edges[-bins:],
@@ -405,7 +410,8 @@ def _least_squares(r: np.ndarray, rows: int, what: str) -> tuple[np.ndarray, flo
     if rank < p:
         raise DegenerateFitError(f"design matrix rank {rank} < {p}: {what} is degenerate")
     coef = np.linalg.solve(r[:p, :p], r[:p, p])
-    return coef, float(r[p, p]) ** 2 if r.shape[0] > p else 0.0
+    # a product, not ``** 2``: pow can be an ulp off the product that SS_tot is made of
+    return coef, float(r[p, p] * r[p, p]) if r.shape[0] > p else 0.0
 
 
 def _refinement(coef: np.ndarray, r: np.ndarray, blocks) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import NoiseDistribution, _unit_draws
+from .analysis import NoiseDistribution, _draws
 from .errors import FormatError, OutOfDomainError
 from .filter import FilterConfig, Image
 from .kernel import KernelSpec, VFamily, WFamily
@@ -158,7 +158,7 @@ def synth_phantom_values(
     row = dens[_band_layout(*shape, dens.size)]
     if sigma == 0.0:
         return np.broadcast_to(row, shape).copy()
-    out = _unit_draws(NoiseDistribution.Normal, shape, seed)
+    out = _draws(NoiseDistribution.Normal, seed, shape[0] * shape[1], 1).reshape(shape)
     out *= sigma
     out += row
     return out

@@ -59,10 +59,6 @@ class Image:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    def values(self) -> np.ndarray:
-        """Pixel values as float64 (the in-memory processing representation)."""
-        return self.pixels.astype(np.float64)
-
     @classmethod
     def from_values(cls, values: np.ndarray) -> "Image":
         """Quantize real values to the signed-16-bit grid."""
@@ -72,11 +68,14 @@ class Image:
 def quantize_to_int16(values: np.ndarray) -> np.ndarray:
     """Round half away from zero and clip to the int16 range.
 
-    The rounding and the clip work in place in one float64 buffer.
+    The rounding and the clip work in place in one float64 buffer.  The
+    rounding adds the largest double below 0.5, not 0.5: in doubles,
+    0.49999999999999994 + 0.5 is 1.0, while an exact half plus that double
+    still rounds up to the next integer.
     """
     v = np.asarray(values, dtype=np.float64)
     buf = np.abs(v)
-    buf += 0.5
+    buf += np.nextafter(0.5, 0.0)
     np.floor(buf, out=buf)
     np.copysign(buf, v, out=buf)
     np.clip(buf, -32768, 32767, out=buf)

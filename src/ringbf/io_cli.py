@@ -221,16 +221,11 @@ def _read_pgm(path: Path) -> Image:
 
 
 def _write_pgm(path: Path, img: Image) -> None:
-    lo = int(img.pixels.min())
-    hi = int(img.pixels.max())
+    lo = int(img.pixels.min())  # int16 pixels never exceed _PGM_MAX
     if lo < 0:
         raise RangeError(
             f"cannot write {path}: pixel value {lo} is negative; PGM holds only "
             f"[0, {_PGM_MAX}] — use the .raw format instead"
-        )
-    if hi > _PGM_MAX:
-        raise RangeError(
-            f"cannot write {path}: pixel value {hi} exceeds the supported range [0, {_PGM_MAX}]"
         )
     header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
     _write_files({path: header + np.ascontiguousarray(img.pixels, dtype=">u2").tobytes()})

@@ -15,9 +15,7 @@ from ringbf.analysis import (
     KEstimate,
     NoiseDistribution,
     _batch_deviations,
-    _check_trials,
-    _ratio_estimate,
-    _unit_draws,
+    _draws,
 )
 from ringbf.kernel import WFamily, build_rings
 
@@ -51,14 +49,16 @@ def estimate_linear_K(
     """K for the plain spatially-weighted average (no photometric term at all).
 
     Independent check for the t = 0 limit, where every V family degenerates
-    to this linear filter.
+    to this linear filter; it shares only the draws and the batching with
+    the estimator, and takes its own batch ratios.
     """
-    _check_trials(trials)
     rings = build_rings(n, w)
     w_off = rings.offset_weights()
-    vals = _unit_draws(dist, (trials, 1 + rings.size), seed)
+    vals = _draws(dist, seed, trials, 1 + rings.size)
     h = vals[:, 1:] @ w_off / w_off.sum()
-    return _ratio_estimate(_batch_deviations(vals[:, 0]), h, 0.0)
+    ratios = _batch_deviations(h) / _batch_deviations(vals[:, 0])
+    std_err = float(ratios.std(ddof=1) / np.sqrt(ratios.size))
+    return KEstimate(t=0.0, k_hat=float(ratios.mean()), std_err=std_err, trials=trials)
 
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:

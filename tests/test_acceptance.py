@@ -244,19 +244,19 @@ def test_09_dose_planned_filter_halves_flat_region_noise():
         ungated = FilterConfig(spec=plan.spec)
         out = filter_image_values(img, ungated)
         interior = (slice(4, -4), slice(4, -4))
-        before = img.values()[interior].astype(np.float64)
+        before = img.pixels[interior].astype(np.float64)
         ratios[x] = float(out[interior].std() / before.std())
 
         gated = filter_image(img, plan.config())
-        orig = img.values()
+        orig = img.pixels
         lo, hi = plan.hu_gate
         outside = (orig < lo) | (orig > hi)
         if outside.any():
             copied_ok &= bool(
-                np.array_equal(gated.values()[outside], orig[outside])
+                np.array_equal(gated.pixels[outside], orig[outside])
             )
         mean_shifts[x] = abs(
-            float(gated.values()[interior].mean()) - float(before.mean())
+            float(gated.pixels[interior].mean()) - float(before.mean())
         )
     ok = (
         all(0.40 <= r <= 0.60 for r in ratios.values())
@@ -282,7 +282,7 @@ def _std_map(f, half):
 def test_10_iteration_drives_local_deviation_down():
     vals = synth_phantom_values([100], sigma=20.0, seed=3, size=(128, 128))
     cfg = FilterConfig(spec=_spec(VFamily.Frac, t=0.05))
-    out = Image.from_values(vals).values()
+    out = Image.from_values(vals).pixels
     for _ in range(10):
         out = filter_image_values(out, cfg)
     interior = (slice(4, -4), slice(4, -4))

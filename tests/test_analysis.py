@@ -43,24 +43,24 @@ def test_distribution_parse():
 
 
 def test_unit_draws_shape_and_determinism():
-    a = analysis._unit_draws(NORMAL, 49, 9)
-    b = analysis._unit_draws(NORMAL, 49, 9)
-    assert a.shape == (49,)
+    a = analysis._draws(NORMAL, 9, 49, 1)
+    b = analysis._draws(NORMAL, 9, 49, 1)
+    assert a.shape == (49, 1)
     assert np.array_equal(a, b)
-    c = analysis._unit_draws(NORMAL, 49, 10)
+    c = analysis._draws(NORMAL, 10, 49, 1)
     assert not np.array_equal(a, c)
-    assert analysis._unit_draws(NORMAL, (7, 7), 9).shape == (7, 7)
+    assert analysis._draws(NORMAL, 9, 7, 7).shape == (7, 7)
 
 
 def test_unit_draws_uniform_support_and_moments():
-    draws = analysis._unit_draws(UNIFORM, 81 * 81, 0)
+    draws = analysis._draws(UNIFORM, 0, 81 * 81, 1)
     assert np.all(np.abs(draws) <= math.sqrt(3.0))
     assert abs(draws.mean()) < 0.03
     assert draws.std() == pytest.approx(1.0, abs=0.02)
 
 
 def test_unit_draws_normal_moments():
-    draws = analysis._unit_draws(NORMAL, 81 * 81, 0)
+    draws = analysis._draws(NORMAL, 0, 81 * 81, 1)
     assert abs(draws.mean()) < 0.03
     assert draws.std() == pytest.approx(1.0, abs=0.02)
 
@@ -73,7 +73,7 @@ NORMAL_SEED0_DIGEST = "4ab6795e6c089114c2bc5596c4cb82299db54790e4d6dd882f53e5d74
 
 
 def test_normal_draws_of_seed_0_are_pinned():
-    draws = analysis._unit_draws(NORMAL, 64, 0)
+    draws = analysis._draws(NORMAL, 0, 64, 1)
     assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == NORMAL_SEED0_DIGEST
 
 
@@ -81,23 +81,24 @@ def test_normal_draws_of_seed_0_are_pinned():
 
 
 def test_stream_positions_are_independent_of_read_layout(monkeypatch):
-    # one chunk of 1 << 18 words reads each array whole; chunks of 1, 3, 5, 13
-    # and 29 words end mid counter block (4 words) and mid trial row (29 values)
+    # one block of 1 << 18 values reads each array whole; blocks of 1, 3, 5, 13
+    # and 29 values end mid counter block (4 words); rows of 29 values take a
+    # block of one row for every budget below 58
     monkeypatch.setattr(_core_py, "_TILE_ELEMS", 1 << 18)
-    wholes = {(dist, shape): analysis._unit_draws(dist, shape, 7)
-              for dist in (NORMAL, UNIFORM) for shape in ((200,), (37, 29))}
+    wholes = {(dist, shape): analysis._draws(dist, 7, *shape)
+              for dist in (NORMAL, UNIFORM) for shape in ((200, 1), (37, 29))}
     for chunk in (1, 3, 4, 5, 13, 29):
         monkeypatch.setattr(_core_py, "_TILE_ELEMS", chunk)
         for (dist, shape), whole in wholes.items():
-            assert np.array_equal(analysis._unit_draws(dist, shape, 7), whole)
+            assert np.array_equal(analysis._draws(dist, 7, *shape), whole)
 
 
 def test_draws_hold_one_chunk_of_temporaries():
     # numpy reports its buffers to tracemalloc: beyond the output array, the
-    # reader may hold only chunk-sized temporaries
+    # reader may hold only chunk-sized temporaries; one column is the phantom's shape
     tracemalloc.start()
     try:
-        draws = analysis._unit_draws(NORMAL, (200_000, 29), 3)
+        draws = analysis._draws(NORMAL, 3, 200_000 * 29, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -106,12 +107,12 @@ def test_draws_hold_one_chunk_of_temporaries():
 
 @pytest.mark.parametrize("dist", [NORMAL, UNIFORM])
 def test_support_draws_are_the_unit_draws_in_fortran_order(dist, monkeypatch):
-    # blocks of whole rows, of one row, and of one row read in chunks of 5 values
-    spec = _spec(n=3)  # rows of 13 values
-    expected = analysis._unit_draws(dist, (301, 13), 4)
+    # trial rows of 13 values (n = 3) are the one-column stream cut into runs of
+    # 13, in blocks of every row, of 7 rows and of one row
+    expected = analysis._draws(dist, 4, 301 * 13, 1).reshape(301, 13)
     for chunk in (1 << 18, 100, 13, 5):
         monkeypatch.setattr(_core_py, "_TILE_ELEMS", chunk)
-        vals = analysis._support_draws(spec, dist, 301, 4)
+        vals = analysis._draws(dist, 4, 301, 13)
         assert vals.flags.f_contiguous and vals.shape == (301, 13)
         assert np.array_equal(vals, expected)
 
@@ -121,7 +122,7 @@ def test_support_draws_hold_one_block_of_temporaries():
     # _TILE_ELEMS values (0.5 MiB), not a C-ordered copy of the whole array
     tracemalloc.start()
     try:
-        vals = analysis._support_draws(_spec(n=5), NORMAL, 100_000, 3)
+        vals = analysis._draws(NORMAL, 3, 100_000, 61)  # n = 5
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -258,11 +259,13 @@ def test_heavier_tails_keep_smoothing_at_large_scale():
     assert ks[VFamily.Abs] < ks[VFamily.Frac] < ks[VFamily.Quad]
 
 
-def test_degenerate_batch_raises():
-    # no unit-deviation draw set has a zero denominator; construct one: the
-    # two batch deviations of 1000 raw centers, both zero
-    with pytest.raises(NumericalError):
-        analysis._ratio_estimate(np.zeros(2), np.zeros(1000), 0.0)
+def test_degenerate_batch_raises(monkeypatch):
+    # no unit-deviation draw set has a zero denominator; construct one: 1000
+    # trials of zeros, whose two batch deviations of the raw centers are zero
+    monkeypatch.setattr(analysis, "_draws", lambda dist, seed, rows, width: np.zeros((rows, width)))
+    estimate = analysis._estimator(_spec(), NORMAL, 1000, 0)
+    with pytest.raises(NumericalError, match="degenerate trial batch"):
+        estimate(0.0)
 
 
 # --- curves ----------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_phantom_image_is_quantized():
     assert img.height == 16 and img.width == 16
     vals = synth_phantom_values([100, 200], sigma=5.0, seed=1, size=(16, 16))
     assert np.array_equal(
-        img.values(), np.clip(np.round(vals), -32768, 32767).astype(np.int16)
+        img.pixels, np.clip(np.round(vals), -32768, 32767).astype(np.int16)
     )
 
 
@@ -200,9 +200,9 @@ def test_phantom_image_refuses_densities_outside_int16_but_clips_noise():
         with pytest.raises(ValueError, match="int16 range"):
             synth_phantom([0, bad], size=(2, 2))
     img = synth_phantom([-32768, 32767], size=(2, 2))
-    assert img.values()[0].tolist() == [-32768, 32767]
+    assert img.pixels[0].tolist() == [-32768, 32767]
     # noise tails past the range are clipped, not refused
-    noisy = synth_phantom([-32768, 32767], sigma=100.0, seed=1, size=(16, 16)).values()
+    noisy = synth_phantom([-32768, 32767], sigma=100.0, seed=1, size=(16, 16)).pixels
     assert noisy.min() == -32768 and noisy.max() == 32767
 
 

@@ -1,9 +1,13 @@
 """Image container, quantization, and the bilateral filter itself."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringbf import _core_py
 from ringbf.filter import (
     FilterConfig,
     Image,
@@ -40,12 +44,13 @@ def test_image_validation():
         Image(pixels=np.zeros((0, 3), dtype=np.int16))
     img = Image(pixels=np.arange(6, dtype=np.int16).reshape(2, 3))
     assert (img.height, img.width) == (2, 3)
-    assert img.values().dtype == np.float64
 
 
 def test_quantize_rounds_half_away_from_zero():
-    vals = np.array([[0.5, -0.5, 1.5, -1.5, 2.4, -2.4, 0.49, -0.49]])
-    assert quantize_to_int16(vals).tolist() == [[1, -1, 2, -2, 2, -2, 0, 0]]
+    # 0.49999999999999994 is the largest double below 0.5: adding 0.5 to it rounds to 1.0
+    below_half = 0.49999999999999994
+    vals = np.array([[0.5, -0.5, 1.5, -1.5, 2.4, -2.4, 0.49, -0.49, below_half, -below_half]])
+    assert quantize_to_int16(vals).tolist() == [[1, -1, 2, -2, 2, -2, 0, 0, 0, 0]]
 
 
 def test_quantize_clips_to_int16_range():
@@ -54,8 +59,12 @@ def test_quantize_clips_to_int16_range():
 
 
 _halves = st.integers(-40000, 40000).map(lambda k: k + 0.5)
+# each half and the doubles next to it
+_near_halves = st.tuples(_halves, st.sampled_from([-math.inf, math.inf])).map(
+    lambda h: float(np.nextafter(*h)))
 _quantize_inputs = st.lists(
     _halves
+    | _near_halves
     | st.sampled_from([32767.5, -32767.5, 32768.5, -32768.5, 1e300, -1e300, np.inf, -np.inf])
     | st.floats(-1e6, 1e6)
     | st.floats(allow_nan=False),
@@ -63,11 +72,19 @@ _quantize_inputs = st.lists(
 )
 
 
+def _round_then_clip(x: float) -> int:
+    """x rounded half away from zero in exact rational arithmetic, then clipped to int16."""
+    if math.isinf(x):
+        return 32767 if x > 0 else -32768
+    q = math.floor(abs(Fraction(x)) + Fraction(1, 2))
+    return min(max(q if x >= 0 else -q, -32768), 32767)
+
+
 @settings(max_examples=300, deadline=None)
 @given(values=_quantize_inputs)
 def test_quantize_matches_round_then_clip_formula(values):
     v = np.array([values])
-    expected = np.clip(np.copysign(np.floor(np.abs(v) + 0.5), v), -32768, 32767).astype(np.int16)
+    expected = np.array([[_round_then_clip(x) for x in values]], dtype=np.int16)
     out = quantize_to_int16(v)
     assert out.dtype == np.int16
     assert np.array_equal(out, expected)
@@ -226,6 +243,18 @@ def test_photometric_collapse_falls_back_to_support_mean():
     assert shifted == pytest.approx(out + 100.0, abs=1e-9)
 
 
+def test_dense_oracle_falls_back_to_the_support_mean_as_the_kernel_does():
+    # on a ramp every neighbour differs from the center by 3 to 24; exp at
+    # t = 1000 gives each a weight of exactly 0, so both forms take the
+    # support mean, the center value 72 of the ramp's symmetric support
+    f = np.arange(49, dtype=np.float64).reshape(7, 7) * 3
+    cfg = _cfg(v=VFamily.Exp, t=1000.0, n=2)
+    diffs = np.array([3, 21, 18, 24], np.float32)
+    assert not _core_py.v_weights(np.concatenate([diffs, -diffs]), 1000.0, VFamily.Exp).any()
+    assert filter_pixel_dense(f, (3, 3), cfg) == 72.0
+    assert filter_image_values(f, cfg)[3, 3] == 72.0
+
+
 def test_scale_beyond_float32_is_rejected_not_averaged():
     # float32(1e39) is inf, and inf * 0 made the weight of every equal
     # neighbour NaN, so the center silently became the support mean (25.0)
@@ -315,7 +344,7 @@ def test_iterate_carries_real_values_between_passes():
     cfg = _cfg(t=0.03)
     twice_real = filter_image(img, cfg, 2)
     expected = Image.from_values(
-        filter_image_values(filter_image_values(img.values(), cfg), cfg)
+        filter_image_values(filter_image_values(img, cfg), cfg)
     )
     assert np.array_equal(twice_real.pixels, expected.pixels)
 

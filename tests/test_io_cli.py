@@ -34,7 +34,7 @@ def test_raw_roundtrip_and_exact_bytes(tmp_path):
     )
     assert (tmp_path / "img.meta").read_text() == "width=2\nheight=2\n"
     back = read_image(path)
-    assert np.array_equal(back.values(), img.values())
+    assert np.array_equal(back.pixels, img.pixels)
 
 
 class _FullDisk(io.FileIO):
@@ -66,7 +66,7 @@ def test_raw_write_failure_keeps_existing_pair(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         write_image(path, _img([[7, 8], [9, 10], [11, 12]]))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no temp file left
-    assert np.array_equal(read_image(path).values(), old.values())
+    assert np.array_equal(read_image(path).pixels, old.pixels)
 
 
 def test_raw_missing_sidecar_names_it(tmp_path):
@@ -131,7 +131,7 @@ def test_pgm_roundtrip_and_layout(tmp_path):
     assert data.startswith(b"P5\n2 2\n65535\n")
     body = data[len(b"P5\n2 2\n65535\n"):]
     assert body == b"\x00\x00\x00\x01\x7f\xff\x02\x01"  # big-endian samples
-    assert np.array_equal(read_image(path).values(), img.values())
+    assert np.array_equal(read_image(path).pixels, img.pixels)
 
 
 def test_pgm_negative_values_are_rejected_on_write(tmp_path):
@@ -142,13 +142,13 @@ def test_pgm_negative_values_are_rejected_on_write(tmp_path):
 def test_pgm_header_comments(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5 # magic\n# a comment line\n2 1 # size\n65535\n\x00\x05\x00\x07")
-    assert read_image(path).values().tolist() == [[5, 7]]
+    assert read_image(path).pixels.tolist() == [[5, 7]]
     # a comment may start right after a token, maxval included; the line end
     # that closes a comment after maxval is the one whitespace byte
     for header in (b"P5# note\n2 1\n65535\n", b"P5\n2 1# c\n65535\n",
                    b"P5\n2#c\n1 65535\n", b"P5\n2 1\n65535# c\n", b"P5\n2 1\n65535# c\r"):
         path.write_bytes(header + b"\x00\x05\x00\x07")
-        assert read_image(path).values().tolist() == [[5, 7]]
+        assert read_image(path).pixels.tolist() == [[5, 7]]
     # a comment after maxval must end at a line end before the samples; if
     # none does, the error points at the '#'
     path.write_bytes(b"P5\n2 1\n65535#\x00\x05\x00\x07")
@@ -295,7 +295,7 @@ def test_cli_filter_constant_image_is_fixed_point(tmp_path):
          "--t", "0.02", "--n", "3"]
     )
     assert rc == 0
-    assert np.array_equal(read_image(out).values(), read_image(inp).values())
+    assert np.array_equal(read_image(out).pixels, read_image(inp).pixels)
 
 
 def test_cli_filter_accepts_negative_gate_and_pgm_output(tmp_path):
@@ -306,7 +306,7 @@ def test_cli_filter_accepts_negative_gate_and_pgm_output(tmp_path):
          "--t", "0.02", "--n", "1", "--gate", "-100:300", "--iterate", "2"]
     )
     assert rc == 0
-    assert read_image(out).values().shape == (2, 2)
+    assert read_image(out).pixels.shape == (2, 2)
 
 
 def test_cli_filter_runs_are_reproducible(tmp_path):
@@ -390,8 +390,8 @@ def test_cli_plan_apply_filters_image(tmp_path, capsys):
     )
     assert rc == 0
     capsys.readouterr()
-    before = read_image(inp).values()[4:-4, 4:-4].astype(np.float64)
-    after = read_image(out).values()[4:-4, 4:-4].astype(np.float64)
+    before = read_image(inp).pixels[4:-4, 4:-4].astype(np.float64)
+    after = read_image(out).pixels[4:-4, 4:-4].astype(np.float64)
     assert after.std() < before.std()
 
 
