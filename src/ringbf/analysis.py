@@ -101,6 +101,11 @@ class KCurve:
             raise ValueError("curve points must have strictly increasing t")
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2 ** 128:  # Philox's key range
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+
+
 def _draws(dist: NoiseDistribution, seed: int, rows: int, width: int) -> np.ndarray:
     """(rows, width) unit-scale draws of Q in Fortran order; row ``i`` is the ``i``-th run of
     ``width`` values of the seed's stream.
@@ -111,8 +116,7 @@ def _draws(dist: NoiseDistribution, seed: int, rows: int, width: int) -> np.ndar
     block-sized.  Normal values come from numpy's ziggurat sampler over the
     stream; Uniform values are one 53-bit word each.
     """
-    if not 0 <= seed < 2 ** 128:  # Philox's key range
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    _check_seed(seed)
     bg = np.random.Philox(key=seed)
     gen = np.random.Generator(bg)
     out = np.empty((rows, width), order="F")

@@ -18,10 +18,10 @@ R factor in the same way.  The report summarizes the points in
 ``SUMMARY_BINS`` equal-count bins over ``t``, also a block at a time:
 :func:`summarize_points` finds the exact bin edges from a histogram of ``t``
 over ``_CELLS`` equal cells, sorting only the values of the cells that hold
-an edge; a ``_CELLS``-entry table gives each point's bin, and the per-bin
-sums are added block by block in point order, so they equal one sum over
-all the points bit for bit.  :func:`format_points` writes the full
-per-pixel list on request.
+an edge; a ``_CELLS``-entry table, one ``np.searchsorted`` of the edges'
+cells, gives each point's bin, and ``np.add.at`` adds the per-bin sums block
+by block in point order, so they equal one sum over all the points bit for
+bit.  :func:`format_points` writes the full per-pixel list on request.
 """
 from __future__ import annotations
 
@@ -273,19 +273,6 @@ def _cells(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return u.astype(np.uint16)
 
 
-def _add_in_order(sums: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sums`` plus the per-bin sums of ``weights``, bit for bit as one ``np.bincount`` over
-    every block would give them.
-
-    ``np.bincount`` adds each bin's weights in order, starting from 0.  Each
-    bin's running sum goes in as that bin's first weight, so the in-order sum
-    continues across blocks.
-    """
-    bins = np.arange(sums.size)
-    return np.bincount(np.concatenate([bins, idx]), weights=np.concatenate([sums, weights]),
-                       minlength=sums.size)
-
-
 def summarize_points(points) -> PointSummary:
     """Bin (t, ratio) points into ``SUMMARY_BINS`` equal-count bins over t.
 
@@ -301,13 +288,14 @@ def summarize_points(points) -> PointSummary:
     - a histogram of t over ``_CELLS`` equal cells (see :func:`_cells`) finds
       the cell that holds each rank; only those cells' t values are gathered
       and sorted, to read each rank's exact value;
-    - the cell never decreases as t grows, so a ``_CELLS``-entry table gives
-      the bin of every cell that holds no inner edge, and only the points in
-      the cells that do go through ``np.searchsorted``;
+    - the cell never decreases as t grows, so a ``_CELLS``-entry table, one
+      ``np.searchsorted`` of the inner edges' cells, gives the bin of every
+      cell without an inner edge; the points of the cells with one go through
+      ``np.searchsorted`` among the edges;
     - the counts and the sums of t, of ratio and then of the squared ratio
-      deviations are added block by block, in point order
-      (:func:`_add_in_order`), so they equal a sort of every t and one
-      ``np.bincount`` over all the points bit for bit.
+      deviations are added block by block, the sums by ``np.add.at``, which
+      adds in point order onto each bin's running sum, so they equal a sort
+      of every t and one ``np.bincount`` over all the points bit for bit.
 
     When most points share one cell (few distinct t values), the gathered
     values approach the points' number, and so does the memory.
@@ -325,54 +313,51 @@ def summarize_points(points) -> PointSummary:
     size = _tile_rows(2)
     blocks = [slice(start, start + size) for start in range(0, n, size)]
 
-    through = np.zeros(_CELLS, np.int64)
+    hist = np.zeros(_CELLS, np.int64)
     for b in blocks:
-        through += np.bincount(_cells(t[b], lo, hi), minlength=_CELLS)
-    np.cumsum(through, out=through)  # points in each cell and the cells before it
+        hist += np.bincount(_cells(t[b], lo, hi), minlength=_CELLS)
+    through = np.cumsum(hist)  # points in each cell and the cells before it
     ranks = np.append(np.arange(SUMMARY_BINS) * n // SUMMARY_BINS, n - 1)
     rank_cells = np.searchsorted(through, ranks, side="right")
     gather = np.zeros(_CELLS, bool)
     gather[rank_cells] = True
     held = np.concatenate([t[b][gather[_cells(t[b], lo, hi)]] for b in blocks])
     held.sort()
-    held_cells = np.unique(rank_cells)
-    first = np.where(held_cells > 0, through[held_cells - 1], 0)  # rank of each cell's first point
-    sizes = through[held_cells] - first
-    at = np.searchsorted(held_cells, rank_cells)
-    # rank r of held cell c sits in `held` after the values of the held cells before c
-    edges = np.unique(held[ranks - first[at] + (np.cumsum(sizes) - sizes)[at]])
+    kept = np.where(gather, hist, 0)
+    # rank r of cell c sits in `held` after the values of the gathered cells before c
+    edges = np.unique(held[ranks - (through - hist)[rank_cells]
+                           + (np.cumsum(kept) - kept)[rank_cells]])
     del held
 
     bins = max(edges.size - 1, 1)
     inner = edges[1:-1]
     inner_cells = _cells(inner, lo, hi)
-    table = np.zeros(_CELLS, np.uint8)  # inner edges in earlier cells: the bin where none is inside
-    for cell in inner_cells.tolist():
-        table[cell + 1 :] += 1
+    # inner edges in earlier cells: the bin of each cell that holds none
+    table = np.searchsorted(inner_cells, np.arange(_CELLS)).astype(np.uint8)
     split = np.zeros(_CELLS, bool)
     split[inner_cells] = True
     idx = np.empty(n, np.uint8)
     count = np.zeros(bins, np.int64)
     t_sum = np.zeros(bins)
     ratio_sum = np.zeros(bins)
-    for b in blocks:
-        cells = _cells(t[b], lo, hi)
-        i = idx[b]
-        i[:] = table[cells]
-        near = split[cells]
-        if near.any():
-            i[near] = np.searchsorted(inner, t[b][near], side="right")
-        count += np.bincount(i, minlength=bins)
-        t_sum = _add_in_order(t_sum, i, t[b])
-        ratio_sum = _add_in_order(ratio_sum, i, ratio[b])
-    ratio_mean = ratio_sum / count
     sq_sum = np.zeros(bins)
-    with np.errstate(over="ignore"):  # a sum that overflows is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is refused below
+        for b in blocks:
+            cells = _cells(t[b], lo, hi)
+            i = idx[b]
+            i[:] = table[cells]
+            near = split[cells]
+            if near.any():
+                i[near] = np.searchsorted(inner, t[b][near], side="right")
+            count += np.bincount(i, minlength=bins)
+            np.add.at(t_sum, i, t[b])
+            np.add.at(ratio_sum, i, ratio[b])
+        ratio_mean = ratio_sum / count
         for b in blocks:
             sq_dev = ratio_mean[idx[b]]
             np.subtract(ratio[b], sq_dev, out=sq_dev)
             sq_dev *= sq_dev
-            sq_sum = _add_in_order(sq_sum, idx[b], sq_dev)
+            np.add.at(sq_sum, idx[b], sq_dev)
     if not all(np.isfinite(s).all() for s in (t_sum, ratio_sum, sq_sum)):
         raise ValueError("summary points overflow a bin's sum of t, of ratio or of squared "
                          "deviations: the bin means must be finite")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import NoiseDistribution, _draws
+from .analysis import NoiseDistribution, _check_seed, _draws
 from .errors import FormatError, OutOfDomainError
 from .filter import FilterConfig, Image
 from .kernel import KernelSpec, VFamily, WFamily
@@ -154,6 +154,7 @@ def synth_phantom_values(
         raise ValueError(f"densities must be finite, got {dens.tolist()}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    _check_seed(seed)  # also when sigma is 0 and nothing is drawn
     shape = (size[0], size[1])
     row = dens[_band_layout(*shape, dens.size)]
     if sigma == 0.0:

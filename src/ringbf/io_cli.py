@@ -389,8 +389,6 @@ def _cmd_phantom(args) -> int:
         densities = [float(part) for part in args.densities.split(",")]
     except ValueError:
         raise ValueError(f"--densities must be comma-separated numbers, got {args.densities!r}") from None
-    if not densities:
-        raise ValueError("--densities must name at least one region")
     width, height = _parse_size(args.size)
     img = synth_phantom(densities, sigma=args.sigma, seed=args.seed, size=(height, width))
     write_image(args.out, img)

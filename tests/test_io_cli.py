@@ -578,11 +578,14 @@ def test_cli_request_too_large_for_memory_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "2**128"])
-def test_cli_seed_outside_the_key_range_exits_one(capsys, seed):
-    rc = cli_dispatch(["threshold", "--v", "frac", "--n", "3", "--dist", "uniform",
-                       "--trials", "1000", "--seed", seed])
-    assert rc == 1
-    assert capsys.readouterr().err == f"error: seed must be in [0, 2**128), got {seed}\n"
+def test_cli_seed_outside_the_key_range_exits_one(tmp_path, capsys, seed):
+    out = tmp_path / "p.raw"
+    # phantom without --sigma draws nothing, and must refuse the seed all the same
+    for argv in (["threshold", "--v", "frac", "--n", "3", "--dist", "uniform", "--trials", "1000"],
+                 ["phantom", "--densities", "0", "--size", "8x8", "--out", str(out)]):
+        assert cli_dispatch(argv + ["--seed", seed]) == 1
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**128), got {seed}\n"
+    assert not out.exists()
 
 
 def test_cli_threshold_infinite_bracket_exits_one(capsys):
@@ -663,6 +666,46 @@ def test_cli_threshold_unreachable_tol_exits_three(capsys):
                            "--trials", "2000", "--tol", tol])
         assert rc == 3
         assert f"did not reach tol={float(tol)} within 80 iterations" in capsys.readouterr().err
+
+
+_FRAC3 = ["--v", "frac", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["filter", "--in", "in.raw", "--out", "o.raw", *_FRAC3, "--t", "0.05", "--gate", "a:b"],
+     "--gate must be numeric"),
+    (["threshold", *_FRAC3, "--dist", "normal", "--bracket", "0.01:x"], "--bracket must be numeric"),
+    (["curve", "--out", "k.csv", *_FRAC3, "--dist", "normal", "--t-grid", "0:1"], "'lo:hi:step'"),
+    (["curve", "--out", "k.csv", *_FRAC3, "--dist", "normal", "--t-grid", "0:x:1"],
+     "numeric 'lo:hi:step'"),
+    (["curve", "--out", "k.csv", *_FRAC3, "--dist", "normal", "--t-grid", "0:1:0"],
+     "step must be positive"),
+    (["curve", "--out", "k.csv", *_FRAC3, "--dist", "normal", "--t-grid", "1:0:0.5"],
+     "range is empty"),
+    (["phantom", "--out", "p.raw", "--densities", "0", "--size", "8"], "--size must be 'WxH'"),
+    (["phantom", "--out", "p.raw", "--densities", "0", "--size", "8xa"], "integer 'WxH'"),
+    (["phantom", "--out", "p.raw", "--densities", "0", "--size", "0x8"], "must be positive"),
+    (["phantom", "--out", "p.raw", "--densities", "0,a", "--size", "8x8"],
+     "comma-separated numbers"),
+    (["phantom", "--out", "p.raw", "--densities", "", "--size", "8x8"], "comma-separated numbers"),
+], ids=["gate-non-numeric", "bracket-non-numeric", "t-grid-arity", "t-grid-non-numeric",
+        "t-grid-step", "t-grid-reversed", "size-arity", "size-non-integer", "size-zero",
+        "densities-non-numeric", "densities-empty"])
+def test_cli_malformed_option_exits_one_before_any_output(tmp_path, monkeypatch, capsys, argv,
+                                                          message):
+    monkeypatch.chdir(tmp_path)
+    write_image("in.raw", _img([[100, 200], [300, 400]]))
+    assert cli_dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.out + captured.err
+    assert sorted(os.listdir()) == ["in.meta", "in.raw"]
+
+
+def test_write_image_refuses_a_non_image(tmp_path):
+    with pytest.raises(ValueError, match="expected an Image, got ndarray"):
+        write_image(tmp_path / "img.raw", np.zeros((2, 2), np.int16))
+    assert not (tmp_path / "img.raw").exists()
 
 
 @pytest.mark.parametrize("option", [["--densities", "nan,0"], ["--densities", "0,inf"],
