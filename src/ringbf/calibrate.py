@@ -341,7 +341,7 @@ def summarize_points(points) -> PointSummary:
     t_sum = np.zeros(bins)
     ratio_sum = np.zeros(bins)
     sq_sum = np.zeros(bins)
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is refused below
+    with np.errstate(over="ignore"):  # a sum that overflows is refused below
         for b in blocks:
             cells = _cells(t[b], lo, hi)
             i = idx[b]
