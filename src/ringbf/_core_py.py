@@ -1,34 +1,48 @@
 """Compute kernels: the ring-separated filter over images and trial ensembles.
 
-There is one compute path.  Both entry points cut their input into tiles and
-hand every tile to ``_filter_tile``, which reuses one fixed set of buffers
-through ``out=`` ufuncs and writes into a preallocated output:
+There is one compute path.  Both entry points lay their input out as one flat
+*frame* and hand ``_filter_tile`` tiles of it: runs of ``length`` centers
+starting at ``start``, whose support offsets are fixed *shifts* along the
+frame.  Every operand is then a contiguous 1-D slice
+``frame[start + k : start + k + length]``, and the tile reuses one fixed set
+of buffers through ``out=`` ufuncs:
 
 - ``filter_values`` walks the image in row strips of ``_tile_rows(width)``
-  rows, so the per-offset temporaries stay in cache instead of streaming
-  whole-image arrays through memory once per support offset.  Each strip
-  reads its edge-clamped rows as one float64 block through ``_clamped_rows``,
-  as the calibration's window sums do, so a pass holds its output and
-  strip-sized blocks, not a padded copy.  The strips run on one thread per
+  rows.  A strip's frame is its edge-clamped rows (``_clamped_rows``), padded
+  by the support margin ``m`` on both sides and raveled: its row pitch is
+  ``p = width + 2m``, offset ``(dx, dy)`` is shift ``dy*p + dx``, and the
+  tile's output is read back as the first ``width`` values of each of its
+  ``p``-long rows (the rest are the pad columns, computed and dropped).
+  Int16 pixels are held as float32, which is exact, so a strip takes half
+  the memory traffic of a float64 one.  The strips run on one thread per
   available core (capped at the strip count); numpy releases the GIL inside
   each ufunc, and every strip writes its own rows.
-- ``ensemble_filter`` walks the trial rows in chunks of ``_tile_rows(1)`` on
-  the calling thread.  It reads the ``(trials, 1 + support size)`` array in
-  Fortran order, as the Monte-Carlo draws are laid out, so the center and
-  each support offset are contiguous runs of trials, like an image strip's
-  rows.
+- ``ensemble_filter`` reads the ``(trials, 1 + support size)`` array in
+  Fortran order, as the Monte-Carlo draws are laid out, so the raveled draws
+  are a frame in which column ``j`` is shift ``j * trials``.  It walks the
+  trials in chunks of ``_tile_rows(1)`` on the calling thread.
 
 Every pixel or trial keeps a pinned operation sequence, so results do not
-depend on the tiling or the thread count:
+depend on the layout, the tiling or the thread count:
 
-- intensity differences are formed in float64, reduced to float32, scaled by
-  float32(t), and the photometric family is evaluated in float32; a scaled
-  difference that overflows float32 saturates to weight 0, without a warning;
-- spatial weights and all accumulation are float64;
+- intensity differences are formed in the frame's dtype (exact for int16
+  values held in float32), reduced to float32, scaled by float32(t), and the
+  photometric family is evaluated in float32; a scaled difference that
+  overflows float32 saturates to weight 0, without a warning;
+- spatial weights and all accumulation are float64, including the product
+  of a weight and its support value;
 - accumulation order is rings ascending, offsets in declaration order, with
   per-ring photometric sums combined by the ring weight;
 - a pixel whose photometric weights all underflow to zero gets the plain mean
   of its support values, computed only on tiles that hold such a pixel.
+
+When both ``k`` and ``-k`` are shifts, as every image ring's ``±`` offset
+pairs are, V is evaluated once for the pair: a difference rounded to
+float32 is exactly antisymmetric and the float32 V is even, bit for bit, so
+the weight of ``-k`` at a center is the weight of ``+k`` at the center ``k``
+before it.  One field over ``[start - |k|, start + length)`` serves both,
+cast to float64 once.  The trial frame has no opposite shifts and evaluates
+V per shift.
 
 Both entry points take a ``KernelSpec`` and lower it here, and only here:
 the ring layout and weights come from ``build_rings(spec.n, spec.w)``.
@@ -55,11 +69,16 @@ def _tile_rows(width: int) -> int:
     return max(1, _TILE_ELEMS // width)
 
 
-def _clamped_rows(f: np.ndarray, start: int, stop: int, before: int, after: int) -> np.ndarray:
+def _clamped_rows(f: np.ndarray, start: int, stop: int, before: int, after: int,
+                  dtype=np.float64) -> np.ndarray:
     """Rows ``start .. stop + before + after - 1`` of ``f`` edge-padded by ``(before, after)``
-    on both axes, as float64; only the rows read are converted."""
+    on both axes, as ``dtype``; only the rows read are converted.
+
+    The calibration's window sums read float64 blocks; the filter reads an
+    int16 image's strips as float32, which holds every int16 value exactly.
+    """
     read = np.clip(np.arange(start - before, stop + after), 0, f.shape[0] - 1)
-    return np.pad(f[read].astype(np.float64, copy=False), ((0, 0), (before, after)), mode="edge")
+    return np.pad(f[read].astype(dtype, copy=False), ((0, 0), (before, after)), mode="edge")
 
 
 def _v_in_place(u: np.ndarray, v: VFamily) -> np.ndarray:
@@ -86,21 +105,36 @@ def v_weights(d: np.ndarray, t: float, v: VFamily) -> np.ndarray:
         return _v_in_place(np.float32(t) * d, v)
 
 
-def _buffers(shape) -> tuple[np.ndarray, ...]:
-    """Work buffers for one tile: float32 weights, five float64 sums, one mask."""
-    return (np.empty(shape, np.float32), *(np.empty(shape, np.float64) for _ in range(5)),
-            np.empty(shape, np.bool_))
+def _buffers(length: int, reach: int = 0) -> tuple:
+    """Work buffers for tiles of up to ``length`` centers whose paired shifts reach up to
+    ``reach`` values: float32 weights over ``length + reach``, five float64 sums, one mask,
+    and an initially empty list of spare float64 pair fields that ``_filter_tile`` fills."""
+    return (np.empty(length + reach, np.float32), *(np.empty(length, np.float64) for _ in range(5)),
+            np.empty(length, np.bool_), [])
 
 
-def _filter_tile(center, neighbours, out, buffers, spec: KernelSpec, rings: RingNeighborhood):
-    """Filter one tile of centers into ``out``.
+def _scaled_v(x, y, t32, v: VFamily, out):
+    """Photometric weights of the differences ``x - y`` at float32 scale ``t32``, into the
+    float32 ``out``: a float64 difference is rounded once to float32."""
+    np.subtract(x, y, out=out)
+    np.multiply(out, t32, out=out)
+    return _v_in_place(out, v)
 
-    ``neighbours[j]`` holds the tile's values at support offset ``j`` of
-    ``rings.all_offsets()``; ``buffers`` come from ``_buffers`` with a first
-    axis at least as long as the tile's.
+
+def _filter_tile(frame, start, length, shifts, out, buffers, spec: KernelSpec,
+                 rings: RingNeighborhood):
+    """Filter the centers ``frame[start : start + length]`` into ``out``.
+
+    ``shifts[j]`` is the frame distance of support offset ``j`` of
+    ``rings.all_offsets()``; a shift whose negation is also a shift may not
+    reach before the frame's start.  ``buffers`` come from ``_buffers`` with
+    a ``length`` and ``reach`` at least this tile's.
     """
-    u, sv, sfv, num, den, tmp, safe = (b[: len(center)] for b in buffers)
+    u32, *sums, spare = buffers
+    sv, sfv, num, den, tmp, safe = (b[:length] for b in sums)
+    center = frame[start : start + length]
     t32 = np.float32(spec.t)
+    pending = {}  # shift -> the float64 V field its partner evaluated for both
     num.fill(0.0)
     den.fill(0.0)
     j = 0
@@ -108,12 +142,24 @@ def _filter_tile(center, neighbours, out, buffers, spec: KernelSpec, rings: Ring
         for ring in rings.rings:
             sv.fill(0.0)
             sfv.fill(0.0)
-            for nb in neighbours[j : j + len(ring.offsets)]:
-                np.subtract(nb, center, out=u)  # in float64, rounded once to float32
-                np.multiply(u, t32, out=u)
-                _v_in_place(u, spec.v)
-                np.add(sv, u, out=sv)
-                np.multiply(u, nb, out=tmp)
+            for k in shifts[j : j + len(ring.offsets)]:
+                nb = frame[start + k : start + k + length]
+                if -k not in shifts:
+                    wv = _scaled_v(nb, center, t32, spec.v, u32[:length])
+                else:
+                    if k in pending:
+                        field = pending.pop(k)
+                        spare.append(field)  # free for the next pair once this offset is summed
+                    else:  # field[i] weighs center i - |k| against center i
+                        field = spare.pop() if spare else np.empty(len(u32), np.float64)
+                        a = abs(k)
+                        field[: length + a] = _scaled_v(
+                            frame[start : start + length + a], frame[start - a : start + length],
+                            t32, spec.v, u32[: length + a])
+                        pending[-k] = field
+                    wv = field[k : k + length] if k > 0 else field[:length]
+                np.add(sv, wv, out=sv)
+                np.multiply(wv, nb, out=tmp, dtype=np.float64)
                 np.add(sfv, tmp, out=sfv)
             j += len(ring.offsets)
             np.multiply(sfv, ring.weight, out=tmp)
@@ -123,7 +169,10 @@ def _filter_tile(center, neighbours, out, buffers, spec: KernelSpec, rings: Ring
     np.greater(den, 0.0, out=safe)
     np.divide(num, den, out=out, where=safe)
     if not safe.all():  # the support mean, summed from 0 in declaration order
-        np.divide(sum(neighbours), rings.size, out=out, where=~safe)
+        tmp.fill(0.0)
+        for k in shifts:
+            np.add(tmp, frame[start + k : start + k + length], out=tmp)
+        np.divide(tmp, rings.size, out=out, where=~safe)
 
 
 def filter_values(
@@ -136,25 +185,31 @@ def filter_values(
 
     Centers outside the closed interval ``gate`` keep their input value;
     ``skip`` copies the input over the support's margin, where the clamped
-    (edge-replicated) support would leave the image.  The center and every
-    support offset are views of a strip's ``_clamped_rows`` block.
+    (edge-replicated) support would leave the image.  Each strip is one flat
+    frame of its ``_clamped_rows`` block, float32 for int16 pixels.
     Returns the pre-rounding float64 output image.
     """
     h, w = f.shape
     rings = build_rings(spec.n, spec.w)
     margin = rings.margin()
+    pitch = w + 2 * margin
+    shifts = [dy * pitch + dx for dx, dy in rings.all_offsets()]
+    start = margin * pitch + margin  # the strip's first center in its frame
+    dtype = np.float32 if f.dtype == np.int16 else np.float64
     out = np.empty((h, w), dtype=np.float64)
     rows = min(_tile_rows(w), h)
     strips = [(y, min(y + rows, h)) for y in range(0, h, rows)]
 
     def run(part):
-        buffers = _buffers((rows, w))
+        buffers = _buffers(rows * pitch, max(map(abs, shifts)))
+        res = np.empty(rows * pitch)
         for y0, y1 in part:
-            block = _clamped_rows(f, y0, y1, margin, margin)
-            center, *neighbours = [block[margin + dy : margin + dy + y1 - y0, margin + dx : margin + dx + w]
-                                   for dx, dy in ((0, 0), *rings.all_offsets())]
-            _filter_tile(center, neighbours, out[y0:y1], buffers, spec, rings)
+            frame = _clamped_rows(f, y0, y1, margin, margin, dtype).ravel()
+            length = (y1 - y0) * pitch - 2 * margin  # through the last center of the strip
+            _filter_tile(frame, start, length, shifts, res[:length], buffers, spec, rings)
+            out[y0:y1] = res[: (y1 - y0) * pitch].reshape(y1 - y0, pitch)[:, :w]
             if gate is not None:
+                center = f[y0:y1].astype(np.float64, copy=False)
                 np.copyto(out[y0:y1], center, where=~((center >= gate[0]) & (center <= gate[1])))
 
     workers = min(_WORKERS, len(strips))
@@ -182,18 +237,20 @@ def ensemble_filter(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
     ``vals`` has one row per trial: column 0 is the center value, the
     remaining columns are the support values in ring order.  Returns the
     filtered center per trial (float64).  The rows are read in Fortran
-    order (copied into it if need be), so each chunk hands ``_filter_tile``
-    one contiguous run of trials per column.
+    order (copied into it if need be) and raveled, so column ``j`` of a
+    chunk is the contiguous run ``j * trials`` values past its center.
     """
     rings = build_rings(spec.n, spec.w)
     vals = np.asfortranarray(vals, dtype=np.float64)
     if vals.ndim != 2 or vals.shape[1] != 1 + rings.size:
         raise ValueError(f"trial rows must hold 1 + {rings.size} values, got shape {vals.shape}")
     n_trials = vals.shape[0]
+    frame = vals.ravel(order="F")
+    shifts = [j * n_trials for j in range(1, 1 + rings.size)]
     out = np.empty(n_trials, dtype=np.float64)
     chunk = _tile_rows(1)
     buffers = _buffers(min(chunk, n_trials))
     for start in range(0, n_trials, chunk):
-        block = vals[start : start + chunk]
-        _filter_tile(block[:, 0], block[:, 1:].T, out[start : start + chunk], buffers, spec, rings)
+        length = min(chunk, n_trials - start)
+        _filter_tile(frame, start, length, shifts, out[start : start + length], buffers, spec, rings)
     return out

@@ -23,7 +23,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from . import _core_py
-from .kernel import KernelSpec, RingNeighborhood, build_rings
+from .kernel import KernelSpec, RingNeighborhood, _index, build_rings
 
 __all__ = [
     "Image",
@@ -103,8 +103,12 @@ class FilterConfig:
 
 
 def _as_array(img) -> np.ndarray:
-    """An ``Image``'s int16 pixels as they are, any other image as float64 values; the
-    filter's and calibration's strips convert only the rows they read (``_clamped_rows``)."""
+    """An ``Image``'s int16 pixels as they are, any other image as float64 values.
+
+    Strips convert only the rows they read (``_clamped_rows``): the filter
+    holds int16 rows as float32, which is exact, and the calibration reads
+    both kinds as float64.
+    """
     if isinstance(img, Image):
         return img.pixels
     arr = np.asarray(img, dtype=np.float64)
@@ -178,11 +182,12 @@ def filter_image(img: Image, cfg: FilterConfig, passes: int = 1) -> Image:
     their input values bit-exactly: copied values are integers, and integers
     survive quantization unchanged.
     """
-    if not isinstance(passes, int) or passes < 0:
+    count = _index(passes)
+    if count is None or count < 0:
         raise ValueError(f"iteration count must be a non-negative integer, got {passes!r}")
-    if passes == 0:
+    if count == 0:
         return img
     values = img  # the first pass reads the int16 pixels, later ones the float64 output
-    for _ in range(passes):
+    for _ in range(count):
         values = filter_image_values(values, cfg)
     return Image.from_values(values)

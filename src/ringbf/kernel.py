@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,19 @@ MAX_SUPPORT_SIZE = 5
 _T_MAX = float(np.finfo(np.float32).max)  # largest scale the float32 kernels can hold
 # smallest Gaussian sigma_d whose W(1) = exp(-1/sigma_d^2) is a normal float64
 _SIGMA_D_MIN = 1.0 / math.sqrt(-math.log(np.finfo(np.float64).tiny))
+
+
+def _index(value) -> int | None:
+    """``value`` as a Python ``int`` if it is an integer (``operator.index``), else None.
+
+    A bool is not a count here: ``True`` would silently mean 1.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 class VFamily(enum.Enum):
@@ -119,8 +133,11 @@ class KernelSpec:
         # inf, and inf * 0 turns the weight of an equal neighbour into NaN.
         if not 0 <= self.t <= _T_MAX:
             raise ValueError(f"scale t must be finite, >= 0 and <= {_T_MAX:.6g}, got {self.t}")
-        if not 1 <= self.n <= MAX_SUPPORT_SIZE:
-            raise ValueError(f"support size n must be in 1..{MAX_SUPPORT_SIZE}, got {self.n}")
+        n = _index(self.n)
+        if n is None or not 1 <= n <= MAX_SUPPORT_SIZE:
+            raise ValueError(
+                f"support size n must be an integer in 1..{MAX_SUPPORT_SIZE}, got {self.n!r}")
+        object.__setattr__(self, "n", n)
 
     def with_t(self, t: float) -> "KernelSpec":
         return KernelSpec(self.v, t, self.w, self.n)
@@ -183,11 +200,12 @@ def build_rings(n: int, w: WFamily) -> RingNeighborhood:
       4: the 8 offsets with dx^2+dy^2 = 5   r = sqrt(5)
       5: (+-2, +-2), (+-3, 0), (0, +-3)    r = 2*sqrt(2) (merged shells)
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_SUPPORT_SIZE:
+    count = _index(n)
+    if count is None or not 1 <= count <= MAX_SUPPORT_SIZE:
         raise ValueError(f"support size n must be an integer in 1..{MAX_SUPPORT_SIZE}, got {n!r}")
     rings = tuple(
         Ring(offsets=offsets, weight=_eval_w(w, radius))
-        for radius, offsets in zip(_RING_RADII[:n], _RING_OFFSETS)
+        for radius, offsets in zip(_RING_RADII[:count], _RING_OFFSETS)
     )
     return RingNeighborhood(rings)
 

@@ -1,5 +1,7 @@
 """The tiled compute kernels: oracle agreement, invariants, tiling independence."""
 import hashlib
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -130,18 +132,24 @@ def test_output_is_independent_of_strip_size_and_worker_count(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), dtype=st.sampled_from([np.int16, np.float64]))
-def test_clamped_rows_are_rows_of_the_edge_padded_image(data, dtype):
+@given(data=st.data(), dtypes=st.sampled_from([(np.int16, None), (np.float64, None),
+                                               (np.int16, np.float32)]))
+def test_clamped_rows_are_rows_of_the_edge_padded_image(data, dtypes):
     # the one border rule of the filter's strips and the calibration's window sums;
-    # before and after reach up to 3 rows past the far edge of the image
+    # before and after reach up to 3 rows past the far edge of the image.  Strips
+    # are float64 unless asked for, and the filter reads int16 pixels as float32
+    dtype, held = dtypes
     h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
     f = data.draw(arrays(dtype, (h, w)))
     stop = data.draw(st.integers(1, h))
     start = data.draw(st.integers(0, stop - 1))
     before, after = data.draw(st.integers(0, h + 3)), data.draw(st.integers(0, h + 3))
-    block = _core_py._clamped_rows(f, start, stop, before, after)
-    padded = np.pad(f.astype(np.float64), ((before, after), (before, after)), mode="edge")
-    assert block.dtype == np.float64
+    if held is None:
+        block, held = _core_py._clamped_rows(f, start, stop, before, after), np.float64
+    else:
+        block = _core_py._clamped_rows(f, start, stop, before, after, held)
+    padded = np.pad(f.astype(held), ((before, after), (before, after)), mode="edge")
+    assert block.dtype == held
     assert block.tobytes() == padded[start : stop + before + after].tobytes()
 
 
@@ -197,6 +205,36 @@ def test_trial_rows_filter_like_the_image_pixels_they_copy(v, n, w, monkeypatch)
         assert trials.tobytes() == image.ravel().tobytes()
 
 
+@st.composite
+def image_and_trial_cases(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))  # down to less than a margin
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        f = rng.integers(-32768, 32768, (h, w)).astype(np.int16)  # read as float32 strips
+    else:
+        f = rng.normal(0.0, draw(st.sampled_from([1.0, 150.0, 1e4])), (h, w))
+    spec = KernelSpec(v=draw(st.sampled_from(list(VFamily))),
+                      t=draw(st.sampled_from([0.0, 1e-4, 0.004, 0.05, 5.0, 3e38])),
+                      w=draw(st.sampled_from([WFamily.power(), WFamily.gaussian(1.5)])),
+                      n=draw(st.integers(1, 5)))
+    return f, spec, draw(st.sampled_from([1, 7, _core_py._TILE_ELEMS])), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=image_and_trial_cases())
+def test_the_paired_image_route_equals_the_unpaired_trial_route(case):
+    # an image strip evaluates V once per pair of opposite offsets; the trial rows
+    # that copy its pixels have no opposite offsets and evaluate V per offset
+    f, spec, tile_elems, workers = case
+    rows = _trial_rows(f, build_rings(spec.n, spec.w).all_offsets())
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(_core_py, "_TILE_ELEMS", tile_elems)
+        mp.setattr(_core_py, "_WORKERS", workers)
+        image = _core_py.filter_values(f, spec)
+        trials = _core_py.ensemble_filter(rows, spec)
+    assert trials.tobytes() == image.ravel().tobytes()
+
+
 def test_ensemble_rejects_rows_of_another_support():
     vals = np.zeros((5, 1 + 8))
     with pytest.raises(ValueError, match="1 \\+ 12"):
@@ -220,6 +258,53 @@ def test_filter_values_output_is_pinned(v):
     f = (1000.0 + (raw % np.uint64(241)).astype(np.float64) - 120.0).reshape(67, 45)
     out = _core_py.filter_values(f, KernelSpec(v=v, t=0.02, w=WFamily.power(), n=3))
     assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_DIGESTS[v]
+
+
+# sha256 of filter_values on a full-range int16 image (n=5, clamp, no gate), taken
+# from the kernel that read int16 strips as float64; int16 strips are now float32
+PINNED_INT16_DIGESTS = {
+    (VFamily.Abs, 2e-4): "8003d4f8338a8aa2330ae8d9c2a79c4e47f5a48e33e7a3461a4856bee8422ab3",
+    (VFamily.Abs, 0.02): "4cb9171b56d6e4d87e38177b95f1ebf82b3ecd390f1877e73411673bee96f56d",
+    (VFamily.Frac, 2e-4): "df94494e67b3057e9fdfb8baa36aa6ea8ccb197a3ae7a55f78004e4c1969f4bc",
+    (VFamily.Frac, 0.02): "99d8099d8fad7f0527e1a72ed90d2dc1d5197061b802b7a6d5d8738c5134bddd",
+    (VFamily.Quad, 2e-4): "9221d060d3760a0d4f3b869e1b15bd818f980e267b4ad8d2bab6c167ba62f7ce",
+    (VFamily.Quad, 0.02): "39694ee9a78709955039324062e8e382d27ecbb2409061e74008d75897d0cc65",
+}
+
+
+@pytest.mark.parametrize("v, t", list(PINNED_INT16_DIGESTS),
+                         ids=[f"{v.value}-{t:g}" for v, t in PINNED_INT16_DIGESTS])
+def test_filter_values_output_on_int16_pixels_is_pinned(v, t):
+    raw = np.random.Philox(key=16016).random_raw(61 * 47)
+    f = (raw & np.uint64(0xFFFF)).astype(np.uint16).view(np.int16).reshape(61, 47)
+    f[0, 0], f[-1, -1] = -32768, 32767  # both ends of the range
+    out = _core_py.filter_values(f, KernelSpec(v=v, t=t, w=WFamily.power(), n=5))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_INT16_DIGESTS[(v, t)]
+
+
+def _cpu_features():
+    """numpy's map of the CPU features it can dispatch to, and whether this CPU has each."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.parametrize("disabled", ["X86_V4", "X86_V3 X86_V4"])
+def test_filter_digests_do_not_depend_on_the_simd_dispatch_level(disabled):
+    # numpy picks each ufunc's SIMD loop at run time; the pinned digests must
+    # hold on every dispatch level this machine has (Exp is not pinned)
+    if not all(_cpu_features().get(name) for name in disabled.split()):
+        pytest.skip(f"numpy does not dispatch to {disabled} on this machine")
+    tests = [f"{__file__}::{name}" for name in ("test_filter_values_output_is_pinned",
+                                                 "test_filter_values_output_on_int16_pixels_is_pinned")]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    expected = len(PINNED_DIGESTS) + len(PINNED_INT16_DIGESTS)
+    assert f"{expected} passed" in proc.stdout.splitlines()[-1]
 
 
 def test_strip_workers_follow_the_callers_errstate(monkeypatch):

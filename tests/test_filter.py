@@ -356,6 +356,24 @@ def test_iterate_validation():
             filter_image(img, _cfg(), k)
 
 
+def test_iteration_count_of_any_integer_type_runs_that_many_passes():
+    img = Image(pixels=_random_image(8, (12, 12)).astype(np.int16))
+    cfg = _cfg(t=0.03)
+    twice = filter_image(img, cfg, 2).pixels
+    assert not np.array_equal(twice, filter_image(img, cfg, 1).pixels)
+    for k in (np.int64(2), np.uint8(2)):
+        assert filter_image(img, cfg, k).pixels.tobytes() == twice.tobytes()
+
+
+@pytest.mark.parametrize("k", [True, np.True_, 2.0, np.float64(2.0)],
+                         ids=["True", "numpy-True", "float", "float64"])
+def test_an_iteration_count_that_is_not_an_integer_is_refused(k):
+    # True used to run one pass
+    img = Image(pixels=np.zeros((6, 6), dtype=np.int16))
+    with pytest.raises(ValueError, match="iteration count must be a non-negative integer"):
+        filter_image(img, _cfg(), k)
+
+
 def test_pixel_out_of_bounds():
     f = np.zeros((5, 5))
     for p0 in ((5, 0), (0, -1)):

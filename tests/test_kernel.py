@@ -242,6 +242,25 @@ def test_kernel_spec_validation():
         KernelSpec(v=VFamily.Frac, t=1.0, n=6)
 
 
+@pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
+def test_any_integer_support_size_is_held_as_a_python_int(n):
+    spec = KernelSpec(v=VFamily.Frac, t=1.0, n=n)
+    assert type(spec.n) is int and spec.n == 3
+    assert spec == KernelSpec(v=VFamily.Frac, t=1.0, n=3)
+    assert build_rings(n, WFamily.power()) == build_rings(3, WFamily.power())
+
+
+@pytest.mark.parametrize("n", [3.0, np.float64(3.0), True, np.True_, "3"],
+                         ids=["float", "float64", "True", "numpy-True", "str"])
+def test_a_support_size_that_is_not_an_integer_is_refused_everywhere(n):
+    # a float or a bool used to pass KernelSpec; the float then failed at filter
+    # time in build_rings, and True built one ring
+    with pytest.raises(ValueError, match=r"support size n must be an integer in 1\.\.5"):
+        KernelSpec(v=VFamily.Frac, t=1.0, n=n)
+    with pytest.raises(ValueError, match=r"support size n must be an integer in 1\.\.5"):
+        build_rings(n, WFamily.power())
+
+
 def test_kernel_spec_rejects_scales_float32_cannot_hold():
     t_max = float(np.finfo(np.float32).max)
     assert KernelSpec(v=VFamily.Frac, t=t_max).t == t_max
