@@ -89,12 +89,10 @@ def _v_in_place(u: np.ndarray, v: VFamily) -> np.ndarray:
         np.multiply(u, u, out=u)
         if v is VFamily.Quad:
             np.multiply(u, u, out=u)
-    elif v is VFamily.Exp:
+    else:  # Exp; KernelSpec admits only a VFamily
         np.multiply(u, u, out=u)
         np.negative(u, out=u)
         return np.exp(u, out=u)
-    else:
-        raise ValueError(f"unknown V family {v!r}")
     np.add(_ONE, u, out=u)
     return np.divide(_ONE, u, out=u)
 

@@ -34,7 +34,6 @@ layout the ensemble kernel reads; the phantom's noise is a single column.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import _core_py
 from .errors import BracketError, ConvergenceError, NumericalError
-from .kernel import KernelSpec, WFamily, build_rings
+from .kernel import KernelSpec, WFamily, _integer, build_rings
 
 __all__ = [
     "NoiseDistribution",
@@ -102,7 +101,7 @@ class KCurve:
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2 ** 128:  # Philox's key range
+    if not 0 <= _integer(seed, "seed", None) < 2 ** 128:  # Philox's key range
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
 
 
@@ -142,25 +141,19 @@ def _batch_deviations(x: np.ndarray) -> np.ndarray:
 def _estimator(spec: KernelSpec, dist: NoiseDistribution, trials: int, seed: int):
     """``estimate(t) -> KEstimate``: K at t for the spec's V/W/n on one set of ``trials`` draws.
 
-    ``trials`` is checked here.  The first estimate, after the caller's own
-    checks, draws the set and the batch deviations of its raw centers, the
-    ratios' denominators; every later t reuses both (common random numbers).
-    A zero denominator raises ``NumericalError``.
+    Checks ``trials`` and ``seed``, then draws the set at once, with the batch
+    deviations of its raw centers, the ratios' denominators; every t reuses
+    both (common random numbers).  Callers check their other arguments
+    first.  A zero denominator raises ``NumericalError``.
     """
-    if not isinstance(trials, int) or trials < 100:
-        raise ValueError(f"trials must be an integer >= 100, got {trials!r}")
-
-    @functools.cache
-    def draw_set() -> tuple[np.ndarray, np.ndarray]:
-        vals = _draws(dist, seed, trials, 1 + build_rings(spec.n, spec.w).size)
-        raw_dev = _batch_deviations(vals[:, 0])
-        if not raw_dev.all():
-            raise NumericalError("degenerate trial batch: zero deviation in the raw draws")
-        return vals, raw_dev
+    trials = _integer(trials, "trials", 100)
+    vals = _draws(dist, seed, trials, 1 + build_rings(spec.n, spec.w).size)
+    raw_dev = _batch_deviations(vals[:, 0])
+    if not raw_dev.all():
+        raise NumericalError("degenerate trial batch: zero deviation in the raw draws")
 
     def estimate(t: float) -> KEstimate:
         probe = spec.with_t(t)
-        vals, raw_dev = draw_set()
         ratios = _batch_deviations(_core_py.ensemble_filter(vals, probe)) / raw_dev
         std_err = float(ratios.std(ddof=1) / math.sqrt(len(ratios)))
         return KEstimate(t=float(t), k_hat=float(ratios.mean()), std_err=std_err, trials=trials)
@@ -204,14 +197,14 @@ def compute_curve(
 
     The spec supplies V, W and n; its own t field is ignored.
     """
-    estimate = _estimator(spec, dist, trials, seed)
     grid = [float(t) for t in t_grid]
     if not grid:
         raise ValueError("t grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t grid must be strictly ascending")
-    for t in grid:  # every t is checked before the first estimate draws
+    for t in grid:
         spec.with_t(t)
+    estimate = _estimator(spec, dist, trials, seed)
     return KCurve(points=tuple(estimate(t) for t in grid))
 
 
@@ -276,7 +269,6 @@ def solve_threshold(
     ends (at most 19 for the default bracket and tol, against bisection's 18;
     9 to 12 on the acceptance thresholds).  It fails after ``_MAX_ITERATIONS`` probes.
     """
-    estimate = _estimator(spec, dist, trials, seed)
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not 0 <= t_lo < t_hi:
         raise ValueError(f"bracket must satisfy 0 <= lo < hi, got {bracket}")
@@ -284,7 +276,8 @@ def solve_threshold(
         raise ValueError(f"tol must satisfy 0 < tol < bracket width {t_hi - t_lo}, got {tol}")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
-    spec.with_t(t_hi)  # every probe lies in [t_lo, t_hi]: reject an unusable t_hi before drawing
+    spec.with_t(t_hi)  # every probe lies in [t_lo, t_hi]
+    estimate = _estimator(spec, dist, trials, seed)
     k_lo, k_hi = estimate(t_lo).k_hat, estimate(t_hi).k_hat
     if not (k_lo < target < k_hi):
         raise BracketError(

@@ -34,6 +34,7 @@ import numpy as np
 from ._core_py import _clamped_rows, _tile_rows
 from .errors import DegenerateFitError, NumericalError
 from .filter import _as_array
+from .kernel import _integer
 
 __all__ = [
     "PairScan",
@@ -62,9 +63,7 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
 
 
 def _window(half: int) -> int:
-    if not isinstance(half, int) or half < 1:
-        raise ValueError(f"window half-size must be a positive integer, got {half!r}")
-    return 2 * half + 1
+    return 2 * _integer(half, "window half-size", 1) + 1
 
 
 def _window_sums(f: np.ndarray, half: int, start: int = 0,
@@ -208,6 +207,7 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
     folds in one image row at a time whatever the strip height.  A window
     too large for exact sums over the pair's values raises ``ValueError``.
     """
+    _window(half)  # a bad half-size is refused before the pair is read
     h = _as_array(high)
     lo = _as_array(low)
     if h.shape != lo.shape:
@@ -426,6 +426,10 @@ def _refinement(coef: np.ndarray, r: np.ndarray, blocks) -> np.ndarray:
     return np.linalg.solve(rp, np.linalg.solve(rp.T, g.astype(np.float64)))
 
 
+def _degree(degree: int) -> int:
+    return _integer(degree, "degree", 0)
+
+
 def fit_polynomial(points, degree: int) -> PolyFit:
     """Fit y = c0 + c1*x + ... + cd*x^d by least squares.
 
@@ -441,9 +445,8 @@ def fit_polynomial(points, degree: int) -> PolyFit:
     degree yields the constant with R^2 = 1 (zero total and zero residual
     variation counts as a perfect fit).
     """
+    degree = _degree(degree)
     pts = _as_points(points)
-    if not isinstance(degree, int) or degree < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
     x, y = pts[:, 0], pts[:, 1]
     if pts.shape[0] <= degree:
         raise DegenerateFitError(

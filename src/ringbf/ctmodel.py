@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import NoiseDistribution, _check_seed, _draws
 from .errors import FormatError, OutOfDomainError
 from .filter import FilterConfig, Image
-from .kernel import KernelSpec, VFamily, WFamily
+from .kernel import KernelSpec, VFamily, WFamily, _integer
 
 __all__ = [
     "DoseNoiseModel",
@@ -155,7 +155,7 @@ def synth_phantom_values(
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     _check_seed(seed)  # also when sigma is 0 and nothing is drawn
-    shape = (size[0], size[1])
+    shape = (_integer(size[0], "size[0] (height)", 1), _integer(size[1], "size[1] (width)", 1))
     row = dens[_band_layout(*shape, dens.size)]
     if sigma == 0.0:
         return np.broadcast_to(row, shape).copy()

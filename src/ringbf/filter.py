@@ -23,7 +23,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from . import _core_py
-from .kernel import KernelSpec, RingNeighborhood, _index, build_rings
+from .kernel import KernelSpec, RingNeighborhood, _integer, build_rings
 
 __all__ = [
     "Image",
@@ -174,6 +174,10 @@ def filter_image_values(values, cfg: FilterConfig) -> np.ndarray:
                                   skip=cfg.border == "skip")
 
 
+def _passes(passes: int) -> int:
+    return _integer(passes, "iteration count", 0)
+
+
 def filter_image(img: Image, cfg: FilterConfig, passes: int = 1) -> Image:
     """Apply the filter ``passes`` times, quantizing once at the end.
 
@@ -182,9 +186,7 @@ def filter_image(img: Image, cfg: FilterConfig, passes: int = 1) -> Image:
     their input values bit-exactly: copied values are integers, and integers
     survive quantization unchanged.
     """
-    count = _index(passes)
-    if count is None or count < 0:
-        raise ValueError(f"iteration count must be a non-negative integer, got {passes!r}")
+    count = _passes(passes)
     if count == 0:
         return img
     values = img  # the first pass reads the int16 pixels, later ones the float64 output

@@ -55,6 +55,8 @@ from .analysis import (
     solve_threshold,
 )
 from .calibrate import (
+    _degree,
+    _window,
     fit_polynomial,
     format_calibration_report,
     format_points,
@@ -66,11 +68,12 @@ from .ctmodel import (
     DEFAULT_DOSE_MODEL,
     DEFAULT_THRESHOLD,
     load_dose_model,
+    noise_sigma,
     plan_filter,
     synth_phantom,
 )
 from .errors import FormatError, NumericalError, RangeError
-from .filter import BorderPolicy, FilterConfig, Image, filter_image
+from .filter import BorderPolicy, FilterConfig, Image, _passes, filter_image
 from .kernel import _SIGMA_D_MIN, MAX_SUPPORT_SIZE, KernelSpec, VFamily, WFamily
 
 __all__ = [
@@ -231,54 +234,43 @@ def _write_pgm(path: Path, img: Image) -> None:
     _write_files({path: header + np.ascontiguousarray(img.pixels, dtype=">u2").tobytes()})
 
 
+def _image_format(path) -> str:
+    """The image format of ``path`` by its extension, ``".raw"`` or ``".pgm"``; any other is refused."""
+    suffix = Path(path).suffix
+    if suffix.lower() not in (".raw", ".pgm"):
+        raise ValueError(f"unsupported image extension {suffix!r} (expected .raw or .pgm)")
+    return suffix.lower()
+
+
 def read_image(path) -> Image:
     """Read a ``.raw`` (+ ``.meta`` sidecar) or 16-bit ``.pgm`` image."""
-    p = Path(path)
-    suffix = p.suffix.lower()
-    if suffix == ".raw":
-        return _read_raw(p)
-    if suffix == ".pgm":
-        return _read_pgm(p)
-    raise ValueError(f"unsupported image extension {p.suffix!r} (expected .raw or .pgm)")
+    return (_read_raw if _image_format(path) == ".raw" else _read_pgm)(Path(path))
 
 
 def write_image(path, img: Image) -> None:
     """Write an image in the format implied by the extension (.raw or .pgm)."""
     if not isinstance(img, Image):
         raise ValueError(f"expected an Image, got {type(img).__name__}")
-    p = Path(path)
-    suffix = p.suffix.lower()
-    if suffix == ".raw":
-        _write_raw(p, img)
-    elif suffix == ".pgm":
-        _write_pgm(p, img)
-    else:
-        raise ValueError(f"unsupported image extension {p.suffix!r} (expected .raw or .pgm)")
+    (_write_raw if _image_format(path) == ".raw" else _write_pgm)(Path(path), img)
 
 
 # ---------------------------------------------------------------------------
 # CLI
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _parse_floats(text: str, what: str, form: str) -> tuple[float, ...]:
+    """The numbers of ``text`` in the colon-separated ``form``, such as ``'lo:hi'``."""
     parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{what} must be 'lo:hi', got {text!r}")
+    if len(parts) != form.count(":") + 1:
+        raise ValueError(f"{what} must be '{form}', got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return tuple(float(p) for p in parts)
     except ValueError:
-        raise ValueError(f"{what} must be numeric 'lo:hi', got {text!r}") from None
-    return lo, hi
+        raise ValueError(f"{what} must be numeric '{form}', got {text!r}") from None
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--t-grid must be 'lo:hi:step', got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"--t-grid must be numeric 'lo:hi:step', got {text!r}") from None
+    lo, hi, step = _parse_floats(text, "--t-grid", "lo:hi:step")
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ValueError(f"--t-grid lo, hi and step must be finite, got {text!r}")
     if step <= 0:
@@ -316,11 +308,11 @@ def _kernel_from_args(args, t: float) -> KernelSpec:
 
 def _cmd_filter(args) -> int:
     spec = _kernel_from_args(args, args.t)
-    gate = _parse_pair(args.gate, "--gate") if args.gate else None
+    gate = _parse_floats(args.gate, "--gate", "lo:hi") if args.gate else None
     cfg = FilterConfig(spec=spec, hu_gate=gate, border=args.border)
-    img = read_image(args.inp)
-    out = filter_image(img, cfg, args.iterate)
-    write_image(args.out, out)
+    passes = _passes(args.iterate)
+    _image_format(args.out)
+    write_image(args.out, filter_image(read_image(args.inp), cfg, passes))
     return 0
 
 
@@ -339,7 +331,7 @@ def _cmd_threshold(args) -> int:
         spec,
         NoiseDistribution.parse(args.dist),
         target=args.target,
-        bracket=_parse_pair(args.bracket, "--bracket"),
+        bracket=_parse_floats(args.bracket, "--bracket", "lo:hi"),
         tol=args.tol,
         trials=args.trials,
         seed=args.seed,
@@ -349,7 +341,15 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    if args.apply:
+        if not args.inp or not args.out:
+            raise ValueError("--apply requires both --in and --out")
+        _image_format(args.inp)
+        _image_format(args.out)
+    elif args.inp or args.out:
+        raise ValueError("--in/--out are only used with --apply")
     model = load_dose_model(args.model) if args.model else DEFAULT_DOSE_MODEL
+    noise_sigma(model, args.dose_fraction)  # refuses a dose outside the model before any solve
     if args.solve_t0:
         spec = KernelSpec(v=VFamily.parse(args.v), t=0.0, w=WFamily.power(), n=args.n)
         t0 = solve_threshold(spec, NoiseDistribution.Normal,
@@ -358,22 +358,20 @@ def _cmd_plan(args) -> int:
         t0 = args.t0
     plan = plan_filter(args.dose_fraction, model=model, v=VFamily.parse(args.v),
                        n=args.n, t0=t0)
+    if args.apply:
+        write_image(args.out, filter_image(read_image(args.inp), plan.config()))
     print(f"x={plan.x:.9g}")
     print(f"sigma={plan.sigma:.9g}")
     print(f"t0={plan.t0:.9g}")
     print(f"t={plan.t:.9g}")
-    if args.apply:
-        if not args.inp or not args.out:
-            raise ValueError("--apply requires both --in and --out")
-        img = read_image(args.inp)
-        out = filter_image(img, plan.config())
-        write_image(args.out, out)
-    elif args.inp or args.out:
-        raise ValueError("--in/--out are only used with --apply")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
+    _image_format(args.high)
+    _image_format(args.low)
+    _window(args.window)
+    _degree(args.degree)
     scan = scan_pair(read_image(args.high), read_image(args.low), args.window)
     fit = fit_polynomial(scan.points, args.degree)
     report = format_calibration_report(summarize_points(scan.points), fit, regress_noise(scan))
@@ -390,8 +388,9 @@ def _cmd_phantom(args) -> int:
     except ValueError:
         raise ValueError(f"--densities must be comma-separated numbers, got {args.densities!r}") from None
     width, height = _parse_size(args.size)
-    img = synth_phantom(densities, sigma=args.sigma, seed=args.seed, size=(height, width))
-    write_image(args.out, img)
+    _image_format(args.out)
+    write_image(args.out, synth_phantom(densities, sigma=args.sigma, seed=args.seed,
+                                        size=(height, width)))
     return 0
 
 

@@ -31,17 +31,24 @@ _T_MAX = float(np.finfo(np.float32).max)  # largest scale the float32 kernels ca
 _SIGMA_D_MIN = 1.0 / math.sqrt(-math.log(np.finfo(np.float64).tiny))
 
 
-def _index(value) -> int | None:
-    """``value`` as a Python ``int`` if it is an integer (``operator.index``), else None.
+def _integer(value, what: str, lo: int | None, hi: int | None = None) -> int:
+    """``value`` as a Python ``int`` if it is an integer in ``lo..hi``, else ``ValueError``.
 
-    A bool is not a count here: ``True`` would silently mean 1.
+    Any integer type is accepted (``operator.index``); a bool is not a count
+    (``True`` would silently mean 1), nor is a float or a string.  A bound of
+    ``None`` is open.  The message names the argument as ``what``.
     """
-    if isinstance(value, (bool, np.bool_)):
-        return None
     try:
-        return operator.index(value)
+        number = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
-        return None
+        number = None
+    if number is not None and (lo is None or lo <= number) and (hi is None or number <= hi):
+        return number
+    if hi is None:
+        rule = {None: "an integer", 0: "a non-negative integer"}.get(lo, f"an integer >= {lo}")
+    else:
+        rule = f"an integer in {lo}..{hi}"
+    raise ValueError(f"{what} must be {rule}, got {value!r}")
 
 
 class VFamily(enum.Enum):
@@ -133,11 +140,9 @@ class KernelSpec:
         # inf, and inf * 0 turns the weight of an equal neighbour into NaN.
         if not 0 <= self.t <= _T_MAX:
             raise ValueError(f"scale t must be finite, >= 0 and <= {_T_MAX:.6g}, got {self.t}")
-        n = _index(self.n)
-        if n is None or not 1 <= n <= MAX_SUPPORT_SIZE:
-            raise ValueError(
-                f"support size n must be an integer in 1..{MAX_SUPPORT_SIZE}, got {self.n!r}")
-        object.__setattr__(self, "n", n)
+        if not (isinstance(self.v, VFamily) and isinstance(self.w, WFamily)):
+            raise ValueError(f"v must be a VFamily and w a WFamily, got v={self.v!r}, w={self.w!r}")
+        object.__setattr__(self, "n", _integer(self.n, "support size n", 1, MAX_SUPPORT_SIZE))
 
     def with_t(self, t: float) -> "KernelSpec":
         return KernelSpec(self.v, t, self.w, self.n)
@@ -200,9 +205,7 @@ def build_rings(n: int, w: WFamily) -> RingNeighborhood:
       4: the 8 offsets with dx^2+dy^2 = 5   r = sqrt(5)
       5: (+-2, +-2), (+-3, 0), (0, +-3)    r = 2*sqrt(2) (merged shells)
     """
-    count = _index(n)
-    if count is None or not 1 <= count <= MAX_SUPPORT_SIZE:
-        raise ValueError(f"support size n must be an integer in 1..{MAX_SUPPORT_SIZE}, got {n!r}")
+    count = _integer(n, "support size n", 1, MAX_SUPPORT_SIZE)
     rings = tuple(
         Ring(offsets=offsets, weight=_eval_w(w, radius))
         for radius, offsets in zip(_RING_RADII[:count], _RING_OFFSETS)

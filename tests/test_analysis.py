@@ -263,9 +263,8 @@ def test_degenerate_batch_raises(monkeypatch):
     # no unit-deviation draw set has a zero denominator; construct one: 1000
     # trials of zeros, whose two batch deviations of the raw centers are zero
     monkeypatch.setattr(analysis, "_draws", lambda dist, seed, rows, width: np.zeros((rows, width)))
-    estimate = analysis._estimator(_spec(), NORMAL, 1000, 0)
     with pytest.raises(NumericalError, match="degenerate trial batch"):
-        estimate(0.0)
+        estimate_K(_spec(), 0.0, NORMAL, trials=1000, seed=0)
 
 
 # --- curves ----------------------------------------------------------------

@@ -442,6 +442,18 @@ def test_cli_calibrate_end_to_end(tmp_path):
     assert not (tmp_path / "points.txt").exists()
 
 
+def test_cli_calibrate_degree_zero_reports_r_squared_zero(tmp_path):
+    # a degree-0 trend is the mean: SS_res = SS_tot, so R^2 is 0, not a rounding error above it
+    for name, sigma, seed in (("low.raw", "40", "1"), ("high.raw", "10", "2")):
+        assert cli_dispatch(["phantom", "--densities", "0,400", "--sigma", sigma, "--size", "64x64",
+                             "--seed", seed, "--out", str(tmp_path / name)]) == 0
+    report = tmp_path / "report0.txt"
+    assert cli_dispatch(["calibrate", "--high", str(tmp_path / "high.raw"), "--low",
+                         str(tmp_path / "low.raw"), "--degree", "0", "--out", str(report)]) == 0
+    lines = report.read_text().splitlines()
+    assert lines[lines.index("degree,c0,r_squared") + 1].split(",")[-1] == "0"
+
+
 def test_cli_calibrate_points_file_is_the_full_point_list(tmp_path):
     high, low = _phantom_pair(tmp_path)
     report, points = tmp_path / "report.txt", tmp_path / "points.txt"

@@ -261,6 +261,14 @@ def test_a_support_size_that_is_not_an_integer_is_refused_everywhere(n):
         build_rings(n, WFamily.power())
 
 
+@pytest.mark.parametrize("v, w", [("frac", WFamily.power()), (VFamily.Frac, None),
+                                  (VFamily.Frac, "power")], ids=["v-str", "w-None", "w-str"])
+def test_a_kernel_spec_refuses_families_of_the_wrong_type(v, w):
+    # both used to be accepted and failed only at filter time, inside the kernel
+    with pytest.raises(ValueError, match="v must be a VFamily and w a WFamily"):
+        KernelSpec(v=v, t=1.0, w=w)
+
+
 def test_kernel_spec_rejects_scales_float32_cannot_hold():
     t_max = float(np.finfo(np.float32).max)
     assert KernelSpec(v=VFamily.Frac, t=t_max).t == t_max
