@@ -202,7 +202,7 @@ def compute_curve(
         raise ValueError("t grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("t grid must be strictly ascending")
-    for t in grid:
+    for t in grid:  # an unusable t is refused before the draws
         spec.with_t(t)
     estimate = _estimator(spec, dist, trials, seed)
     return KCurve(points=tuple(estimate(t) for t in grid))
