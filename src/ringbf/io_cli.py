@@ -368,7 +368,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _image_format(args.high)
+    _image_format(args.high)  # every option is checked before either image is read
     _image_format(args.low)
     _window(args.window)
     _degree(args.degree)
