@@ -10,13 +10,13 @@ of buffers through ``out=`` ufuncs:
 - ``filter_values`` walks the image in row strips of ``_tile_rows(width)``
   rows.  A strip's frame is its edge-clamped rows (``_clamped_rows``), padded
   by the support margin ``m`` on both sides and raveled: its row pitch is
-  ``p = width + 2m``, offset ``(dx, dy)`` is shift ``dy*p + dx``, and the
-  tile's output is read back as the first ``width`` values of each of its
-  ``p``-long rows (the rest are the pad columns, computed and dropped).
-  Int16 pixels are held as float32, which is exact, so a strip takes half
-  the memory traffic of a float64 one.  The strips run on one thread per
-  available core (capped at the strip count); numpy releases the GIL inside
-  each ufunc, and every strip writes its own rows.
+  ``p = width + 2m`` and offset ``(dx, dy)`` is shift ``dy*p + dx``.  The
+  output has pitch ``p`` too, so each tile writes its centers in place, as
+  one flat run of the output, and nothing is read back; the caller gets a
+  ``[:, :width]`` view.  Int16 pixels are held as float32, which is exact, so
+  a strip takes half the memory traffic of a float64 one.  The strips run on
+  a pool of one thread per available core (capped at the strip count); numpy
+  releases the GIL inside each ufunc, and every strip writes its own rows.
 - ``ensemble_filter`` reads the ``(trials, 1 + support size)`` array in
   Fortran order, as the Monte-Carlo draws are laid out, so the raveled draws
   are a frame in which column ``j`` is shift ``j * trials``.  It walks the
@@ -185,7 +185,7 @@ def filter_values(
     ``skip`` copies the input over the support's margin, where the clamped
     (edge-replicated) support would leave the image.  Each strip is one flat
     frame of its ``_clamped_rows`` block, float32 for int16 pixels.
-    Returns the pre-rounding float64 output image.
+    Returns the pre-rounding float64 output image, a ``[:, :w]`` view of rows ``w + 2m`` apart.
     """
     h, w = f.shape
     rings = build_rings(spec.n, spec.w)
@@ -194,32 +194,28 @@ def filter_values(
     shifts = [dy * pitch + dx for dx, dy in rings.all_offsets()]
     start = margin * pitch + margin  # the strip's first center in its frame
     dtype = np.float32 if f.dtype == np.int16 else np.float64
-    out = np.empty((h, w), dtype=np.float64)
+    flat = np.empty(h * pitch, dtype=np.float64)  # the output, at the frames' pitch
+    out = flat.reshape(h, pitch)[:, :w]
     rows = min(_tile_rows(w), h)
     strips = [(y, min(y + rows, h)) for y in range(0, h, rows)]
 
     def run(part):
         buffers = _buffers(rows * pitch, max(map(abs, shifts)))
-        res = np.empty(rows * pitch)
         for y0, y1 in part:
             frame = _clamped_rows(f, y0, y1, margin, margin, dtype).ravel()
             length = (y1 - y0) * pitch - 2 * margin  # through the last center of the strip
-            _filter_tile(frame, start, length, shifts, res[:length], buffers, spec, rings)
-            out[y0:y1] = res[: (y1 - y0) * pitch].reshape(y1 - y0, pitch)[:, :w]
+            _filter_tile(frame, start, length, shifts, flat[y0 * pitch :][:length], buffers, spec, rings)
             if gate is not None:
                 center = f[y0:y1].astype(np.float64, copy=False)
                 np.copyto(out[y0:y1], center, where=~((center >= gate[0]) & (center <= gate[1])))
 
     workers = min(_WORKERS, len(strips))
-    if workers == 1:
-        run(strips)
-    else:
-        # each worker runs in a copy of the caller's context, so np.errstate holds there too
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, run, strips[k::workers])
-                       for k in range(workers)]
-            for future in futures:
-                future.result()
+    # each worker runs in a copy of the caller's context, so np.errstate holds there too
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, strips[k::workers])
+                   for k in range(workers)]
+        for future in futures:
+            future.result()
 
     if skip:
         out[:margin, :] = f[:margin, :]

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _core_py
 from .errors import BracketError, ConvergenceError, NumericalError
-from .kernel import KernelSpec, WFamily, _integer, build_rings
+from .kernel import KernelSpec, WFamily, _integer, _parse_enum, build_rings
 
 __all__ = [
     "NoiseDistribution",
@@ -73,13 +73,7 @@ class NoiseDistribution(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "NoiseDistribution":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(
-                f"unknown distribution {name!r} (expected one of: {valid})"
-            ) from None
+        return _parse_enum(cls, name, "distribution")
 
 
 @dataclass(frozen=True)

@@ -607,7 +607,7 @@ def regress_noise(scan: PairScan) -> RegressionReport:
                 coefficient=float(b),
                 std_error=float(s),
                 t_stat=t_stat,
-                p_value=_t_p_value(t_stat, dof) if s > 0 or b != 0 else 1.0,
+                p_value=_t_p_value(t_stat, dof),
             )
         )
     return RegressionReport(

@@ -145,7 +145,8 @@ def synth_phantom_values(
     Density ``i`` fills the ``i``-th of equal vertical bands, left to right;
     deterministic per seed.  The density row is broadcast down the columns and
     the draws are scaled and shifted in place, so the output is the only
-    full-size array.
+    full-size array.  A ``sigma`` or density whose noisy values overflow
+    float64 raises ``ValueError``.
     """
     dens = np.asarray(list(densities), dtype=np.float64)
     if dens.size == 0:
@@ -160,8 +161,13 @@ def synth_phantom_values(
     if sigma == 0.0:
         return np.broadcast_to(row, shape).copy()
     out = _draws(NoiseDistribution.Normal, seed, shape[0] * shape[1], 1).reshape(shape)
-    out *= sigma
-    out += row
+    try:
+        with np.errstate(over="raise"):
+            out *= sigma
+            out += row
+    except FloatingPointError:
+        raise ValueError(f"sigma {sigma} with densities {dens.tolist()} gives noisy values "
+                         "beyond float64") from None
     return out
 
 

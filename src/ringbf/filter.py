@@ -168,7 +168,8 @@ def filter_image_values(values, cfg: FilterConfig) -> np.ndarray:
     In-gate centers (original value within ``hu_gate``) are replaced by the
     ring-filtered value; out-of-gate centers are copied through unchanged.
     Borders follow the config policy (clamp replicates edges, skip copies the
-    input margin).
+    input margin).  The result is a ``[:, :w]`` view whose rows are
+    ``w + 2m`` values apart, ``m`` the support's margin.
     """
     return _core_py.filter_values(_as_array(values), cfg.spec, gate=cfg.hu_gate,
                                   skip=cfg.border == "skip")

@@ -242,6 +242,25 @@ def _image_format(path) -> str:
     return suffix.lower()
 
 
+def _output_path(text: str, image: bool = False) -> Path:
+    """``text`` as the path of an output file, checked before any work.
+
+    An empty file name, a missing directory and a path that names a
+    directory are refused with ``ValueError``, and an image path must also
+    have an image extension (``_image_format``).
+    """
+    path = Path(text)
+    if not path.name:
+        raise ValueError(f"output path {text!r} names no file")
+    if path.is_dir():
+        raise ValueError(f"output path {text!r} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"output directory {str(path.parent)!r} does not exist")
+    if image:
+        _image_format(path)
+    return path
+
+
 def read_image(path) -> Image:
     """Read a ``.raw`` (+ ``.meta`` sidecar) or 16-bit ``.pgm`` image."""
     return (_read_raw if _image_format(path) == ".raw" else _read_pgm)(Path(path))
@@ -311,17 +330,18 @@ def _cmd_filter(args) -> int:
     gate = _parse_floats(args.gate, "--gate", "lo:hi") if args.gate else None
     cfg = FilterConfig(spec=spec, hu_gate=gate, border=args.border)
     passes = _passes(args.iterate)
-    _image_format(args.out)
-    write_image(args.out, filter_image(read_image(args.inp), cfg, passes))
+    out = _output_path(args.out, image=True)
+    write_image(out, filter_image(read_image(args.inp), cfg, passes))
     return 0
 
 
 def _cmd_curve(args) -> int:
     spec = _kernel_from_args(args, 0.0)
     grid = _parse_grid(args.t_grid)
+    out = _output_path(args.out)
     curve = compute_curve(spec, grid, NoiseDistribution.parse(args.dist),
                           trials=args.trials, seed=args.seed)
-    _write_files({Path(args.out): curve_to_csv(curve).encode("ascii")})
+    _write_files({out: curve_to_csv(curve).encode("ascii")})
     return 0
 
 
@@ -345,7 +365,7 @@ def _cmd_plan(args) -> int:
         if not args.inp or not args.out:
             raise ValueError("--apply requires both --in and --out")
         _image_format(args.inp)
-        _image_format(args.out)
+        _output_path(args.out, image=True)
     elif args.inp or args.out:
         raise ValueError("--in/--out are only used with --apply")
     model = load_dose_model(args.model) if args.model else DEFAULT_DOSE_MODEL
@@ -372,12 +392,14 @@ def _cmd_calibrate(args) -> int:
     _image_format(args.low)
     _window(args.window)
     _degree(args.degree)
+    out = _output_path(args.out)
+    points = _output_path(args.points) if args.points is not None else None
     scan = scan_pair(read_image(args.high), read_image(args.low), args.window)
     fit = fit_polynomial(scan.points, args.degree)
     report = format_calibration_report(summarize_points(scan.points), fit, regress_noise(scan))
-    files = {Path(args.out): report.encode("ascii")}
-    if args.points:
-        files[Path(args.points)] = format_points(scan.points)
+    files = {out: report.encode("ascii")}
+    if points:
+        files[points] = format_points(scan.points)
     _write_files(files)
     return 0
 
@@ -388,9 +410,9 @@ def _cmd_phantom(args) -> int:
     except ValueError:
         raise ValueError(f"--densities must be comma-separated numbers, got {args.densities!r}") from None
     width, height = _parse_size(args.size)
-    _image_format(args.out)
-    write_image(args.out, synth_phantom(densities, sigma=args.sigma, seed=args.seed,
-                                        size=(height, width)))
+    out = _output_path(args.out, image=True)
+    write_image(out, synth_phantom(densities, sigma=args.sigma, seed=args.seed,
+                                   size=(height, width)))
     return 0
 
 
@@ -491,24 +513,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Options whose values may legitimately begin with '-' (negative bounds or
-# densities); argparse would otherwise read the value as an option name.
+# Options whose values may legitimately begin with '-' (negative or infinite
+# bounds, negative densities); argparse would otherwise read such a value as an
+# option name.
 _DASH_VALUE_OPTS = {"--gate", "--bracket", "--densities"}
 
 
 def _merge_dash_values(argv: list) -> list:
-    merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in _DASH_VALUE_OPTS and nxt is not None and nxt.startswith("-")
-                and any(ch.isdigit() for ch in nxt)):
-            merged.append(f"{tok}={nxt}")
-            i += 2
-        else:
-            merged.append(tok)
-            i += 1
+    """``argv`` with each of ``_DASH_VALUE_OPTS`` joined to the token after it as ``--opt=value``."""
+    merged, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _DASH_VALUE_OPTS else None
+        merged.append(tok if value is None else f"{tok}={value}")
     return merged
 
 

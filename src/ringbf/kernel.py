@@ -51,6 +51,15 @@ def _integer(value, what: str, lo: int | None, hi: int | None = None) -> int:
     raise ValueError(f"{what} must be {rule}, got {value!r}")
 
 
+def _parse_enum(cls, name: str, noun: str):
+    """The member of enum ``cls`` whose value is ``name``, case and spaces aside."""
+    try:
+        return cls(name.strip().lower())
+    except ValueError:
+        valid = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown {noun} {name!r} (expected one of: {valid})") from None
+
+
 class VFamily(enum.Enum):
     """Photometric similarity families.
 
@@ -73,11 +82,7 @@ class VFamily(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "VFamily":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown V family {name!r} (expected one of: {valid})") from None
+        return _parse_enum(cls, name, "V family")
 
 
 @dataclass(frozen=True)

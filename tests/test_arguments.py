@@ -84,6 +84,8 @@ def _forbid(monkeypatch, *names):
 
 
 _PLAN = ["plan", "--dose-fraction", "0.5", "--solve-t0", "--model", "missing.txt"]
+_CURVE = ["curve", "--v", "frac", "--n", "1", "--dist", "normal", "--t-grid", "0:1:1"]
+_CALIBRATE = ["calibrate", "--high", "in.raw", "--low", "in.raw"]
 
 
 @pytest.mark.parametrize("argv, forbidden, message", [
@@ -107,9 +109,27 @@ _PLAN = ["plan", "--dose-fraction", "0.5", "--solve-t0", "--model", "missing.txt
      ["read_image"], "window half-size"),
     (["calibrate", "--high", "in.raw", "--low", "in.raw", "--degree", "-1", "--out", "r.txt"],
      ["read_image", "scan_pair"], "degree must be a non-negative integer"),
+    (_CURVE + ["--out", ""], ["compute_curve"], "output path '' names no file"),
+    (_CURVE + ["--out", "missing/k.csv"], ["compute_curve"],
+     "output directory 'missing' does not exist"),
+    (_CURVE + ["--out", ".."], ["compute_curve"], "output path '..' is a directory"),
+    (_CALIBRATE + ["--out", ""], ["read_image", "scan_pair"], "output path '' names no file"),
+    (_CALIBRATE + ["--out", "r.txt", "--points", ""], ["read_image", "scan_pair"],
+     "output path '' names no file"),
+    (_CALIBRATE + ["--out", "r.txt", "--points", "missing/p.csv"], ["read_image", "scan_pair"],
+     "output directory 'missing' does not exist"),
+    (["filter", "--in", "in.raw", "--out", "missing/o.raw", "--v", "frac", "--t", "1", "--n", "3"],
+     ["read_image"], "output directory 'missing' does not exist"),
+    (_PLAN + ["--apply", "--in", "in.raw", "--out", ".."], ["load_dose_model", "solve_threshold"],
+     "output path '..' is a directory"),
+    (["phantom", "--densities", "0,100", "--size", "8x8", "--out", "."], ["synth_phantom"],
+     "output path '.' names no file"),
 ], ids=["plan-apply-alone", "plan-apply-without-out", "plan-in-alone", "plan-out-alone",
         "plan-apply-bmp", "plan-dose-outside-model", "filter-bmp", "filter-iterate",
-        "phantom-bmp", "calibrate-bmp", "calibrate-window", "calibrate-degree"])
+        "phantom-bmp", "calibrate-bmp", "calibrate-window", "calibrate-degree",
+        "curve-empty-out", "curve-missing-directory", "curve-out-directory",
+        "calibrate-empty-out", "calibrate-empty-points", "calibrate-points-missing-directory",
+        "filter-missing-directory", "plan-apply-out-directory", "phantom-empty-out"])
 def test_cli_refuses_misused_options_before_any_work(tmp_path, monkeypatch, capsys, argv,
                                                       forbidden, message):
     monkeypatch.chdir(tmp_path)
@@ -146,7 +166,7 @@ _IMAGE_OUT = _values(["o.raw", "o.pgm"], ["o.bmp"])
 _COMMANDS = {
     "filter": ([("--in", _values(["in.raw"], ["in.pgm"])), ("--out", _IMAGE_OUT),
                 ("--t", _values(["0.05", "1", "3e38"], ["1e39"])), *_V_N],
-               [_W, ("--gate", _values(["-100:300", "-inf:200"], ["0:nan", "1:0"])),
+               [_W, ("--gate", _values(["-100:300", "-inf:200", "-inf:inf"], ["0:nan", "1:0"])),
                 ("--iterate", _values(["1", "3"])), ("--border", _values(["clamp", "skip"]))]),
     "curve": ([*_V_N, _DIST, _TRIALS, ("--out", _values(["k.csv"])),
                ("--t-grid", _values(["0:2:0.5", "0:3e38:1e38"], ["0:1e39:5e38", "1:0:1"]))],
@@ -166,7 +186,7 @@ _COMMANDS = {
     "phantom": ([("--densities", _values(["0,400", "-50,50"], ["0,1e10"])),
                  ("--size", _values(["8x8", "64x64"], ["0x8", "8"])),
                  ("--out", _values(["p.raw", "p.pgm"], ["p.bmp"]))],
-                [("--sigma", _values(["10"])), _SEED]),
+                [("--sigma", _values(["10"], ["1e308"])), _SEED]),
 }
 
 

@@ -217,6 +217,10 @@ def test_phantom_custom_layout_and_validation():
         synth_phantom_values([], size=(8, 4))
     with pytest.raises(ValueError):
         synth_phantom_values([1], sigma=-1.0, size=(8, 4))
+    # noisy values past float64, from the scaled draws or from their sum with the densities
+    for densities, sigma in (([0.0], 1e308), ([1.7e308, 0.0], 1e307)):
+        with pytest.raises(ValueError, match="beyond float64"):
+            synth_phantom_values(densities, sigma=sigma, seed=1, size=(64, 4))
 
 
 # --- model config files -----------------------------------------------------

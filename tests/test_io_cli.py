@@ -2,6 +2,8 @@
 import errno
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,8 @@ from ringbf import _core_py
 from ringbf.calibrate import format_points, scan_pair, summarize_points
 from ringbf.errors import FormatError, RangeError
 from ringbf.filter import Image
-from ringbf.io_cli import _write_files, cli_dispatch, read_image, write_image
+from ringbf.io_cli import (_build_parser, _merge_dash_values, _write_files, cli_dispatch,
+                           read_image, write_image)
 
 
 def _img(rows):
@@ -307,6 +310,45 @@ def test_cli_filter_accepts_negative_gate_and_pgm_output(tmp_path):
     )
     assert rc == 0
     assert read_image(out).pixels.shape == (2, 2)
+
+
+def test_cli_dash_options_take_an_infinite_value(tmp_path, capsys):
+    # '-inf' holds no digit, yet --gate and --densities take it as their value
+    inp, out = tmp_path / "a.raw", tmp_path / "b.raw"
+    write_image(inp, _img([[50, 60, 900], [70, -80, 5]]))
+    filter_argv = ["filter", "--in", str(inp), "--out", str(out), "--v", "frac", "--t", "0.02",
+                   "--n", "1"]
+    assert cli_dispatch(filter_argv) == 0
+    ungated = out.read_bytes()
+    assert cli_dispatch(filter_argv + ["--gate", "-inf:inf"]) == 0
+    assert out.read_bytes() == ungated
+    phantom = tmp_path / "p.raw"
+    assert cli_dispatch(["phantom", "--densities", "-inf", "--size", "8x8",
+                         "--out", str(phantom)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: densities must be finite, got [-inf]\n"
+    assert not phantom.exists()
+
+
+def _readme_commands():
+    """Each ``ringbf`` command of the README's ``sh`` blocks, its continued lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("ringbf ")]
+
+
+_README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS,
+                         ids=[f"{k}-{argv[1]}" for k, argv in enumerate(_README_COMMANDS)])
+def test_readme_commands_parse(argv):
+    try:
+        args = _build_parser().parse_args(_merge_dash_values(argv[1:]))
+    except SystemExit:
+        pytest.fail(f"the parser refuses the README's {' '.join(argv)!r}")
+    assert args.command == argv[1]
 
 
 def test_cli_filter_runs_are_reproducible(tmp_path):
@@ -720,16 +762,20 @@ def test_write_image_refuses_a_non_image(tmp_path):
     assert not (tmp_path / "img.raw").exists()
 
 
-@pytest.mark.parametrize("option", [["--densities", "nan,0"], ["--densities", "0,inf"],
-                                    ["--densities", "0", "--sigma", "inf"],
-                                    ["--densities", "0", "--sigma", "nan"]],
-                         ids=["densities-nan", "densities-inf", "sigma-inf", "sigma-nan"])
-def test_cli_phantom_non_finite_input_exits_one(tmp_path, capsys, option):
+@pytest.mark.parametrize("option, message", [
+    (["--densities", "nan,0"], "must be finite"), (["--densities", "0,inf"], "must be finite"),
+    (["--densities", "0", "--sigma", "inf"], "must be finite"),
+    (["--densities", "0", "--sigma", "nan"], "must be finite"),
+    (["--densities", "0", "--sigma", "1e308"], "gives noisy values beyond float64"),
+], ids=["densities-nan", "densities-inf", "sigma-inf", "sigma-nan", "sigma-overflow"])
+def test_cli_phantom_non_finite_input_exits_one(tmp_path, capsys, option, message):
     out = tmp_path / "p.raw"
     rc = cli_dispatch(["phantom", *option, "--size", "8x8", "--out", str(out)])
     assert rc == 1
-    assert "must be finite" in capsys.readouterr().err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("densities, name", [("0,1e10", "p.raw"), ("0,40000", "p.pgm"),
