@@ -246,18 +246,19 @@ def _output_path(text: str, image: bool = False) -> Path:
     """``text`` as the path of an output file, checked before any work.
 
     An empty file name, a missing directory and a path that names a
-    directory are refused with ``ValueError``, and an image path must also
-    have an image extension (``_image_format``).
+    directory are refused with ``ValueError``.  An image path must also have
+    an image extension (``_image_format``), and a ``.raw`` image's sidecar
+    path must not name a directory either.
     """
     path = Path(text)
     if not path.name:
         raise ValueError(f"output path {text!r} names no file")
-    if path.is_dir():
-        raise ValueError(f"output path {text!r} is a directory")
     if not path.parent.is_dir():
         raise ValueError(f"output directory {str(path.parent)!r} does not exist")
-    if image:
-        _image_format(path)
+    sidecar = image and _image_format(path) == ".raw"
+    for target in (path, _meta_path(path)) if sidecar else (path,):
+        if target.is_dir():
+            raise ValueError(f"output path {str(target)!r} is a directory")
     return path
 
 

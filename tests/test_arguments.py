@@ -120,8 +120,8 @@ _CALIBRATE = ["calibrate", "--high", "in.raw", "--low", "in.raw"]
      "output directory 'missing' does not exist"),
     (["filter", "--in", "in.raw", "--out", "missing/o.raw", "--v", "frac", "--t", "1", "--n", "3"],
      ["read_image"], "output directory 'missing' does not exist"),
-    (_PLAN + ["--apply", "--in", "in.raw", "--out", ".."], ["load_dose_model", "solve_threshold"],
-     "output path '..' is a directory"),
+    (_PLAN + ["--apply", "--in", "in.raw", "--out", "missing/o.raw"],
+     ["load_dose_model", "solve_threshold"], "output directory 'missing' does not exist"),
     (["phantom", "--densities", "0,100", "--size", "8x8", "--out", "."], ["synth_phantom"],
      "output path '.' names no file"),
 ], ids=["plan-apply-alone", "plan-apply-without-out", "plan-in-alone", "plan-out-alone",
@@ -129,7 +129,7 @@ _CALIBRATE = ["calibrate", "--high", "in.raw", "--low", "in.raw"]
         "phantom-bmp", "calibrate-bmp", "calibrate-window", "calibrate-degree",
         "curve-empty-out", "curve-missing-directory", "curve-out-directory",
         "calibrate-empty-out", "calibrate-empty-points", "calibrate-points-missing-directory",
-        "filter-missing-directory", "plan-apply-out-directory", "phantom-empty-out"])
+        "filter-missing-directory", "plan-apply-missing-directory", "phantom-empty-out"])
 def test_cli_refuses_misused_options_before_any_work(tmp_path, monkeypatch, capsys, argv,
                                                       forbidden, message):
     monkeypatch.chdir(tmp_path)

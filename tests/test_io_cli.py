@@ -330,6 +330,15 @@ def test_cli_dash_options_take_an_infinite_value(tmp_path, capsys):
     assert not phantom.exists()
 
 
+def test_cli_refuses_a_raw_output_whose_sidecar_is_a_directory(tmp_path, capsys):
+    (tmp_path / "p.meta").mkdir()
+    out = tmp_path / "p.raw"
+    assert cli_dispatch(["phantom", "--densities", "0", "--size", "8x8", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output path {str(tmp_path / 'p.meta')!r} is a directory\n"
+    assert os.listdir(tmp_path) == ["p.meta"]  # not a .raw without its sidecar
+
 def _readme_commands():
     """Each ``ringbf`` command of the README's ``sh`` blocks, its continued lines joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
