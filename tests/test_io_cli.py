@@ -339,6 +339,7 @@ def test_cli_refuses_a_raw_output_whose_sidecar_is_a_directory(tmp_path, capsys)
     assert captured.err == f"error: output path {str(tmp_path / 'p.meta')!r} is a directory\n"
     assert os.listdir(tmp_path) == ["p.meta"]  # not a .raw without its sidecar
 
+
 def _readme_commands():
     """Each ``ringbf`` command of the README's ``sh`` blocks, its continued lines joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
