@@ -3,7 +3,7 @@
 K measures how much a filter built from a kernel spec shrinks local intensity
 fluctuations: model the fluctuation field around a pixel as independent draws
 of a zero-mean unit-deviation distribution Q scaled by t, filter the center
-pixel, and compare deviations across many independent trials:
+pixel, and compare deviations across many trials:
 
     K = std over trials of filtered center / std over trials of raw center.
 
@@ -15,21 +15,31 @@ realization.  The threshold K(t0) = target is solved by the ITP method
 (Oliveira and Takahashi, 2020), which keeps bisection's worst case within one
 probe and on these curves takes 9 to 12 probes where bisection took 18.
 
-Estimates aggregate over fixed batches of trials: k_hat is the mean of
-per-batch deviation ratios and std_err the standard error of that mean.  One
-estimator per draw set (``_estimator``) serves ``estimate_K``,
-``compute_curve`` and ``solve_threshold``: it draws the set and computes the
-batch deviations of its raw centers (which do not depend on t) once, then
-estimates K at every t asked of it.
+Estimates aggregate over batches of trials: k_hat is the mean of per-batch
+deviation ratios and std_err the standard error of that mean.  One estimator
+per draw set (``_estimator``) serves ``estimate_K``, ``compute_curve`` and
+``solve_threshold``: it draws the set and computes the batch deviations of
+its raw centers (which do not depend on t) once, then estimates K at every t
+asked of it.
 
-One draw routine (``_draws``) makes all randomness, reading one counter-based
-generator (Philox) keyed by the seed front to back, trial after trial.  A
-Normal draw takes a variable number of stream words (numpy's ziggurat
-sampler; Marsaglia and Tsang, 2000), so trial ``i`` holds no fixed run of
-stream positions; the values depend only on the seed and the shape drawn, not
-on the block size, so results are bit-reproducible per seed.  Trial rows are
-stored in Fortran order, one contiguous column per support position, the
-layout the ensemble kernel reads; the phantom's noise is a single column.
+Trial rows are randomized quasi-Monte Carlo (``_lattice_draws``): each batch
+is one rank-1 lattice of ``_LATTICE_POINTS`` (N = 2003) points with a
+Korobov generating vector, shifted modulo 1 by its own uniform vector from
+the seed's counter-based generator (Philox) -- the Cranley-Patterson
+rotation (SIAM J. Numer. Anal. 13, 1976) -- and mapped to Q column by column
+(Box-Muller for Normal).  The shifts are independent, so the batch ratios are
+i.i.d. and ``k_hat +- std_err`` keeps its meaning (L'Ecuyer and Lemieux,
+Management Science 46(9), 2000), while the lattice's even spread makes each
+batch far less variable than N i.i.d. trials: 25 batches match 200,000 i.i.d.
+trials.  ``trials`` is rounded to whole batches, at least two.  The rows have
+the same bits at every SIMD dispatch level: they are made by IEEE add,
+multiply, divide and square root, floor, frexp, numpy's float64 cos and sin
+(a test reruns their digests at each level), and a log built from the first
+three (``_log``).  Trial rows are stored in Fortran order, one contiguous
+column per support position, the layout the ensemble kernel reads.
+
+The phantom's noise (``_draws``) reads the seed's Philox stream front to back
+through numpy's ziggurat Normal sampler (Marsaglia and Tsang, 2000).
 """
 from __future__ import annotations
 
@@ -56,11 +66,20 @@ __all__ = [
     "curve_to_csv",
 ]
 
-DEFAULT_TRIALS_TABLE = 200_000
-DEFAULT_TRIALS_CURVE = 20_000
+# N, a prime, and the Korobov multiplier a of the rank-1 lattice that makes each
+# batch of trial rows.  a minimizes the P2 criterion with product weights 0.8**j
+# (j = 1..d) over a in 1..N//2 at d = 14, 22 and 30 (n = 3, 4 and 5 under Normal);
+# a test re-derives it at d = 30.
+_LATTICE_POINTS = 2003
+_LATTICE_MULTIPLIER = 287
 
-_BATCH_TRIALS = 2_000
+DEFAULT_TRIALS_TABLE = 25 * _LATTICE_POINTS  # 50,075
+DEFAULT_TRIALS_CURVE = 10 * _LATTICE_POINTS  # 20,030
+
 _SQRT3 = math.sqrt(3.0)
+_SQRT_HALF = math.sqrt(0.5)
+_LN2 = 0.6931471805599453
+_ATANH_TERMS = tuple(1.0 / (2 * k + 1) for k in range(11))  # atanh(s) / s = sum of s**2k / (2k + 1)
 _MAX_ITERATIONS = 80  # probes inside the bracket
 _ITP_K1, _ITP_K2, _ITP_N0 = 0.01, 2.0, 1
 
@@ -99,49 +118,110 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
 
 
-def _draws(dist: NoiseDistribution, seed: int, rows: int, width: int) -> np.ndarray:
-    """(rows, width) unit-scale draws of Q in Fortran order; row ``i`` is the ``i``-th run of
-    ``width`` values of the seed's stream.
-
-    The stream is read front to back into one C-ordered block of
-    ``_tile_rows(width)`` rows at a time, copied into the output, so the
-    values do not depend on the block size and the only temporaries are
-    block-sized.  Normal values come from numpy's ziggurat sampler over the
-    stream; Uniform values are one 53-bit word each.
-    """
+def _draws(seed: int, size: int) -> np.ndarray:
+    """``size`` standard Normal draws: the seed's Philox stream through numpy's ziggurat
+    sampler (the phantom's noise)."""
     _check_seed(seed)
-    bg = np.random.Philox(key=seed)
-    gen = np.random.Generator(bg)
-    out = np.empty((rows, width), order="F")
-    block = np.empty((min(rows, _core_py._tile_rows(width)), width))
-    for start in range(0, rows, len(block)):
-        part = block[: rows - start]
-        if dist is NoiseDistribution.Normal:
-            gen.standard_normal(out=part)
-        else:
-            u = ((bg.random_raw(part.shape) >> np.uint64(11)) + 0.5) * (2.0 ** -53)  # on (0, 1)
-            np.multiply(_SQRT3, 2.0 * u - 1.0, out=part)
-        out[start : start + len(part)] = part
+    return np.random.Generator(np.random.Philox(key=seed)).standard_normal(size)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """The natural log of positive normal float64 ``x``, by frexp, add, multiply and divide.
+
+    numpy's float64 ``log`` gives other bits at one SIMD dispatch level than
+    at another; these operations round the same at every level.  With
+    ``x = m * 2**e`` and ``m`` in ``[sqrt(1/2), sqrt(2))``, ``log(m)`` is
+    ``2 atanh(s)`` for ``s = (m - 1) / (m + 1)``, ``|s| < 0.172``, summed
+    by Horner's rule to the ``s**21`` term: the first term left out is below
+    2e-18 of the sum.
+    """
+    m, e = np.frexp(x)  # m in [1/2, 1)
+    low = m < _SQRT_HALF
+    m *= low + 1.0
+    e -= low
+    s = m - 1.0
+    m += 1.0
+    s /= m
+    z = np.square(s)
+    p = z * _ATANH_TERMS[-1]
+    for c in _ATANH_TERMS[-2:0:-1]:
+        p += c
+        p *= z
+    p += 1.0
+    p *= s
+    p *= 2.0
+    p += e * _LN2
+    return p
+
+
+def _lattice_draws(dist: NoiseDistribution, seed: int, trials: int, width: int) -> np.ndarray:
+    """(batches · N, width) unit-scale draws of Q in Fortran order, ``N = _LATTICE_POINTS``:
+    one randomly shifted rank-1 lattice per batch of N trial rows, ``trials / N``
+    rounded to the nearest whole number of batches, at least two.
+
+    The lattice's point ``i`` in dimension ``j`` is ``i g_j / N`` modulo 1,
+    with the Korobov vector ``g_j = a**j mod N`` (``a = _LATTICE_MULTIPLIER``);
+    batch ``b`` adds its own uniform shift vector modulo 1, the seed's Philox
+    words ``b d .. b d + d - 1`` (53 bits each), and takes ``u = 1 - frac``,
+    on (0, 1].  Uniform maps ``u`` to ``sqrt(3) (2u - 1)``, one dimension
+    per column (``d = width``); Normal maps dimensions ``2k`` and ``2k + 1``
+    to columns ``2k`` and ``2k + 1`` by Box-Muller, ``d`` being ``width``
+    rounded up to even.  Each column is written straight into the output;
+    the temporaries are a few columns.
+    """
+    n = _LATTICE_POINTS
+    batches = max(2, round(_integer(trials, "trials", 100) / n))
+    _check_seed(seed)
+    normal = dist is NoiseDistribution.Normal
+    dims = width + (width % 2 if normal else 0)
+    shifts = (np.random.Philox(key=seed).random_raw((batches, dims)) >> np.uint64(11)) * 2.0 ** -53
+    points = np.arange(n)
+    out = np.empty((batches * n, width), order="F")
+
+    def column(j: int) -> np.ndarray:
+        u = out[:, j] if j < width else np.empty(batches * n)
+        grid = u.reshape(batches, n)
+        np.add(shifts[:, j, None], points * pow(_LATTICE_MULTIPLIER, j, n) % n / n, out=grid)
+        grid -= np.floor(grid)
+        np.subtract(1.0, grid, out=grid)
+        return u
+
+    if not normal:
+        for j in range(width):
+            u = column(j)
+            u *= 2.0
+            u -= 1.0
+            u *= _SQRT3
+        return out
+    for j in range(0, width, 2):
+        radius, angle = column(j), column(j + 1)
+        np.sqrt(_log(radius) * -2.0, out=radius)
+        angle *= 2.0 * math.pi
+        cos = np.cos(angle)
+        if j + 1 < width:
+            np.sin(angle, out=angle)
+            angle *= radius
+        radius *= cos
     return out
 
 
 def _batch_deviations(x: np.ndarray) -> np.ndarray:
-    """The sample deviation (ddof 1) of ``x`` over each of its trial batches: at least two
-    equal runs of about ``_BATCH_TRIALS`` trials."""
-    edges = np.linspace(0, x.size, max(2, round(x.size / _BATCH_TRIALS)) + 1).astype(int)
-    return np.array([x[a:b].std(ddof=1) for a, b in zip(edges[:-1], edges[1:])])
+    """The sample deviation (ddof 1) of ``x`` over each of its lattice batches of
+    ``_LATTICE_POINTS`` trials."""
+    return x.reshape(-1, _LATTICE_POINTS).std(axis=1, ddof=1)
 
 
 def _estimator(spec: KernelSpec, dist: NoiseDistribution, trials: int, seed: int):
-    """``estimate(t) -> KEstimate``: K at t for the spec's V/W/n on one set of ``trials`` draws.
+    """``estimate(t) -> KEstimate``: K at t for the spec's V/W/n on one set of draws, ``trials``
+    rounded to whole lattice batches (at least two).
 
     Checks ``trials`` and ``seed``, then draws the set at once, with the batch
     deviations of its raw centers, the ratios' denominators; every t reuses
     both (common random numbers).  Callers check their other arguments
     first.  A zero denominator raises ``NumericalError``.
     """
-    trials = _integer(trials, "trials", 100)
-    vals = _draws(dist, seed, trials, 1 + build_rings(spec.n, spec.w).size)
+    vals = _lattice_draws(dist, seed, trials, 1 + build_rings(spec.n, spec.w).size)
+    trials = len(vals)
     raw_dev = _batch_deviations(vals[:, 0])
     if not raw_dev.all():
         raise NumericalError("degenerate trial batch: zero deviation in the raw draws")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import NoiseDistribution, _check_seed, _draws
+from .analysis import _check_seed, _draws
 from .errors import FormatError, OutOfDomainError
 from .filter import FilterConfig, Image
 from .kernel import KernelSpec, VFamily, WFamily, _integer
@@ -160,7 +160,7 @@ def synth_phantom_values(
     row = dens[_band_layout(*shape, dens.size)]
     if sigma == 0.0:
         return np.broadcast_to(row, shape).copy()
-    out = _draws(NoiseDistribution.Normal, seed, shape[0] * shape[1], 1).reshape(shape)
+    out = _draws(seed, shape[0] * shape[1]).reshape(shape)
     try:
         with np.errstate(over="raise"):
             out *= sigma

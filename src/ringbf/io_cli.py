@@ -47,6 +47,7 @@ from typing import get_args
 import numpy as np
 
 from .analysis import (
+    _LATTICE_POINTS,
     DEFAULT_TRIALS_CURVE,
     DEFAULT_TRIALS_TABLE,
     NoiseDistribution,
@@ -99,8 +100,10 @@ def _meta_path(raw_path: Path) -> Path:
 def _write_files(contents: dict[Path, bytes | Iterable[bytes]]) -> None:
     """Write each path's bytes, or its byte blocks in turn, through a temporary file beside it.
 
-    All temporary files are written before any is renamed over its target,
-    so a failed write changes no target and leaves no temporary file behind.
+    All temporary files are written before any is renamed over its target, so
+    a failure while writing them changes no target; the renames then run one
+    after another, so one that fails after another has succeeded leaves that
+    target replaced.  No temporary file is left behind.
     """
     staged = {}
     try:
@@ -328,7 +331,7 @@ def _kernel_from_args(args, t: float) -> KernelSpec:
 
 def _cmd_filter(args) -> int:
     spec = _kernel_from_args(args, args.t)
-    gate = _parse_floats(args.gate, "--gate", "lo:hi") if args.gate else None
+    gate = _parse_floats(args.gate, "--gate", "lo:hi") if args.gate is not None else None
     cfg = FilterConfig(spec=spec, hu_gate=gate, border=args.border)
     passes = _passes(args.iterate)
     out = _output_path(args.out, image=True)
@@ -363,13 +366,13 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_plan(args) -> int:
     if args.apply:
-        if not args.inp or not args.out:
+        if args.inp is None or args.out is None:
             raise ValueError("--apply requires both --in and --out")
         _image_format(args.inp)
         _output_path(args.out, image=True)
-    elif args.inp or args.out:
+    elif args.inp is not None or args.out is not None:
         raise ValueError("--in/--out are only used with --apply")
-    model = load_dose_model(args.model) if args.model else DEFAULT_DOSE_MODEL
+    model = load_dose_model(args.model) if args.model is not None else DEFAULT_DOSE_MODEL
     noise_sigma(model, args.dose_fraction)  # refuses a dose outside the model before any solve
     if args.solve_t0:
         spec = KernelSpec(v=VFamily.parse(args.v), t=0.0, w=WFamily.power(), n=args.n)
@@ -417,6 +420,11 @@ def _cmd_phantom(args) -> int:
     return 0
 
 
+def _trials_help(what: str, default: int) -> str:
+    return (f"{what}, rounded to whole lattice batches of {_LATTICE_POINTS}, at least 2 "
+            f"(default {default}: {default // _LATTICE_POINTS} batches)")
+
+
 _V_CHOICES = [v.value for v in VFamily]
 _DIST_CHOICES = [d.value for d in NoiseDistribution]
 _N_CHOICES = range(1, MAX_SUPPORT_SIZE + 1)
@@ -457,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="noise distribution")
     p.add_argument("--t-grid", dest="t_grid", required=True, help="photometric scales 'lo:hi:step'")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_CURVE,
-                   help="Monte-Carlo trials per point")
+                   help=_trials_help("Monte-Carlo trials", DEFAULT_TRIALS_CURVE))
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_curve)
@@ -469,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, default=0.5, help="target reduction (default 0.5)")
     p.add_argument("--bracket", default="0.01:50.0", help="search bracket 'lo:hi'")
     p.add_argument("--tol", type=float, default=1e-3, help="bracket width tolerance")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_TABLE, help="Monte-Carlo trials")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_TABLE,
+                   help=_trials_help("Monte-Carlo trials", DEFAULT_TRIALS_TABLE))
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(handler=_cmd_threshold)
 
@@ -486,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solve-t0", dest="solve_t0", action="store_true",
                    help="re-derive t0 by Monte-Carlo instead of using --t0")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_TABLE,
-                   help="Monte-Carlo trials for --solve-t0")
+                   help=_trials_help("Monte-Carlo trials for --solve-t0", DEFAULT_TRIALS_TABLE))
     p.add_argument("--seed", type=int, default=0, help="random seed for --solve-t0")
     p.add_argument("--apply", action="store_true", help="also filter an image with the plan")
     p.add_argument("--in", dest="inp", default=None, help="input image for --apply")

@@ -15,7 +15,7 @@ from ringbf.analysis import (
     KEstimate,
     NoiseDistribution,
     _batch_deviations,
-    _draws,
+    _lattice_draws,
 )
 from ringbf.kernel import WFamily, build_rings
 
@@ -54,11 +54,11 @@ def estimate_linear_K(
     """
     rings = build_rings(n, w)
     w_off = rings.offset_weights()
-    vals = _draws(dist, seed, trials, 1 + rings.size)
+    vals = _lattice_draws(dist, seed, trials, 1 + rings.size)
     h = vals[:, 1:] @ w_off / w_off.sum()
     ratios = _batch_deviations(h) / _batch_deviations(vals[:, 0])
     std_err = float(ratios.std(ddof=1) / np.sqrt(ratios.size))
-    return KEstimate(t=0.0, k_hat=float(ratios.mean()), std_err=std_err, trials=trials)
+    return KEstimate(t=0.0, k_hat=float(ratios.mean()), std_err=std_err, trials=len(vals))
 
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:

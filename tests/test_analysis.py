@@ -43,101 +43,180 @@ def test_distribution_parse():
 
 
 def test_unit_draws_shape_and_determinism():
-    a = analysis._draws(NORMAL, 9, 49, 1)
-    b = analysis._draws(NORMAL, 9, 49, 1)
-    assert a.shape == (49, 1)
+    a = analysis._draws(9, 49)
+    b = analysis._draws(9, 49)
+    assert a.shape == (49,)
     assert np.array_equal(a, b)
-    c = analysis._draws(NORMAL, 10, 49, 1)
+    c = analysis._draws(10, 49)
     assert not np.array_equal(a, c)
-    assert analysis._draws(NORMAL, 9, 7, 7).shape == (7, 7)
+    assert analysis._lattice_draws(NORMAL, 9, 100, 7).shape == (2 * 2003, 7)
 
 
 def test_unit_draws_uniform_support_and_moments():
-    draws = analysis._draws(UNIFORM, 0, 81 * 81, 1)
+    draws = analysis._lattice_draws(UNIFORM, 0, 4006, 13)
     assert np.all(np.abs(draws) <= math.sqrt(3.0))
     assert abs(draws.mean()) < 0.03
     assert draws.std() == pytest.approx(1.0, abs=0.02)
 
 
 def test_unit_draws_normal_moments():
-    draws = analysis._draws(NORMAL, 0, 81 * 81, 1)
+    draws = analysis._draws(0, 81 * 81)
     assert abs(draws.mean()) < 0.03
     assert draws.std() == pytest.approx(1.0, abs=0.02)
 
 
 # sha256 of the first 64 Normal draws of seed 0, little-endian float64.  numpy
 # does not promise that Generator streams stay fixed across releases (NEP 19);
-# a release that changes them fails here, by name, before it moves any
-# threshold, curve or phantom.
+# a release that changes them fails here, by name, before it moves any phantom.
 NORMAL_SEED0_DIGEST = "4ab6795e6c089114c2bc5596c4cb82299db54790e4d6dd882f53e5d74201c2b5"
 
 
 def test_normal_draws_of_seed_0_are_pinned():
-    draws = analysis._draws(NORMAL, 0, 64, 1)
+    draws = analysis._draws(0, 64)
     assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == NORMAL_SEED0_DIGEST
 
 
 # --- estimator fundamentals ------------------------------------------------
 
 
-def test_stream_positions_are_independent_of_read_layout(monkeypatch):
-    # one block of 1 << 18 values reads each array whole; blocks of 1, 3, 5, 13
-    # and 29 values end mid counter block (4 words); rows of 29 values take a
-    # block of one row for every budget below 58
-    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 1 << 18)
-    wholes = {(dist, shape): analysis._draws(dist, 7, *shape)
-              for dist in (NORMAL, UNIFORM) for shape in ((200, 1), (37, 29))}
-    for chunk in (1, 3, 4, 5, 13, 29):
-        monkeypatch.setattr(_core_py, "_TILE_ELEMS", chunk)
-        for (dist, shape), whole in wholes.items():
-            assert np.array_equal(analysis._draws(dist, 7, *shape), whole)
+def test_stream_positions_are_independent_of_read_layout():
+    # the phantom's draws of a smaller image are the first draws of a larger one;
+    # lattice batch b reads only the stream words of its own shift, so two
+    # batches are the first two of five
+    assert np.array_equal(analysis._draws(7, 200)[:37], analysis._draws(7, 37))
+    for dist in (NORMAL, UNIFORM):
+        whole = analysis._lattice_draws(dist, 7, 5 * 2003, 29)
+        assert np.array_equal(analysis._lattice_draws(dist, 7, 2 * 2003, 29), whole[: 2 * 2003])
 
 
 def test_draws_hold_one_chunk_of_temporaries():
     # numpy reports its buffers to tracemalloc: beyond the output array, the
-    # reader may hold only chunk-sized temporaries; one column is the phantom's shape
+    # phantom's draws may hold only chunk-sized temporaries
     tracemalloc.start()
     try:
-        draws = analysis._draws(NORMAL, 3, 200_000 * 29, 1)
+        draws = analysis._draws(3, 200_000 * 29)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * draws.nbytes
 
 
+def _lattice_row(dist, seed, row, width):
+    """Trial row ``row`` of ``_lattice_draws``, one value at a time in Python floats."""
+    n, a = analysis._LATTICE_POINTS, analysis._LATTICE_MULTIPLIER
+    dims = width + width % 2 if dist is NORMAL else width
+    batch, i = divmod(row, n)
+    words = np.random.Philox(key=seed).random_raw((batch + 1, dims))[batch]
+    u = []
+    for j in range(dims):
+        x = (int(words[j]) >> 11) * 2.0 ** -53 + i * pow(a, j, n) % n / n
+        u.append(1.0 - (x - math.floor(x)))
+    if dist is UNIFORM:
+        return [(v * 2.0 - 1.0) * math.sqrt(3.0) for v in u]
+    values = []
+    for j in range(0, width, 2):
+        radius = math.sqrt(float(analysis._log(np.array([u[j]]))[0]) * -2.0)
+        angle = u[j + 1] * (2.0 * math.pi)
+        values += [radius * math.cos(angle), radius * math.sin(angle)]
+    return values[:width]
+
+
 @pytest.mark.parametrize("dist", [NORMAL, UNIFORM])
-def test_support_draws_are_the_unit_draws_in_fortran_order(dist, monkeypatch):
-    # trial rows of 13 values (n = 3) are the one-column stream cut into runs of
-    # 13, in blocks of every row, of 7 rows and of one row
-    expected = analysis._draws(dist, 4, 301 * 13, 1).reshape(301, 13)
-    for chunk in (1 << 18, 100, 13, 5):
-        monkeypatch.setattr(_core_py, "_TILE_ELEMS", chunk)
-        vals = analysis._draws(dist, 4, 301, 13)
-        assert vals.flags.f_contiguous and vals.shape == (301, 13)
-        assert np.array_equal(vals, expected)
+def test_support_draws_are_the_unit_draws_in_fortran_order(dist):
+    # trial rows of 13 values (n = 3) are the shifted lattice points, row b·N + i
+    # holding point i of batch b, mapped to Q value by value
+    vals = analysis._lattice_draws(dist, 4, 3 * 2003, 13)
+    assert vals.flags.f_contiguous and vals.shape == (3 * 2003, 13)
+    for row in (0, 1, 1000, 2002, 2003, 4005, 3 * 2003 - 1):
+        assert vals[row].tolist() == _lattice_row(dist, 4, row, 13), row
 
 
 def test_support_draws_hold_one_block_of_temporaries():
-    # the Fortran-ordered rows pass through one block buffer of about
-    # _TILE_ELEMS values (0.5 MiB), not a C-ordered copy of the whole array
+    # the Fortran-ordered rows are written column by column, through a few
+    # column-sized temporaries, not a C-ordered copy of the whole array
     tracemalloc.start()
     try:
-        vals = analysis._draws(NORMAL, 3, 100_000, 61)  # n = 5
+        vals = analysis._lattice_draws(NORMAL, 3, 100_000, 61)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * vals.nbytes
 
 
+def test_log_matches_the_natural_log():
+    x = 1.0 - np.random.Philox(key=5).random_raw(100_000) / 2.0 ** 64  # on (0, 1]
+    x = np.concatenate([x, [1.0, 2.0 ** -53, 0.5, math.sqrt(0.5), np.nextafter(math.sqrt(0.5), 0),
+                            1.0 - 2.0 ** -53, 1.5, 2.0 ** 40 + 1]])
+    got = analysis._log(x)
+    exact = np.log(x.astype(np.longdouble))
+    assert got[x == 1.0].tolist() == [0.0]
+    rel = np.abs(got - exact) / np.maximum(np.abs(exact), np.finfo(np.longdouble).tiny)
+    assert rel.max() < 5e-16
+
+
+def test_lattice_multiplier_minimizes_the_weighted_p2_criterion():
+    # P2 with product weights 0.8**j, the worst-case squared error of the lattice rule
+    # in the weighted Korobov space of smoothness 2:
+    # -1 + mean over points of prod_j (1 + 0.8**j 2 pi**2 B2(x_j)), B2(x) = x**2 - x + 1/6.
+    # a and N - a give the same P2 (B2 is symmetric about 1/2), so a runs to N // 2
+    n, d = analysis._LATTICE_POINTS, 30
+    x = np.arange(n) / n
+    factor = 1.0 + 0.8 ** np.arange(1, d + 1) * (2.0 * math.pi ** 2) * (x * x - x + 1.0 / 6.0)[:, None]
+    points, dims = np.arange(n)[:, None], np.arange(d)
+
+    def p2(a):
+        g = np.array([pow(a, j, n) for j in range(d)])
+        return factor[points * g % n, dims].prod(axis=1).mean() - 1.0
+
+    scores = [p2(a) for a in range(1, n // 2 + 1)]
+    assert 1 + int(np.argmin(scores)) == analysis._LATTICE_MULTIPLIER
+
+
+# sha256 of the trial rows of seed 0 at two lattice batches, little-endian float64 in
+# Fortran order.  The rows use no numpy routine whose bits change with the SIMD
+# dispatch level (test_core reruns these under each level this machine has).
+PINNED_LATTICE_DIGESTS = {
+    (NORMAL, 13): "44b160e77b24a0b547747f5cea1e179b61bea2aa91687db798ab7a21680f2872",
+    (NORMAL, 29): "47eae5147fa80292ca37c1e671af5bd4b2cf8702bb8ef4a0ac5fc077658a9638",
+    (UNIFORM, 13): "b00f50b18ca69bf877cfb15a4a3e35c2703d8af29e5761ce99bd647248fa1d2f",
+}
+
+
+@pytest.mark.parametrize("dist, width", list(PINNED_LATTICE_DIGESTS),
+                         ids=[f"{dist.value}-{width}" for dist, width in PINNED_LATTICE_DIGESTS])
+def test_lattice_draws_are_pinned(dist, width):
+    vals = analysis._lattice_draws(dist, 0, 100, width)
+    digest = hashlib.sha256(vals.astype("<f8").tobytes(order="F")).hexdigest()
+    assert digest == PINNED_LATTICE_DIGESTS[(dist, width)]
+
+
 def test_estimate_is_deterministic_and_chunk_invariant(monkeypatch):
     a = estimate_K(_spec(), 1.0, NORMAL, trials=4000, seed=3)
     b = estimate_K(_spec(), 1.0, NORMAL, trials=4000, seed=3)
     assert (a.k_hat, a.std_err) == (b.k_hat, b.std_err)
-    # tiles of 30 words end mid counter block and mid trial row (13 values);
-    # the kernel then filters 30 trials a chunk
+    # the kernel filters 30 trials a chunk, ending mid lattice batch
     monkeypatch.setattr(_core_py, "_TILE_ELEMS", 30)
     c = estimate_K(_spec(), 1.0, NORMAL, trials=4000, seed=3)
     assert (a.k_hat, a.std_err) == (c.k_hat, c.std_err)
+
+
+def test_std_err_is_honest_at_two_to_four_batches():
+    # over 400 seeds, |k_hat - mean| > 2 std_err as often as a Student t with
+    # batches - 1 degrees of freedom exceeds 2: 29.5%, 18.4% and 13.9% at 2, 3
+    # and 4 batches.  The count must lie within 3.5 binomial deviations of that
+    # rate (82.5 +- 27.9 of 400); the mean is that of all batch ratios.  A
+    # std_err taken with ddof 0 reads 115 here
+    p = {2: 1.0 - 2.0 / math.pi * math.atan(2.0),
+         3: 1.0 - 2.0 / math.sqrt(6.0),
+         4: 1.0 - 2.0 / math.pi * (math.atan(2.0 / math.sqrt(3.0)) + (2.0 / math.sqrt(3.0)) / (7.0 / 3.0))}
+    batches = [2 + seed % 3 for seed in range(400)]
+    es = [estimate_K(_spec(), 1.40, NORMAL, trials=b * 2003, seed=seed) for seed, b in enumerate(batches)]
+    k_hat = np.array([e.k_hat for e in es])
+    mean = float(np.dot(k_hat, batches) / sum(batches))
+    beyond = sum(abs(e.k_hat - mean) > 2.0 * e.std_err for e in es)
+    expected = sum(p[b] for b in batches)
+    spread = math.sqrt(sum(p[b] * (1.0 - p[b]) for b in batches))
+    assert abs(beyond - expected) <= 3.5 * spread, (beyond, expected)
 
 
 def test_estimate_ignores_spec_scale_field():
@@ -148,7 +227,7 @@ def test_estimate_ignores_spec_scale_field():
 
 def test_estimate_fields_and_validation():
     e = estimate_K(_spec(n=2), 0.7, NORMAL, trials=1000, seed=5)
-    assert (e.t, e.trials) == (0.7, 1000)
+    assert (e.t, e.trials) == (0.7, 2 * 2003)  # 1000 trials round to two lattice batches
     assert 0 < e.k_hat < 1 and e.std_err > 0
     # float32(1e39) is inf: every weight turned NaN and K silently read the
     # support-mean fallback, 0.2794 for this spec
@@ -165,7 +244,7 @@ def test_seed_outside_the_key_range_is_named_as_the_seed():
     for seed in (-1, 2**128):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
             estimate_K(_spec(), 1.0, NORMAL, trials=1000, seed=seed)
-    assert estimate_K(_spec(), 1.0, NORMAL, trials=1000, seed=2**128 - 1).trials == 1000
+    assert estimate_K(_spec(), 1.0, NORMAL, trials=1000, seed=2**128 - 1).trials == 2 * 2003
 
 
 def test_zero_scale_matches_closed_form_linear_value():
@@ -260,9 +339,10 @@ def test_heavier_tails_keep_smoothing_at_large_scale():
 
 
 def test_degenerate_batch_raises(monkeypatch):
-    # no unit-deviation draw set has a zero denominator; construct one: 1000
-    # trials of zeros, whose two batch deviations of the raw centers are zero
-    monkeypatch.setattr(analysis, "_draws", lambda dist, seed, rows, width: np.zeros((rows, width)))
+    # no unit-deviation draw set has a zero denominator; construct one: two
+    # lattice batches of zeros, whose batch deviations of the raw centers are zero
+    monkeypatch.setattr(analysis, "_lattice_draws",
+                        lambda dist, seed, trials, width: np.zeros((2 * 2003, width)))
     with pytest.raises(NumericalError, match="degenerate trial batch"):
         estimate_K(_spec(), 0.0, NORMAL, trials=1000, seed=0)
 
@@ -284,7 +364,7 @@ def test_curve_fingerprint():
         UNIFORM, trials=1000, seed=8,
     )
     assert [p.t for p in curve.points] == [0.1, 0.2, 0.3, 0.4, 0.5]
-    assert [p.trials for p in curve.points] == [1000] * 5
+    assert [p.trials for p in curve.points] == [2 * 2003] * 5
 
 
 def test_curve_grid_validation():
@@ -335,12 +415,13 @@ def test_solve_threshold_consistent_with_estimates():
 
 
 # acceptance 01's thresholds (power W, n=3, Normal, 200k trials, seed 0, the
-# default bracket and tol) as bisection solved them, with 18 filter calls each
+# default bracket and tol) as bisection solved them on the lattice draws, with
+# 18 filter calls each
 BISECTION_T0 = {
-    VFamily.Abs: 15.35689033508301,
-    VFamily.Frac: 1.401704635620117,
+    VFamily.Abs: 15.083049850463867,
+    VFamily.Frac: 1.399416275024414,
     VFamily.Quad: 0.7792705535888671,
-    VFamily.Exp: 0.6747687530517578,
+    VFamily.Exp: 0.6740059661865234,
 }
 
 
@@ -357,7 +438,7 @@ def test_acceptance_solves_take_at_most_12_probes_within_tol_of_bisection(monkey
         shapes.clear()
         t0 = solve_threshold(_spec(v), NORMAL, trials=200_000, seed=0)
         assert len(shapes) <= 12, v
-        assert set(shapes) == {(200_000, 13)}  # one whole draw set per probe
+        assert set(shapes) == {(100 * 2003, 13)}  # one whole draw set per probe
         assert abs(t0 - t_bisection) <= 1e-3, v
 
 

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from ringbf.analysis import NoiseDistribution, estimate_K, linear_k0, solve_threshold
@@ -160,15 +160,15 @@ _W = ("--w", _values(["power", "gauss:1.5"], ["gauss:0.01", "gauss:nan"]))
 _DIST = ("--dist", _values(["normal", "uniform"]))
 _TRIALS = ("--trials", _values(["100", "1000", "2000"], ["99"]))
 _SEED = ("--seed", _values(["1", str(2 ** 128 - 1)], ["2.5", str(2 ** 128)]))
-_IMAGE_OUT = _values(["o.raw", "o.pgm"], ["o.bmp"])
+_IMAGE_OUT = _values(["o.raw", "o.pgm"], ["o.bmp", ""])
 # each subcommand's (options always given, options given or not).  The values bound the
 # work: at most 3 passes, 2000 trials, 4 grid points and 64x64 pixels.
 _COMMANDS = {
-    "filter": ([("--in", _values(["in.raw"], ["in.pgm"])), ("--out", _IMAGE_OUT),
+    "filter": ([("--in", _values(["in.raw"], ["in.pgm", ""])), ("--out", _IMAGE_OUT),
                 ("--t", _values(["0.05", "1", "3e38"], ["1e39"])), *_V_N],
-               [_W, ("--gate", _values(["-100:300", "-inf:200", "-inf:inf"], ["0:nan", "1:0"])),
+               [_W, ("--gate", _values(["-100:300", "-inf:200", "-inf:inf"], ["0:nan", "1:0", ""])),
                 ("--iterate", _values(["1", "3"])), ("--border", _values(["clamp", "skip"]))]),
-    "curve": ([*_V_N, _DIST, _TRIALS, ("--out", _values(["k.csv"])),
+    "curve": ([*_V_N, _DIST, _TRIALS, ("--out", _values(["k.csv"], [""])),
                ("--t-grid", _values(["0:2:0.5", "0:3e38:1e38"], ["0:1e39:5e38", "1:0:1"]))],
               [_W, _SEED]),
     "threshold": ([*_V_N, _DIST, _TRIALS],
@@ -178,14 +178,14 @@ _COMMANDS = {
     "plan": ([("--dose-fraction", _values(["0.5", "1"], ["2"])), _TRIALS],
              [*_V_N, _SEED, ("--model", _values(["model.txt"], ["missing.txt", "bad.txt"])),
               ("--t0", _values(["1.4"], ["1e300"])), ("--solve-t0", _FLAG), ("--apply", _FLAG),
-              ("--in", _values(["in.raw"], ["in.bmp"])), ("--out", _IMAGE_OUT)]),
+              ("--in", _values(["in.raw"], ["in.bmp", ""])), ("--out", _IMAGE_OUT)]),
     "calibrate": ([("--high", _values(["high.raw"], ["in.bmp"])), ("--low", _values(["in.raw"])),
-                   ("--out", _values(["r.txt"]))],
+                   ("--out", _values(["r.txt"], [""]))],
                   [("--window", _values(["1", "2"])), ("--degree", _values(["0", "2"])),
                    ("--points", _values(["p.txt"]))]),
     "phantom": ([("--densities", _values(["0,400", "-50,50"], ["0,1e10"])),
                  ("--size", _values(["8x8", "64x64"], ["0x8", "8"])),
-                 ("--out", _values(["p.raw", "p.pgm"], ["p.bmp"]))],
+                 ("--out", _values(["p.raw", "p.pgm"], ["p.bmp", ""]))],
                 [("--sigma", _values(["10"], ["1e308"])), _SEED]),
 }
 
@@ -204,6 +204,9 @@ def _argv(draw):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
+@example(argv=["filter", "--in", "in.raw", "--out", "o.raw", "--t", "1", "--v", "frac", "--n", "3",
+               "--gate", ""])
+@example(argv=["plan", "--dose-fraction", "0.5", "--trials", "100", "--out", ""])
 def test_cli_argv_property(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     if not os.path.exists("in.raw"):
@@ -217,6 +220,7 @@ def test_cli_argv_property(tmp_path, monkeypatch, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_dispatch(argv)
     assert code in (0, 1, 2, 3)
+    assert code != 0 or "" not in argv  # an empty value is refused, not read as absent
     event(f"{argv[0]} exit {code}")
     assert "Traceback" not in err.getvalue()
     written = sorted(set(os.listdir()) - set(inputs))

@@ -5,12 +5,14 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from test_analysis import PINNED_LATTICE_DIGESTS
 
 from ringbf import _core_py
 from ringbf.filter import FilterConfig, Image, filter_image, filter_image_values, filter_pixel_dense
@@ -294,16 +296,18 @@ def _cpu_features():
 @pytest.mark.parametrize("disabled", ["X86_V4", "X86_V3 X86_V4"])
 def test_filter_digests_do_not_depend_on_the_simd_dispatch_level(disabled):
     # numpy picks each ufunc's SIMD loop at run time; the pinned digests must
-    # hold on every dispatch level this machine has (Exp is not pinned)
+    # hold on every dispatch level this machine has (Exp is not pinned), and so
+    # must the Monte-Carlo trial rows
     if not all(_cpu_features().get(name) for name in disabled.split()):
         pytest.skip(f"numpy does not dispatch to {disabled} on this machine")
     tests = [f"{__file__}::{name}" for name in ("test_filter_values_output_is_pinned",
                                                  "test_filter_values_output_on_int16_pixels_is_pinned")]
+    tests.append(f"{Path(__file__).with_name('test_analysis.py')}::test_lattice_draws_are_pinned")
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
                           capture_output=True, text=True, timeout=300,
                           env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    expected = len(PINNED_DIGESTS) + len(PINNED_INT16_DIGESTS)
+    expected = len(PINNED_DIGESTS) + len(PINNED_INT16_DIGESTS) + len(PINNED_LATTICE_DIGESTS)
     assert f"{expected} passed" in proc.stdout.splitlines()[-1]
 
 

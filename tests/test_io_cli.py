@@ -395,7 +395,7 @@ def test_cli_curve_writes_deterministic_csv(tmp_path):
     lines = csvs[0].splitlines()
     assert lines[0] == "t,k_hat,std_err,trials"
     assert len(lines) == 4
-    assert all(line.endswith(",2000") for line in lines[1:])
+    assert all(line.endswith(",4006") for line in lines[1:])  # two lattice batches
     ks = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(0.0 < k < 1.0 for k in ks)
 
