@@ -37,9 +37,6 @@ multiply, divide and square root, floor, frexp, numpy's float64 cos and sin
 (a test reruns their digests at each level), and a log built from the first
 three (``_log``).  Trial rows are stored in Fortran order, one contiguous
 column per support position, the layout the ensemble kernel reads.
-
-The phantom's noise (``_draws``) reads the seed's Philox stream front to back
-through numpy's ziggurat Normal sampler (Marsaglia and Tsang, 2000).
 """
 from __future__ import annotations
 
@@ -51,7 +48,7 @@ import numpy as np
 
 from . import _core_py
 from .errors import BracketError, ConvergenceError, NumericalError
-from .kernel import KernelSpec, WFamily, _integer, _parse_enum, build_rings
+from .kernel import KernelSpec, WFamily, _check_seed, _integer, _parse_enum, build_rings
 
 __all__ = [
     "NoiseDistribution",
@@ -111,18 +108,6 @@ class KCurve:
         ts = [p.t for p in self.points]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("curve points must have strictly increasing t")
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= _integer(seed, "seed", None) < 2 ** 128:  # Philox's key range
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-
-
-def _draws(seed: int, size: int) -> np.ndarray:
-    """``size`` standard Normal draws: the seed's Philox stream through numpy's ziggurat
-    sampler (the phantom's noise)."""
-    _check_seed(seed)
-    return np.random.Generator(np.random.Philox(key=seed)).standard_normal(size)
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -335,7 +320,10 @@ def solve_threshold(
     The spec supplies V, W and n; its own t field is ignored.  The estimated
     K rises through the target as t grows, so the bracket must satisfy
     K(t_lo) < target < K(t_hi) on this realization; all probes reuse the same
-    draws, making the solved function deterministic.  ``tol`` must lie
+    draws, making the solved function deterministic.  A target at or below
+    the exact K(0) (``linear_k0``) raises ``BracketError`` before any draw,
+    whatever the seed: the estimate near t = 0 is K(0) plus noise, so such a
+    target would straddle at some seeds and not at others.  ``tol`` must lie
     strictly between 0 and the bracket width.  The result lies within
     ``tol / 2`` of a point where the estimate crosses the target, as
     bisection's would, after at most one probe more than bisection takes:
@@ -351,6 +339,10 @@ def solve_threshold(
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     spec.with_t(t_hi)  # every probe lies in [t_lo, t_hi]
+    k0 = linear_k0(spec.w, spec.n)
+    if target <= k0:
+        raise BracketError(f"target {target} is at or below K(0) = {k0:.9g}, where K starts "
+                           "at t = 0: choose a target above K(0)")
     estimate = _estimator(spec, dist, trials, seed)
     k_lo, k_hi = estimate(t_lo).k_hat, estimate(t_hi).k_hat
     if not (k_lo < target < k_hi):

@@ -14,16 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _check_seed, _draws
 from .errors import FormatError, OutOfDomainError
 from .filter import FilterConfig, Image
-from .kernel import KernelSpec, VFamily, WFamily, _integer
+from .kernel import KernelSpec, VFamily, WFamily, _check_seed, _integer
 
 __all__ = [
     "DoseNoiseModel",
     "DEFAULT_DOSE_MODEL",
     "DEFAULT_HU_GATE",
-    "DEFAULT_THRESHOLD",
+    "REFERENCE_THRESHOLDS",
     "FilterPlan",
     "noise_sigma",
     "plan_filter",
@@ -66,7 +65,10 @@ class DoseNoiseModel:
 
 DEFAULT_DOSE_MODEL = DoseNoiseModel(a=313.33, b=-673.4, c=423.9, x_lo=0.25, x_hi=1.0)
 DEFAULT_HU_GATE = (-100.0, 300.0)
-DEFAULT_THRESHOLD = 1.40  # 50%-reduction threshold of the default Frac/n=3/Power kernel
+# The paper's 50%-reduction thresholds t0, K(t0) = 0.5 under unit Normal noise
+# with power W, by (V, n): its table covers n = 3 only.
+REFERENCE_THRESHOLDS = {(VFamily.Abs, 3): 15.05, (VFamily.Frac, 3): 1.40,
+                        (VFamily.Quad, 3): 0.77, (VFamily.Exp, 3): 0.67}
 
 
 def noise_sigma(model: DoseNoiseModel, x: float) -> float:
@@ -103,15 +105,21 @@ def plan_filter(
     model: DoseNoiseModel = DEFAULT_DOSE_MODEL,
     v: VFamily = VFamily.Frac,
     n: int = 3,
-    t0: float = DEFAULT_THRESHOLD,
+    t0: float | None = None,
 ) -> FilterPlan:
     """Resolve dose fraction ``x`` into a concrete filter: t = t0 / sigma(x).
 
-    The plan always uses power W and gates to ``DEFAULT_HU_GATE``.  The
-    default threshold is the reference value for the default kernel (Frac,
-    n=3), so planning works without running the Monte-Carlo solver;
-    substitute a freshly solved t0 to recalibrate.
+    The plan always uses power W and gates to ``DEFAULT_HU_GATE``.  Without
+    ``t0`` the kernel's value in ``REFERENCE_THRESHOLDS`` is used, so
+    planning works without running the Monte-Carlo solver; a kernel the
+    table lacks (any n but 3) raises ``ValueError``.  Pass a freshly solved
+    t0 to recalibrate.
     """
+    spec = KernelSpec(v=v, t=0.0, w=WFamily.power(), n=n)
+    if t0 is None:
+        if (spec.v, spec.n) not in REFERENCE_THRESHOLDS:
+            raise ValueError(f"no reference t0 for {spec.v.name} at n={spec.n}; pass t0")
+        t0 = REFERENCE_THRESHOLDS[spec.v, spec.n]
     if not t0 > 0:
         raise ValueError(f"threshold t0 must be positive, got {t0}")
     sigma = noise_sigma(model, x)
@@ -121,20 +129,9 @@ def plan_filter(
         sigma=sigma,
         t0=float(t0),
         t=t,
-        spec=KernelSpec(v=v, t=t, w=WFamily.power(), n=n),
+        spec=spec.with_t(t),
         hu_gate=DEFAULT_HU_GATE,
     )
-
-
-def _band_layout(height: int, width: int, n_regions: int) -> np.ndarray:
-    """Region index per column: ``n_regions`` equal vertical bands, shape ``(width,)``."""
-    if height < 1 or width < 1 or n_regions < 1:
-        raise ValueError("layout dimensions and region count must be positive")
-    if n_regions > width:
-        raise ValueError(
-            f"cannot fit {n_regions} vertical bands into {width} columns"
-        )
-    return np.minimum((np.arange(width) * n_regions) // width, n_regions - 1)
 
 
 def synth_phantom_values(
@@ -142,11 +139,15 @@ def synth_phantom_values(
 ) -> np.ndarray:
     """Real-valued phantom: piecewise-constant densities plus i.i.d. normal noise.
 
-    Density ``i`` fills the ``i``-th of equal vertical bands, left to right;
-    deterministic per seed.  The density row is broadcast down the columns and
-    the draws are scaled and shifted in place, so the output is the only
-    full-size array.  A ``sigma`` or density whose noisy values overflow
-    float64 raises ``ValueError``.
+    Density ``i`` fills the ``i``-th of equal vertical bands, left to right
+    (column ``c`` of ``w`` is in band ``c * len(densities) // w``); more
+    bands than columns raise ``ValueError``.  The noise reads the seed's
+    Philox stream front to back through numpy's ziggurat Normal sampler
+    (Marsaglia and Tsang, 2000), so it is deterministic per seed and a
+    smaller image's draws are the first draws of a larger one.  The density
+    row is broadcast down the columns and the draws are scaled and shifted
+    in place, so the output is the only full-size array.  A ``sigma`` or
+    density whose noisy values overflow float64 raises ``ValueError``.
     """
     dens = np.asarray(list(densities), dtype=np.float64)
     if dens.size == 0:
@@ -157,10 +158,12 @@ def synth_phantom_values(
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     _check_seed(seed)  # also when sigma is 0 and nothing is drawn
     shape = (_integer(size[0], "size[0] (height)", 1), _integer(size[1], "size[1] (width)", 1))
-    row = dens[_band_layout(*shape, dens.size)]
+    if dens.size > shape[1]:
+        raise ValueError(f"cannot fit {dens.size} vertical bands into {shape[1]} columns")
+    row = dens[np.arange(shape[1]) * dens.size // shape[1]]
     if sigma == 0.0:
         return np.broadcast_to(row, shape).copy()
-    out = _draws(seed, shape[0] * shape[1]).reshape(shape)
+    out = np.random.Generator(np.random.Philox(key=seed)).standard_normal(shape)
     try:
         with np.errstate(over="raise"):
             out *= sigma

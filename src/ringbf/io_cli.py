@@ -67,7 +67,7 @@ from .calibrate import (
 )
 from .ctmodel import (
     DEFAULT_DOSE_MODEL,
-    DEFAULT_THRESHOLD,
+    REFERENCE_THRESHOLDS,
     load_dose_model,
     noise_sigma,
     plan_filter,
@@ -245,23 +245,24 @@ def _image_format(path) -> str:
     return suffix.lower()
 
 
-def _output_path(text: str, image: bool = False) -> Path:
-    """``text`` as the path of an output file, checked before any work.
+def _file_path(text: str, role: str = "output", image: bool = False) -> Path:
+    """``text`` as the path of a file to read or write, checked before any work.
 
     An empty file name, a missing directory and a path that names a
-    directory are refused with ``ValueError``.  An image path must also have
+    directory are refused with ``ValueError``, whose message names the
+    ``role`` (``"output"``, ``"input"``, ...).  An image path must also have
     an image extension (``_image_format``), and a ``.raw`` image's sidecar
     path must not name a directory either.
     """
     path = Path(text)
     if not path.name:
-        raise ValueError(f"output path {text!r} names no file")
+        raise ValueError(f"{role} path {text!r} names no file")
     if not path.parent.is_dir():
-        raise ValueError(f"output directory {str(path.parent)!r} does not exist")
+        raise ValueError(f"{role} directory {str(path.parent)!r} does not exist")
     sidecar = image and _image_format(path) == ".raw"
     for target in (path, _meta_path(path)) if sidecar else (path,):
         if target.is_dir():
-            raise ValueError(f"output path {str(target)!r} is a directory")
+            raise ValueError(f"{role} path {str(target)!r} is a directory")
     return path
 
 
@@ -334,15 +335,16 @@ def _cmd_filter(args) -> int:
     gate = _parse_floats(args.gate, "--gate", "lo:hi") if args.gate is not None else None
     cfg = FilterConfig(spec=spec, hu_gate=gate, border=args.border)
     passes = _passes(args.iterate)
-    out = _output_path(args.out, image=True)
-    write_image(out, filter_image(read_image(args.inp), cfg, passes))
+    inp = _file_path(args.inp, "input", image=True)
+    out = _file_path(args.out, image=True)
+    write_image(out, filter_image(read_image(inp), cfg, passes))
     return 0
 
 
 def _cmd_curve(args) -> int:
     spec = _kernel_from_args(args, 0.0)
     grid = _parse_grid(args.t_grid)
-    out = _output_path(args.out)
+    out = _file_path(args.out)
     curve = compute_curve(spec, grid, NoiseDistribution.parse(args.dist),
                           trials=args.trials, seed=args.seed)
     _write_files({out: curve_to_csv(curve).encode("ascii")})
@@ -365,23 +367,26 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    v = VFamily.parse(args.v)
     if args.apply:
         if args.inp is None or args.out is None:
             raise ValueError("--apply requires both --in and --out")
-        _image_format(args.inp)
-        _output_path(args.out, image=True)
+        _file_path(args.inp, "input", image=True)
+        _file_path(args.out, image=True)
     elif args.inp is not None or args.out is not None:
         raise ValueError("--in/--out are only used with --apply")
-    model = load_dose_model(args.model) if args.model is not None else DEFAULT_DOSE_MODEL
+    if args.t0 is None and not args.solve_t0 and (v, args.n) not in REFERENCE_THRESHOLDS:
+        raise ValueError(f"no reference t0 for --v {args.v} --n {args.n}: give --t0 or --solve-t0")
+    model = (load_dose_model(_file_path(args.model, "model")) if args.model is not None
+             else DEFAULT_DOSE_MODEL)
     noise_sigma(model, args.dose_fraction)  # refuses a dose outside the model before any solve
     if args.solve_t0:
-        spec = KernelSpec(v=VFamily.parse(args.v), t=0.0, w=WFamily.power(), n=args.n)
+        spec = KernelSpec(v=v, t=0.0, w=WFamily.power(), n=args.n)
         t0 = solve_threshold(spec, NoiseDistribution.Normal,
                              trials=args.trials, seed=args.seed)
     else:
         t0 = args.t0
-    plan = plan_filter(args.dose_fraction, model=model, v=VFamily.parse(args.v),
-                       n=args.n, t0=t0)
+    plan = plan_filter(args.dose_fraction, model=model, v=v, n=args.n, t0=t0)
     if args.apply:
         write_image(args.out, filter_image(read_image(args.inp), plan.config()))
     print(f"x={plan.x:.9g}")
@@ -392,13 +397,14 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _image_format(args.high)  # every option is checked before either image is read
-    _image_format(args.low)
+    # every option is checked before either image is read
+    high = _file_path(args.high, "input", image=True)
+    low = _file_path(args.low, "input", image=True)
     _window(args.window)
     _degree(args.degree)
-    out = _output_path(args.out)
-    points = _output_path(args.points) if args.points is not None else None
-    scan = scan_pair(read_image(args.high), read_image(args.low), args.window)
+    out = _file_path(args.out)
+    points = _file_path(args.points) if args.points is not None else None
+    scan = scan_pair(read_image(high), read_image(low), args.window)
     fit = fit_polynomial(scan.points, args.degree)
     report = format_calibration_report(summarize_points(scan.points), fit, regress_noise(scan))
     files = {out: report.encode("ascii")}
@@ -414,7 +420,7 @@ def _cmd_phantom(args) -> int:
     except ValueError:
         raise ValueError(f"--densities must be comma-separated numbers, got {args.densities!r}") from None
     width, height = _parse_size(args.size)
-    out = _output_path(args.out, image=True)
+    out = _file_path(args.out, image=True)
     write_image(out, synth_phantom(densities, sigma=args.sigma, seed=args.seed,
                                    size=(height, width)))
     return 0
@@ -454,7 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output image (.raw or .pgm)")
     _add_kernel_options(p, with_t=True)
     p.add_argument("--gate", default=None, help="only filter pixels inside 'lo:hi'")
-    p.add_argument("--iterate", type=int, default=1, help="number of passes (default 1)")
+    p.add_argument("--iterate", type=int, default=1,
+                   help="number of passes (default 1); unbounded, each costs one full filter pass")
     p.add_argument("--border", choices=get_args(BorderPolicy), default="clamp",
                    help="border handling (default clamp)")
     p.set_defaults(handler=_cmd_filter)
@@ -490,8 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="photometric weight family (default frac)")
     p.add_argument("--n", type=int, default=3, choices=_N_CHOICES,
                    help="number of rings (default 3)")
-    p.add_argument("--t0", type=float, default=DEFAULT_THRESHOLD,
-                   help=f"unit-scale threshold (default {DEFAULT_THRESHOLD:.2f})")
+    p.add_argument("--t0", type=float, default=None,
+                   help="unit-scale threshold (default: the paper's value for --v when --n "
+                        "is 3; any other --n needs --t0 or --solve-t0)")
     p.add_argument("--solve-t0", dest="solve_t0", action="store_true",
                    help="re-derive t0 by Monte-Carlo instead of using --t0")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_TABLE,

@@ -51,6 +51,12 @@ def _integer(value, what: str, lo: int | None, hi: int | None = None) -> int:
     raise ValueError(f"{what} must be {rule}, got {value!r}")
 
 
+def _check_seed(seed) -> None:
+    """Refuse a ``seed`` that is not an integer in ``[0, 2**128)``, Philox's key range."""
+    if not 0 <= _integer(seed, "seed", None) < 2 ** 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+
+
 def _parse_enum(cls, name: str, noun: str):
     """The member of enum ``cls`` whose value is ``name``, case and spaces aside."""
     try:

@@ -43,7 +43,7 @@ def _fit(degree):
 _COUNTS = {
     "n-KernelSpec": ("support size n", lambda k: KernelSpec(v=VFamily.Frac, t=1.0, n=k), 3),
     "n-build_rings": ("support size n", lambda k: build_rings(k, WFamily.power()), 3),
-    "n-plan_filter": ("support size n", lambda k: plan_filter(0.5, n=k), 4),
+    "n-plan_filter": ("support size n", lambda k: plan_filter(0.5, n=k, t0=1.4), 4),
     "n-linear_k0": ("support size n", lambda k: linear_k0(WFamily.gaussian(1.5), k), 5),
     "passes": ("iteration count",
                lambda k: filter_image(_NOISY, FilterConfig(_SPEC.with_t(0.05)), k).pixels.tobytes(), 2),
@@ -124,23 +124,43 @@ _CALIBRATE = ["calibrate", "--high", "in.raw", "--low", "in.raw"]
      ["load_dose_model", "solve_threshold"], "output directory 'missing' does not exist"),
     (["phantom", "--densities", "0,100", "--size", "8x8", "--out", "."], ["synth_phantom"],
      "output path '.' names no file"),
+    (["plan", "--dose-fraction", "0.5", "--n", "5", "--model", "missing.txt"],
+     ["load_dose_model", "solve_threshold"], "no reference t0 for --v frac --n 5: give --t0 or --solve-t0"),
+    (["plan", "--dose-fraction", "0.5", "--model", ""], ["load_dose_model"],
+     "model path '' names no file"),
+    (["plan", "--dose-fraction", "0.5", "--model", "d.raw"], ["load_dose_model"],
+     "model path 'd.raw' is a directory"),
+    (_PLAN + ["--apply", "--in", "d.raw", "--out", "o.raw"], ["load_dose_model", "solve_threshold"],
+     "input path 'd.raw' is a directory"),
+    (["filter", "--in", "", "--out", "o.raw", "--v", "frac", "--t", "1", "--n", "3"],
+     ["read_image"], "input path '' names no file"),
+    (["filter", "--in", "d.raw", "--out", "o.raw", "--v", "frac", "--t", "1", "--n", "3"],
+     ["read_image"], "input path 'd.raw' is a directory"),
+    (["calibrate", "--high", "d.raw", "--low", "in.raw", "--out", "r.txt"], ["read_image"],
+     "input path 'd.raw' is a directory"),
+    (["calibrate", "--high", "in.raw", "--low", "", "--out", "r.txt"], ["read_image"],
+     "input path '' names no file"),
 ], ids=["plan-apply-alone", "plan-apply-without-out", "plan-in-alone", "plan-out-alone",
         "plan-apply-bmp", "plan-dose-outside-model", "filter-bmp", "filter-iterate",
         "phantom-bmp", "calibrate-bmp", "calibrate-window", "calibrate-degree",
         "curve-empty-out", "curve-missing-directory", "curve-out-directory",
         "calibrate-empty-out", "calibrate-empty-points", "calibrate-points-missing-directory",
-        "filter-missing-directory", "plan-apply-missing-directory", "phantom-empty-out"])
+        "filter-missing-directory", "plan-apply-missing-directory", "phantom-empty-out",
+        "plan-n-without-t0", "plan-empty-model", "plan-model-directory", "plan-in-directory",
+        "filter-empty-in", "filter-in-directory", "calibrate-high-directory",
+        "calibrate-empty-low"])
 def test_cli_refuses_misused_options_before_any_work(tmp_path, monkeypatch, capsys, argv,
                                                       forbidden, message):
     monkeypatch.chdir(tmp_path)
     write_image("in.raw", Image(pixels=np.zeros((8, 8), np.int16)))
+    os.mkdir("d.raw")  # a directory with an image's name
     _forbid(monkeypatch, *forbidden)
     assert cli_dispatch(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
-    assert sorted(os.listdir()) == ["in.meta", "in.raw"]
+    assert sorted(os.listdir()) == ["d.raw", "in.meta", "in.raw"]
 
 
 # --- the command line: a property over argv ------------------------------------
@@ -164,7 +184,7 @@ _IMAGE_OUT = _values(["o.raw", "o.pgm"], ["o.bmp", ""])
 # each subcommand's (options always given, options given or not).  The values bound the
 # work: at most 3 passes, 2000 trials, 4 grid points and 64x64 pixels.
 _COMMANDS = {
-    "filter": ([("--in", _values(["in.raw"], ["in.pgm", ""])), ("--out", _IMAGE_OUT),
+    "filter": ([("--in", _values(["in.raw"], ["in.pgm", "", "d.raw"])), ("--out", _IMAGE_OUT),
                 ("--t", _values(["0.05", "1", "3e38"], ["1e39"])), *_V_N],
                [_W, ("--gate", _values(["-100:300", "-inf:200", "-inf:inf"], ["0:nan", "1:0", ""])),
                 ("--iterate", _values(["1", "3"])), ("--border", _values(["clamp", "skip"]))]),
@@ -176,10 +196,11 @@ _COMMANDS = {
                    ("--bracket", _values(["0.01:50", "0:20"], ["0.01:inf", "5:1"])),
                    ("--tol", _values(["1e-3", "0.1"], ["1e-300", "100"]))]),
     "plan": ([("--dose-fraction", _values(["0.5", "1"], ["2"])), _TRIALS],
-             [*_V_N, _SEED, ("--model", _values(["model.txt"], ["missing.txt", "bad.txt"])),
+             [*_V_N, _SEED, ("--model", _values(["model.txt"], ["missing.txt", "bad.txt", "", "d.raw"])),
               ("--t0", _values(["1.4"], ["1e300"])), ("--solve-t0", _FLAG), ("--apply", _FLAG),
-              ("--in", _values(["in.raw"], ["in.bmp", ""])), ("--out", _IMAGE_OUT)]),
-    "calibrate": ([("--high", _values(["high.raw"], ["in.bmp"])), ("--low", _values(["in.raw"])),
+              ("--in", _values(["in.raw"], ["in.bmp", "", "d.raw"])), ("--out", _IMAGE_OUT)]),
+    "calibrate": ([("--high", _values(["high.raw"], ["in.bmp", "", "d.raw"])),
+                   ("--low", _values(["in.raw"], ["", "d.raw"])),
                    ("--out", _values(["r.txt"], [""]))],
                   [("--window", _values(["1", "2"])), ("--degree", _values(["0", "2"])),
                    ("--points", _values(["p.txt"]))]),
@@ -215,12 +236,13 @@ def test_cli_argv_property(tmp_path, monkeypatch, argv):
             write_image(name, Image.from_values(100 + sigma * rng.standard_normal((16, 16))))
         (tmp_path / "model.txt").write_text("313.33 -673.4 423.9 0.25 1.0\n")
         (tmp_path / "bad.txt").write_text("1 2 3\n")
+        os.mkdir("d.raw")  # a directory with an image's name
     inputs = sorted(os.listdir())
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_dispatch(argv)
     assert code in (0, 1, 2, 3)
-    assert code != 0 or "" not in argv  # an empty value is refused, not read as absent
+    assert code != 0 or not {"", "d.raw"} & set(argv)  # an empty or directory path is refused
     event(f"{argv[0]} exit {code}")
     assert "Traceback" not in err.getvalue()
     written = sorted(set(os.listdir()) - set(inputs))

@@ -1,14 +1,16 @@
 """Dose-to-noise model, filter planning, and synthetic phantom generation."""
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ringbf.ctmodel import (
     DEFAULT_DOSE_MODEL,
     DEFAULT_HU_GATE,
-    DEFAULT_THRESHOLD,
+    REFERENCE_THRESHOLDS,
     DoseNoiseModel,
     FilterPlan,
-    _band_layout,
     load_dose_model,
     noise_sigma,
     plan_filter,
@@ -97,7 +99,7 @@ def test_model_rejects_overflowing_sigma():
 def test_plan_scales_threshold_by_noise():
     plan = plan_filter(1.0)
     assert plan.sigma == pytest.approx(63.83, rel=1e-12)
-    assert plan.t0 == DEFAULT_THRESHOLD
+    assert plan.t0 == REFERENCE_THRESHOLDS[VFamily.Frac, 3] == 1.40
     assert plan.t == pytest.approx(0.0219332602, rel=1e-8)
     assert plan.t == pytest.approx(plan.t0 / plan.sigma, rel=1e-15)
 
@@ -138,11 +140,33 @@ def test_plan_validation():
         plan_filter(0.1)
 
 
+@pytest.mark.parametrize("v, t0", [(VFamily.Abs, 15.05), (VFamily.Frac, 1.40),
+                                   (VFamily.Quad, 0.77), (VFamily.Exp, 0.67)])
+def test_plan_takes_each_kernels_own_reference_t0(v, t0):
+    plan = plan_filter(0.5, v=v)
+    assert plan.t0 == t0
+    assert plan.t == t0 / plan.sigma
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_plan_without_t0_refuses_a_kernel_the_table_lacks(n):
+    with pytest.raises(ValueError, match=f"no reference t0 for Frac at n={n}"):
+        plan_filter(0.5, n=n)
+    assert plan_filter(0.5, n=n, t0=1.40).spec.n == n
+
+
 # --- phantom layout ---------------------------------------------------------
 
 
+def _bands(height, width, n_regions):
+    """The band index of each column: the noise-free phantom whose density i is i."""
+    vals = synth_phantom_values(range(n_regions), size=(height, width))
+    assert np.all(vals == vals[0])
+    return vals[0].astype(int)
+
+
 def test_band_layout_partitions_width():
-    row = _band_layout(40, 100, 3)
+    row = _bands(40, 100, 3)
     # one band index per column, bands appear left to right
     assert row.shape == (100,)
     assert set(row.tolist()) == {0, 1, 2}
@@ -152,17 +176,14 @@ def test_band_layout_partitions_width():
 
 
 def test_band_layout_uneven_split():
-    row = _band_layout(1, 10, 3)
+    row = _bands(1, 10, 3)
     assert np.bincount(row).tolist() == [4, 3, 3]
+    assert np.array_equal(_bands(2, 7, 7), np.arange(7))  # one column per band
 
 
 def test_band_layout_validation():
-    with pytest.raises(ValueError):
-        _band_layout(10, 10, 0)
-    with pytest.raises(ValueError):
-        _band_layout(0, 10, 1)
-    with pytest.raises(ValueError):
-        _band_layout(10, 3, 4)  # more bands than columns
+    with pytest.raises(ValueError, match="cannot fit 4 vertical bands into 3 columns"):
+        synth_phantom_values(range(4), size=(10, 3))
 
 
 def test_phantom_noise_free_values_are_exact():
@@ -210,7 +231,7 @@ def test_phantom_custom_layout_and_validation():
     # the layout is always the band layout: density i fills band i
     vals = synth_phantom_values([1, 2], size=(8, 4))
     assert vals.shape == (8, 4)
-    assert np.array_equal(vals, np.broadcast_to(np.array([1.0, 2.0])[_band_layout(8, 4, 2)], (8, 4)))
+    assert np.array_equal(vals, np.broadcast_to([1.0, 1.0, 2.0, 2.0], (8, 4)))
     with pytest.raises(ValueError):
         synth_phantom_values([1, 2, 3], size=(8, 2))  # more bands than columns
     with pytest.raises(ValueError):
@@ -221,6 +242,45 @@ def test_phantom_custom_layout_and_validation():
     for densities, sigma in (([0.0], 1e308), ([1.7e308, 0.0], 1e307)):
         with pytest.raises(ValueError, match="beyond float64"):
             synth_phantom_values(densities, sigma=sigma, seed=1, size=(64, 4))
+
+
+# --- phantom noise ----------------------------------------------------------
+
+
+def test_phantom_noise_normal_moments():
+    draws = synth_phantom_values([0.0], sigma=1.0, seed=0, size=(81, 81))
+    assert draws.shape == (81, 81)
+    assert abs(draws.mean()) < 0.03
+    assert draws.std() == pytest.approx(1.0, abs=0.02)
+
+
+# sha256 of the first 64 Normal draws of seed 0, little-endian float64.  numpy
+# does not promise that Generator streams stay fixed across releases (NEP 19);
+# a release that changes them fails here, by name, before it moves any phantom.
+NORMAL_SEED0_DIGEST = "4ab6795e6c089114c2bc5596c4cb82299db54790e4d6dd882f53e5d74201c2b5"
+
+
+def test_phantom_noise_of_seed_0_is_pinned():
+    draws = synth_phantom_values([0.0], sigma=1.0, seed=0, size=(1, 64))
+    assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == NORMAL_SEED0_DIGEST
+
+
+def test_phantom_noise_of_a_smaller_image_is_the_first_draws_of_a_larger_one():
+    large = synth_phantom_values([0.0], sigma=1.0, seed=7, size=(10, 20))
+    small = synth_phantom_values([0.0], sigma=1.0, seed=7, size=(1, 37))
+    assert np.array_equal(large.ravel()[:37], small.ravel())
+
+
+def test_phantom_noise_holds_one_output_of_memory():
+    # numpy reports its buffers to tracemalloc: beyond the output array, the
+    # phantom may hold only chunk-sized temporaries
+    tracemalloc.start()
+    try:
+        vals = synth_phantom_values([0.0, 100.0], sigma=1.0, seed=3, size=(200_000, 29))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * vals.nbytes
 
 
 # --- model config files -----------------------------------------------------

@@ -420,6 +420,31 @@ def test_cli_plan_prints_settings(capsys):
     )
 
 
+@pytest.mark.parametrize("v, t0", [("abs", "15.05"), ("frac", "1.4"), ("quad", "0.77"),
+                                   ("exp", "0.67")])
+def test_cli_plan_prints_each_kernels_reference_t0(capsys, v, t0):
+    assert cli_dispatch(["plan", "--dose-fraction", "0.5", "--v", v, "--n", "3"]) == 0
+    assert f"\nt0={t0}\n" in capsys.readouterr().out
+
+
+def test_cli_target_at_k0_is_refused_before_any_draw_at_every_seed(monkeypatch, capsys):
+    # at n = 1 the four weights are equal, so K(0) = 0.5 is the default target;
+    # whether the estimate at t = 0.01 fell above or below it used to pick the exit code
+    def fail(*args, **kwargs):
+        raise AssertionError("trial rows drawn for a target at or below K(0)")
+    monkeypatch.setattr("ringbf.analysis._lattice_draws", fail)
+    outcomes = set()
+    for seed in range(8):
+        for argv in (["threshold", "--v", "frac", "--n", "1", "--dist", "normal"],
+                     ["plan", "--dose-fraction", "0.5", "--n", "1", "--solve-t0"]):
+            code = cli_dispatch([*argv, "--seed", str(seed)])
+            captured = capsys.readouterr()
+            outcomes.add((code, captured.out, captured.err))
+    message = ("error: target 0.5 is at or below K(0) = 0.5, where K starts at t = 0: "
+               "choose a target above K(0)\n")
+    assert outcomes == {(3, "", message)}
+
+
 def test_cli_plan_reads_model_file(tmp_path, capsys):
     model = tmp_path / "model.txt"
     model.write_text("0.0 0.0 50.0 0.0 2.0\n")  # constant sigma = 50
