@@ -9,9 +9,9 @@ intensity-shift-invariant filter across the whole gated range.
 
 :func:`scan_pair` reads a pair once, in strips of ``_tile_rows`` image rows.
 Each strip yields its windowed maps, appends its points to one array and
-folds its regression rows, an image row at a time, into a small R factor
-(TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34(1),
-2012), so no full-size map or design matrix is ever held.
+folds its regression rows, ``_FOLD_ROWS`` image rows at a time, into a small
+R factor (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput.
+34(1), 2012), so no full-size map or design matrix is ever held.
 :func:`fit_polynomial` folds its fit basis ``_tile_rows`` points at a
 time through the same centred fold, and both add the intercept back to the
 R factor in the same way.  The report summarizes the points in
@@ -60,6 +60,7 @@ _CF_EPS = 1e-15  # relative change that ends the incomplete-beta continued fract
 _CF_TINY = 1e-300  # Lentz's guard against a zero denominator
 _CF_MAX_TERMS = 1000  # no dof up to 1e12 with |t| <= 1e3 needed more than 55
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
+_FOLD_ROWS = 16  # image rows per regression fold: 128 QR calls at 2048^2 instead of 2,048
 
 
 def _window(half: int) -> int:
@@ -73,10 +74,15 @@ def _window_sums(f: np.ndarray, half: int, start: int = 0,
     The strip reads the ``half`` rows around it through ``_clamped_rows``, as
     the filter's strips do, so its sums are the same rows of the whole image's.
     Each axis takes running sums and differences them ``size`` apart, so the
-    cost does not grow with the window.  For an integer-valued image every
-    running sum is an integer below 2**53, hence exact and independent of the
-    strip, while ``(width + size) * size * m^2`` and ``(stop - start + size) * m^2`` stay
-    below 2**53, m bounding the values' magnitude (see ``_check_window``).
+    cost does not grow with the window.  Down the rows, a strip no taller
+    than it is wide takes one in-order ``np.add`` per row: the additions of
+    ``np.cumsum(axis=0)`` in the same order, hence its bits for any input, at
+    about a third of its time on 2048-wide strips; a taller strip, where the
+    calls would cost more than the strided sums, takes ``np.cumsum``.  For an
+    integer-valued image every running sum is an integer below 2**53, hence
+    exact and independent of the strip, while ``(width + size) * size * m^2``
+    and ``(stop - start + size) * m^2`` stay below 2**53, m bounding the
+    values' magnitude (see ``_check_window``).
     """
     size = _window(half)
     stop = f.shape[0] if stop is None else stop
@@ -87,7 +93,11 @@ def _window_sums(f: np.ndarray, half: int, start: int = 0,
     s2 = s1 * s1
     sums = []
     for p in (s1, s2):
-        np.cumsum(p, axis=0, out=p)
+        if p.shape[0] <= p.shape[1]:  # one call per row pays only when rows are few
+            for i in range(1, p.shape[0]):
+                np.add(p[i - 1], p[i], out=p[i])
+        else:
+            np.cumsum(p, axis=0, out=p)
         rows = p[size:] - p[:-size]
         np.cumsum(rows, axis=1, out=rows)
         sums.append(rows[:, size:] - rows[:, :-size])
@@ -143,7 +153,8 @@ def _fold_centred(r: np.ndarray, count: int, mean: np.ndarray,
     """Fold a block into the R factor of the centred columns seen so far.
 
     ``r`` is the R factor of the ``count`` rows so far minus their column
-    ``mean``.  The block is centred on its own mean, and one more row,
+    ``mean``; ``columns`` holds the block's columns, 1-D and of equal length.
+    The block is centred on its own mean, and one more row,
     ``sqrt(count * rows / (count + rows))`` times the difference of the two
     means, accounts for the shift between them (Chan, Golub and LeVeque's
     pairwise update of the scatter matrix, in R form).  Returns the R factor,
@@ -151,9 +162,12 @@ def _fold_centred(r: np.ndarray, count: int, mean: np.ndarray,
     matrix in turn yields the R factor of the whole centred matrix, up to the
     signs of its rows, without ever holding the matrix.  Centring keeps a
     column that is nearly constant, like an intensity average far from zero,
-    from losing its variation to rounding against its mean.  :func:`scan_pair`
-    folds its regression rows and :func:`fit_polynomial` its fit basis here;
-    :func:`_with_intercept` then adds the ones column back.
+    from losing its variation to rounding against its mean.  Each call is one
+    QR, whose fixed cost dominates a small block, so the callers fold blocks
+    of thousands of rows: :func:`scan_pair` its regression rows
+    ``_FOLD_ROWS`` image rows at a time and :func:`fit_polynomial` its fit
+    basis ``_tile_rows`` points at a time.  :func:`_with_intercept` then adds
+    the ones column back.
     """
     rows = columns[0].size
     k = r.shape[0]
@@ -202,10 +216,16 @@ class PairScan:
 def scan_pair(high, low, half: int = 2) -> PairScan:
     """Read a pair once, ``_tile_rows(width)`` rows at a time, into its points and regression R.
 
-    For int16 images neither the points nor the R factor depend on the strip
-    height, bit for bit: the window sums are exact integers, and the R factor
-    folds in one image row at a time whatever the strip height.  A window
-    too large for exact sums over the pair's values raises ``ValueError``.
+    The regression rows go through :func:`_fold_centred` in units of
+    ``_FOLD_ROWS`` image rows counted from row 0: a unit that lies inside a
+    strip is folded from views of its maps, and the rows of one that spans
+    strips are gathered until it is whole (or the image ends).  For int16
+    images neither the points nor the R factor depend on the strip height,
+    bit for bit: the window sums are exact integers, and the units are fixed
+    by image rows, not by strips.  The points are held column-major, so
+    ``points[:, 0]`` (t) and ``points[:, 1]`` (ratio) are each contiguous for
+    the summary and the fit.  A window too large for exact sums over the
+    pair's values raises ``ValueError``.
     """
     _window(half)  # a bad half-size is refused before the pair is read
     h = _as_array(high)
@@ -216,9 +236,11 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
     rows = _tile_rows(width)
     extremes = np.array([h.min(), h.max(), lo.min(), lo.max()], dtype=np.float64)
     _check_window(half, width, min(rows, height), float(np.abs(extremes).max()))
-    points = np.empty((height * width, 2))
+    points = np.empty((2, height * width)).T  # column-major: t and ratio are each contiguous
     n = 0
     r, count, mean = np.empty((0, 3)), 0, np.zeros(3)
+    carry = np.empty((3, min(_FOLD_ROWS, height), width))  # s_L, f_a, s_H of an unfinished unit
+    held = 0
     for start in range(0, height, rows):
         s_h, s_l, f_a = _strip_maps(h, lo, half, start, min(start + rows, height))
         mask = s_l > S_L_FLOOR
@@ -226,8 +248,22 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
         np.divide(s_h[mask], t, out=points[n : n + t.size, 1])
         points[n : n + t.size, 0] = t
         n += t.size
-        for row in range(s_l.shape[0]):  # a row at a time: R does not depend on the strip height
-            r, count, mean = _fold_centred(r, count, mean, (s_l[row], f_a[row], s_h[row]))
+        maps, i = (s_l, f_a, s_h), 0
+        while i < s_l.shape[0]:  # units of _FOLD_ROWS image rows, counted from row 0
+            if held or s_l.shape[0] - i < _FOLD_ROWS:  # the unit spans strips: gather it
+                k = min(_FOLD_ROWS - held, s_l.shape[0] - i)
+                for dst, m in zip(carry, maps):
+                    dst[held : held + k] = m[i : i + k]
+                held, i = held + k, i + k
+                if held == _FOLD_ROWS:
+                    r, count, mean = _fold_centred(r, count, mean, carry.reshape(3, -1))
+                    held = 0
+            else:
+                unit = [m[i : i + _FOLD_ROWS].reshape(-1) for m in maps]
+                r, count, mean = _fold_centred(r, count, mean, unit)
+                i += _FOLD_ROWS
+    if held:
+        r, count, mean = _fold_centred(r, count, mean, carry[:, :held].reshape(3, -1))
     return PairScan(points=points[:n], noise_r=_with_intercept(r, count, mean), count=count)
 
 

@@ -36,11 +36,13 @@ convergence, or degenerate fit).
 from __future__ import annotations
 
 import argparse
+import contextvars
 import math
 import os
 import re
 import sys
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import get_args
 
@@ -368,6 +370,8 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_plan(args) -> int:
     v = VFamily.parse(args.v)
+    if args.t0 is not None and args.solve_t0:
+        raise ValueError("--t0 and --solve-t0 exclude each other: give one")
     if args.apply:
         if args.inp is None or args.out is None:
             raise ValueError("--apply requires both --in and --out")
@@ -405,8 +409,14 @@ def _cmd_calibrate(args) -> int:
     out = _file_path(args.out)
     points = _file_path(args.points) if args.points is not None else None
     scan = scan_pair(read_image(high), read_image(low), args.window)
-    fit = fit_polynomial(scan.points, args.degree)
-    report = format_calibration_report(summarize_points(scan.points), fit, regress_noise(scan))
+    # the fit runs on a pool thread, in a copy of the caller's context, while this one summarizes
+    with ThreadPoolExecutor(1) as pool:
+        fit = pool.submit(contextvars.copy_context().run, fit_polynomial, scan.points, args.degree)
+        try:
+            summary = summarize_points(scan.points)
+        finally:
+            fit = fit.result()  # raised here, the fit's error comes before the summary's
+    report = format_calibration_report(summary, fit, regress_noise(scan))
     files = {out: report.encode("ascii")}
     if points:
         files[points] = format_points(scan.points)
@@ -501,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="unit-scale threshold (default: the paper's value for --v when --n "
                         "is 3; any other --n needs --t0 or --solve-t0)")
     p.add_argument("--solve-t0", dest="solve_t0", action="store_true",
-                   help="re-derive t0 by Monte-Carlo instead of using --t0")
+                   help="re-derive t0 by Monte-Carlo (refused together with --t0)")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_TABLE,
                    help=_trials_help("Monte-Carlo trials for --solve-t0", DEFAULT_TRIALS_TABLE))
     p.add_argument("--seed", type=int, default=0, help="random seed for --solve-t0")

@@ -128,6 +128,8 @@ _CALIBRATE = ["calibrate", "--high", "in.raw", "--low", "in.raw"]
      ["load_dose_model", "solve_threshold"], "no reference t0 for --v frac --n 5: give --t0 or --solve-t0"),
     (["plan", "--dose-fraction", "0.5", "--model", ""], ["load_dose_model"],
      "model path '' names no file"),
+    (_PLAN + ["--t0", "2"], ["load_dose_model", "solve_threshold"],
+     "--t0 and --solve-t0 exclude each other"),
     (["plan", "--dose-fraction", "0.5", "--model", "d.raw"], ["load_dose_model"],
      "model path 'd.raw' is a directory"),
     (_PLAN + ["--apply", "--in", "d.raw", "--out", "o.raw"], ["load_dose_model", "solve_threshold"],
@@ -146,7 +148,7 @@ _CALIBRATE = ["calibrate", "--high", "in.raw", "--low", "in.raw"]
         "curve-empty-out", "curve-missing-directory", "curve-out-directory",
         "calibrate-empty-out", "calibrate-empty-points", "calibrate-points-missing-directory",
         "filter-missing-directory", "plan-apply-missing-directory", "phantom-empty-out",
-        "plan-n-without-t0", "plan-empty-model", "plan-model-directory", "plan-in-directory",
+        "plan-n-without-t0", "plan-empty-model", "plan-t0-and-solve-t0", "plan-model-directory", "plan-in-directory",
         "filter-empty-in", "filter-in-directory", "calibrate-high-directory",
         "calibrate-empty-low"])
 def test_cli_refuses_misused_options_before_any_work(tmp_path, monkeypatch, capsys, argv,

@@ -141,6 +141,34 @@ def test_window_sums_match_uniform_filter(img, half):
                        atol=1e-6 * max(1.0, np.abs(f).max()))
 
 
+def _cumsum_window_sums(f, half, start, stop):
+    """``_window_sums`` with both running sums taken by ``np.cumsum``."""
+    size = 2 * half + 1
+    padded = _core_py._clamped_rows(f, start, stop, half + 1, half)
+    padded[0] = 0.0
+    padded[:, 0] = 0.0
+    sums = []
+    for p in (padded, padded * padded):
+        p = np.cumsum(p, axis=0)
+        rows = np.cumsum(p[size:] - p[:-size], axis=1)
+        sums.append(rows[:, size:] - rows[:, :-size])
+    return sums
+
+
+@pytest.mark.parametrize("width", [9, 64, 700])
+@pytest.mark.parametrize("half", [1, 2, 3])
+def test_window_sums_equal_cumsum_bit_for_bit_on_real_values(width, half):
+    # real values round in every addition, so only the same additions in the
+    # same order give the same bits; strips both wider and taller than they
+    # are wide take the two ways of summing down the rows
+    rng = np.random.default_rng(half)
+    f = rng.normal(scale=1e3, size=(90, width)) * rng.uniform(1e-3, 1e3, (90, 1))
+    for start, stop in ((0, 90), (0, 7), (13, 29), (40, 81), (89, 90)):
+        got = calibrate._window_sums(f, half, start, stop)
+        for g, want in zip(got, _cumsum_window_sums(f, half, start, stop)):
+            assert g.tobytes() == want.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(img=_int16_images, half=st.integers(1, 26))
 def test_window_sums_of_integer_images_are_exact(img, half):
@@ -223,11 +251,11 @@ def test_points_shape_mismatch():
 
 
 def _calibrated(high, low, half, rows):
-    """Points, degree-2 fit and regression with ``rows`` per strip and per fit block."""
+    """Scan, degree-2 fit and regression with ``rows`` per strip and per fit block."""
     with mock.patch.object(_core_py, "_TILE_ELEMS", rows * low.width):
         scan = scan_pair(high, low, half)
     with mock.patch.object(_core_py, "_TILE_ELEMS", rows * 4):  # a degree-2 fold holds 4 columns
-        return scan.points, fit_polynomial(scan.points, 2), regress_noise(scan)
+        return scan, fit_polynomial(scan.points, 2), regress_noise(scan)
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,17 +265,35 @@ def test_scan_fit_and_regression_do_not_depend_on_the_strip_height(data, h, w, h
     high, low = (Image(img) for img in data.draw(pair))
     rows = data.draw(st.sampled_from([1, 2, 3]) | st.integers(1, h + 3), label="rows")
     try:
-        points, fit, reg = _calibrated(high, low, half, h)  # one strip, one block
+        scan, fit, reg = _calibrated(high, low, half, h)  # one strip, one block
     except DegenerateFitError:
         assume(False)
-    strip_points, strip_fit, strip_reg = _calibrated(high, low, half, rows)
-    assert np.array_equal(strip_points, points)
+    strip_scan, strip_fit, strip_reg = _calibrated(high, low, half, rows)
+    assert np.array_equal(strip_scan.points, scan.points)
+    assert np.array_equal(strip_scan.noise_r, scan.noise_r)
     assert strip_fit.coefficients == pytest.approx(fit.coefficients, rel=1e-9)
     assert strip_fit.r_squared == pytest.approx(fit.r_squared, rel=1e-9, abs=1e-12)
     for term in ("intercept", "s_l", "f_a"):
         got, want = getattr(strip_reg, term), getattr(reg, term)
         assert got.coefficient == pytest.approx(want.coefficient, rel=1e-9)
         assert got.std_error == pytest.approx(want.std_error, rel=1e-9)
+
+
+def test_regression_r_of_a_wide_pair_does_not_depend_on_the_strip_height():
+    # 48 rows are three 16-row fold units: strips of 48 and 32 rows fold views
+    # of their maps, and 7-row strips gather every unit across strips
+    rng = np.random.default_rng(30)
+    low = synth_phantom_values([40, 300], sigma=30.0, seed=3, size=(48, 2048))
+    high = np.round(0.5 * low + rng.normal(scale=3.0, size=low.shape))
+    high, low = Image.from_values(high), Image.from_values(low)
+    scans = []
+    for rows in (48, 32, 7):
+        with mock.patch.object(_core_py, "_TILE_ELEMS", rows * 2048):
+            scans.append(scan_pair(high, low))
+    for scan in scans[1:]:
+        assert np.array_equal(scan.points, scans[0].points)
+        assert np.array_equal(scan.noise_r, scans[0].noise_r)
+        assert scan.count == 48 * 2048
 
 
 # --- binned point summary ---------------------------------------------------
