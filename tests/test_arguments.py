@@ -148,8 +148,8 @@ _CALIBRATE = ["calibrate", "--high", "in.raw", "--low", "in.raw"]
         "curve-empty-out", "curve-missing-directory", "curve-out-directory",
         "calibrate-empty-out", "calibrate-empty-points", "calibrate-points-missing-directory",
         "filter-missing-directory", "plan-apply-missing-directory", "phantom-empty-out",
-        "plan-n-without-t0", "plan-empty-model", "plan-t0-and-solve-t0", "plan-model-directory", "plan-in-directory",
-        "filter-empty-in", "filter-in-directory", "calibrate-high-directory",
+        "plan-n-without-t0", "plan-empty-model", "plan-t0-and-solve-t0", "plan-model-directory",
+        "plan-in-directory", "filter-empty-in", "filter-in-directory", "calibrate-high-directory",
         "calibrate-empty-low"])
 def test_cli_refuses_misused_options_before_any_work(tmp_path, monkeypatch, capsys, argv,
                                                       forbidden, message):
