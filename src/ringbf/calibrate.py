@@ -74,15 +74,13 @@ def _window_sums(f: np.ndarray, half: int, start: int = 0,
     The strip reads the ``half`` rows around it through ``_clamped_rows``, as
     the filter's strips do, so its sums are the same rows of the whole image's.
     Each axis takes running sums and differences them ``size`` apart, so the
-    cost does not grow with the window.  Down the rows, a strip no taller
-    than it is wide takes one in-order ``np.add`` per row: the additions of
-    ``np.cumsum(axis=0)`` in the same order, hence its bits for any input, at
-    about a third of its time on 2048-wide strips; a taller strip, where the
-    calls would cost more than the strided sums, takes ``np.cumsum``.  For an
-    integer-valued image every running sum is an integer below 2**53, hence
-    exact and independent of the strip, while ``(width + size) * size * m^2``
-    and ``(stop - start + size) * m^2`` stay below 2**53, m bounding the
-    values' magnitude (see ``_check_window``).
+    cost does not grow with the window.  Down the rows it takes one in-order
+    ``np.add`` per row: the additions of ``np.cumsum(axis=0)`` in the same
+    order, hence its bits for any input, at about a third of its time on
+    2048-wide strips.  For an integer-valued image every running sum is an
+    integer below 2**53, hence exact and independent of the strip, while
+    ``(width + size) * size * m^2`` and ``(stop - start + size) * m^2`` stay
+    below 2**53, m bounding the values' magnitude (see ``_check_window``).
     """
     size = _window(half)
     stop = f.shape[0] if stop is None else stop
@@ -93,11 +91,8 @@ def _window_sums(f: np.ndarray, half: int, start: int = 0,
     s2 = s1 * s1
     sums = []
     for p in (s1, s2):
-        if p.shape[0] <= p.shape[1]:  # one call per row pays only when rows are few
-            for i in range(1, p.shape[0]):
-                np.add(p[i - 1], p[i], out=p[i])
-        else:
-            np.cumsum(p, axis=0, out=p)
+        for i in range(1, p.shape[0]):  # np.cumsum(axis=0)'s additions, in its order
+            np.add(p[i - 1], p[i], out=p[i])
         rows = p[size:] - p[:-size]
         np.cumsum(rows, axis=1, out=rows)
         sums.append(rows[:, size:] - rows[:, :-size])
@@ -239,8 +234,7 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
     points = np.empty((2, height * width)).T  # column-major: t and ratio are each contiguous
     n = 0
     r, count, mean = np.empty((0, 3)), 0, np.zeros(3)
-    carry = np.empty((3, min(_FOLD_ROWS, height), width))  # s_L, f_a, s_H of an unfinished unit
-    held = 0
+    carry, held = None, 0  # s_L, f_a, s_H of a unit that spans strips, made when one first does
     for start in range(0, height, rows):
         s_h, s_l, f_a = _strip_maps(h, lo, half, start, min(start + rows, height))
         mask = s_l > S_L_FLOOR
@@ -252,6 +246,8 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
         while i < s_l.shape[0]:  # units of _FOLD_ROWS image rows, counted from row 0
             if held or s_l.shape[0] - i < _FOLD_ROWS:  # the unit spans strips: gather it
                 k = min(_FOLD_ROWS - held, s_l.shape[0] - i)
+                if carry is None:
+                    carry = np.empty((3, min(_FOLD_ROWS, height), width))
                 for dst, m in zip(carry, maps):
                     dst[held : held + k] = m[i : i + k]
                 held, i = held + k, i + k

@@ -36,13 +36,11 @@ convergence, or degenerate fit).
 from __future__ import annotations
 
 import argparse
-import contextvars
 import math
 import os
 import re
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import get_args
 
@@ -409,14 +407,8 @@ def _cmd_calibrate(args) -> int:
     out = _file_path(args.out)
     points = _file_path(args.points) if args.points is not None else None
     scan = scan_pair(read_image(high), read_image(low), args.window)
-    # the fit runs on a pool thread, in a copy of the caller's context, while this one summarizes
-    with ThreadPoolExecutor(1) as pool:
-        fit = pool.submit(contextvars.copy_context().run, fit_polynomial, scan.points, args.degree)
-        try:
-            summary = summarize_points(scan.points)
-        finally:
-            fit = fit.result()  # raised here, the fit's error comes before the summary's
-    report = format_calibration_report(summary, fit, regress_noise(scan))
+    fit = fit_polynomial(scan.points, args.degree)
+    report = format_calibration_report(summarize_points(scan.points), fit, regress_noise(scan))
     files = {out: report.encode("ascii")}
     if points:
         files[points] = format_points(scan.points)

@@ -159,8 +159,8 @@ def _cumsum_window_sums(f, half, start, stop):
 @pytest.mark.parametrize("half", [1, 2, 3])
 def test_window_sums_equal_cumsum_bit_for_bit_on_real_values(width, half):
     # real values round in every addition, so only the same additions in the
-    # same order give the same bits; strips both wider and taller than they
-    # are wide take the two ways of summing down the rows
+    # same order give the same bits; the strips run from one row to 90, both
+    # wider and taller than they are wide
     rng = np.random.default_rng(half)
     f = rng.normal(scale=1e3, size=(90, width)) * rng.uniform(1e-3, 1e3, (90, 1))
     for start, stop in ((0, 90), (0, 7), (13, 29), (40, 81), (89, 90)):

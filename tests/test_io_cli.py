@@ -6,7 +6,6 @@ import re
 import shlex
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -15,8 +14,8 @@ import pytest
 
 import ringbf
 from ringbf import _core_py
-from ringbf.calibrate import fit_polynomial, format_points, scan_pair, summarize_points
-from ringbf.errors import DegenerateFitError, FormatError, RangeError
+from ringbf.calibrate import format_points, scan_pair, summarize_points
+from ringbf.errors import FormatError, RangeError
 from ringbf.filter import Image
 from ringbf.io_cli import (_build_parser, _merge_dash_values, _write_files, cli_dispatch,
                            read_image, write_image)
@@ -545,35 +544,6 @@ def test_cli_calibrate_points_file_is_the_full_point_list(tmp_path):
     rows = "".join(f"{t:.9g},{r:.9g}\n" for t, r in pts)
     assert points.read_bytes() == ("t,ratio\n" + rows).encode("ascii")
     assert report.read_text().startswith("t_lo,t_hi,count,")
-
-
-def test_cli_calibrate_raises_the_fits_error_first_and_leaves_no_thread(tmp_path, monkeypatch,
-                                                                        capsys):
-    # the fit runs on a pool thread beside the summary; when both fail, the
-    # fit's error is the one reported, as when they ran one after the other
-    high, low = _phantom_pair(tmp_path)
-
-    def fit(points, degree):
-        raise DegenerateFitError("the fit fails")
-
-    def summary(points):
-        raise ValueError("the summary fails")
-
-    monkeypatch.setattr("ringbf.io_cli.fit_polynomial", fit)
-    monkeypatch.setattr("ringbf.io_cli.summarize_points", summary)
-    threads = threading.active_count()
-    rc = cli_dispatch(["calibrate", "--high", str(high), "--low", str(low),
-                       "--out", str(tmp_path / "report.txt")])
-    assert rc == 3
-    assert capsys.readouterr().err == "error: the fit fails\n"
-    assert threading.active_count() == threads
-    assert not (tmp_path / "report.txt").exists()
-    monkeypatch.setattr("ringbf.io_cli.fit_polynomial", fit_polynomial)
-    rc = cli_dispatch(["calibrate", "--high", str(high), "--low", str(low),
-                       "--out", str(tmp_path / "report.txt")])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: the summary fails\n"
-    assert threading.active_count() == threads
 
 
 def test_cli_calibrate_write_failure_keeps_old_report(tmp_path, monkeypatch, capsys):
