@@ -7,14 +7,16 @@ deviation and the local intensity average verifies that noise scales with
 deviation, not with intensity — the property that justifies applying one
 intensity-shift-invariant filter across the whole gated range.
 
-:func:`scan_pair` reads a pair once, in strips of ``_tile_rows`` image rows.
-Each strip yields its windowed maps, appends its points to one array and
-folds its regression rows, ``_FOLD_ROWS`` image rows at a time, into a small
-R factor (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput.
-34(1), 2012), so no full-size map or design matrix is ever held.
-:func:`fit_polynomial` folds its fit basis ``_tile_rows`` points at a
-time through the same centred fold, and both add the intercept back to the
-R factor in the same way.  The report summarizes the points in
+:func:`scan_pair` reads a pair once, in strips of whole ``_FOLD_ROWS``-row
+units, about ``_tile_rows`` image rows.  Each strip yields its windowed maps,
+appends its points to one array and folds its regression rows, one unit at a
+time, into a small R factor (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM
+J. Sci. Comput. 34(1), 2012), so no full-size map or design matrix is ever
+held.  :func:`fit_polynomial` folds its fit basis ``_FIT_POINTS`` points at a
+time through the same centred fold, and both add the intercept back to the R
+factor in the same way.  Every fold unit is counted from the first row or
+point, never from a tile budget, so the points, the R factor and the fit have
+the same bits for any budget.  The report summarizes the points in
 ``SUMMARY_BINS`` equal-count bins over ``t``, also a block at a time:
 :func:`summarize_points` finds the exact bin edges from a histogram of ``t``
 over ``_CELLS`` equal cells, sorting only the values of the cells that hold
@@ -61,6 +63,7 @@ _CF_TINY = 1e-300  # Lentz's guard against a zero denominator
 _CF_MAX_TERMS = 1000  # no dof up to 1e12 with |t| <= 1e3 needed more than 55
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
 _FOLD_ROWS = 16  # image rows per regression fold: 128 QR calls at 2048^2 instead of 2,048
+_FIT_POINTS = 8192  # points per trend-fit fold and refinement block, whatever the tile budget
 
 
 def _window(half: int) -> int:
@@ -161,7 +164,7 @@ def _fold_centred(r: np.ndarray, count: int, mean: np.ndarray,
     QR, whose fixed cost dominates a small block, so the callers fold blocks
     of thousands of rows: :func:`scan_pair` its regression rows
     ``_FOLD_ROWS`` image rows at a time and :func:`fit_polynomial` its fit
-    basis ``_tile_rows`` points at a time.  :func:`_with_intercept` then adds
+    basis ``_FIT_POINTS`` points at a time.  :func:`_with_intercept` then adds
     the ones column back.
     """
     rows = columns[0].size
@@ -209,15 +212,16 @@ class PairScan:
 
 
 def scan_pair(high, low, half: int = 2) -> PairScan:
-    """Read a pair once, ``_tile_rows(width)`` rows at a time, into its points and regression R.
+    """Read a pair once, in strips of whole fold units, into its points and regression R.
 
-    The regression rows go through :func:`_fold_centred` in units of
-    ``_FOLD_ROWS`` image rows counted from row 0: a unit that lies inside a
-    strip is folded from views of its maps, and the rows of one that spans
-    strips are gathered until it is whole (or the image ends).  For int16
-    images neither the points nor the R factor depend on the strip height,
-    bit for bit: the window sums are exact integers, and the units are fixed
-    by image rows, not by strips.  The points are held column-major, so
+    A strip holds ``_tile_rows(width)`` rows rounded down to a multiple of
+    ``_FOLD_ROWS``, and at least ``_FOLD_ROWS``, so every strip starts on a
+    unit boundary counted from row 0.  The regression rows go through
+    :func:`_fold_centred` one unit at a time, each from views of its strip's
+    maps; only the image's last unit can be short.  For int16 images neither
+    the points nor the R factor depend on the tile budget, bit for bit: the
+    window sums are exact integers, and the units are fixed by image rows,
+    not by strips.  The points are held column-major, so
     ``points[:, 0]`` (t) and ``points[:, 1]`` (ratio) are each contiguous for
     the summary and the fit.  A window too large for exact sums over the
     pair's values raises ``ValueError``.
@@ -228,13 +232,12 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
     if h.shape != lo.shape:
         raise ValueError(f"image dimensions differ: {h.shape} vs {lo.shape}")
     height, width = lo.shape
-    rows = _tile_rows(width)
+    rows = _FOLD_ROWS * max(1, _tile_rows(width) // _FOLD_ROWS)  # whole fold units a strip
     extremes = np.array([h.min(), h.max(), lo.min(), lo.max()], dtype=np.float64)
     _check_window(half, width, min(rows, height), float(np.abs(extremes).max()))
     points = np.empty((2, height * width)).T  # column-major: t and ratio are each contiguous
     n = 0
     r, count, mean = np.empty((0, 3)), 0, np.zeros(3)
-    carry, held = None, 0  # s_L, f_a, s_H of a unit that spans strips, made when one first does
     for start in range(0, height, rows):
         s_h, s_l, f_a = _strip_maps(h, lo, half, start, min(start + rows, height))
         mask = s_l > S_L_FLOOR
@@ -242,24 +245,9 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
         np.divide(s_h[mask], t, out=points[n : n + t.size, 1])
         points[n : n + t.size, 0] = t
         n += t.size
-        maps, i = (s_l, f_a, s_h), 0
-        while i < s_l.shape[0]:  # units of _FOLD_ROWS image rows, counted from row 0
-            if held or s_l.shape[0] - i < _FOLD_ROWS:  # the unit spans strips: gather it
-                k = min(_FOLD_ROWS - held, s_l.shape[0] - i)
-                if carry is None:
-                    carry = np.empty((3, min(_FOLD_ROWS, height), width))
-                for dst, m in zip(carry, maps):
-                    dst[held : held + k] = m[i : i + k]
-                held, i = held + k, i + k
-                if held == _FOLD_ROWS:
-                    r, count, mean = _fold_centred(r, count, mean, carry.reshape(3, -1))
-                    held = 0
-            else:
-                unit = [m[i : i + _FOLD_ROWS].reshape(-1) for m in maps]
-                r, count, mean = _fold_centred(r, count, mean, unit)
-                i += _FOLD_ROWS
-    if held:
-        r, count, mean = _fold_centred(r, count, mean, carry[:, :held].reshape(3, -1))
+        for i in range(0, s_l.shape[0], _FOLD_ROWS):  # only the image's last unit can be short
+            unit = [m[i : i + _FOLD_ROWS].reshape(-1) for m in (s_l, f_a, s_h)]
+            r, count, mean = _fold_centred(r, count, mean, unit)
     return PairScan(points=points[:n], noise_r=_with_intercept(r, count, mean), count=count)
 
 
@@ -469,7 +457,9 @@ def fit_polynomial(points, degree: int) -> PolyFit:
     [-1, 1] and keeps the powers of u well conditioned, then expanded into
     ascending powers of x.  The columns ``[u, ..., u^d | y - mean(y)]`` go
     through the centred fold, so SS_tot and SS_res both come from R's last
-    column and a degree-0 fit, the mean, reports R^2 = 0 exactly.  When R's
+    column and a degree-0 fit, the mean, reports R^2 = 0 exactly.  The fold
+    and the refinement read the points ``_FIT_POINTS`` at a time, counted
+    from point 0, so the fit's bits do not depend on the tile budget.  When R's
     condition number exceeds ``_REFINE_COND``, and is small enough for the
     step to converge, the coefficients get one step of iterative refinement.
     Requires finite points (``ValueError`` otherwise), more points than
@@ -493,12 +483,11 @@ def fit_polynomial(points, degree: int) -> PolyFit:
     centre, scale = 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
     r, count, col_mean = np.empty((0, degree + 1)), 0, np.zeros(degree + 1)
 
-    def blocks():  # (u, y - mean) a block at a time; a block's fold holds degree + 2 columns
-        size = _tile_rows(degree + 2)
-        for start in range(0, len(pts), size):
-            u = x[start : start + size] - centre
+    def blocks():  # (u, y - mean) in units of _FIT_POINTS points, counted from point 0
+        for start in range(0, len(pts), _FIT_POINTS):
+            u = x[start : start + _FIT_POINTS] - centre
             u /= scale
-            yield u, y[start : start + size] - mean
+            yield u, y[start : start + _FIT_POINTS] - mean
 
     for u, centered in blocks():
         powers = [u] if degree else []

@@ -406,6 +406,9 @@ def _cmd_calibrate(args) -> int:
     _degree(args.degree)
     out = _file_path(args.out)
     points = _file_path(args.points) if args.points is not None else None
+    if points is not None and points.resolve() == out.resolve():
+        raise ValueError(f"--points {args.points!r} and --out {args.out!r} name the same file: "
+                         "give two")
     scan = scan_pair(read_image(high), read_image(low), args.window)
     fit = fit_polynomial(scan.points, args.degree)
     report = format_calibration_report(summarize_points(scan.points), fit, regress_noise(scan))
@@ -519,7 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=4, help="trend polynomial degree (default 4)")
     p.add_argument("--out", required=True, help="output report path")
     p.add_argument("--points", default=None,
-                   help="also write every per-pixel 't,ratio' point to this file")
+                   help="also write every per-pixel 't,ratio' point to this file "
+                        "(not the --out file)")
     p.set_defaults(handler=_cmd_calibrate)
 
     p = sub.add_parser("phantom", help="synthesize a banded test image")

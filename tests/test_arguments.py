@@ -142,6 +142,8 @@ _CALIBRATE = ["calibrate", "--high", "in.raw", "--low", "in.raw"]
      "input path 'd.raw' is a directory"),
     (["calibrate", "--high", "in.raw", "--low", "", "--out", "r.txt"], ["read_image"],
      "input path '' names no file"),
+    (_CALIBRATE + ["--out", "./r.txt", "--points", "d.raw/../r.txt"], ["read_image", "scan_pair"],
+     "name the same file"),
 ], ids=["plan-apply-alone", "plan-apply-without-out", "plan-in-alone", "plan-out-alone",
         "plan-apply-bmp", "plan-dose-outside-model", "filter-bmp", "filter-iterate",
         "phantom-bmp", "calibrate-bmp", "calibrate-window", "calibrate-degree",
@@ -150,7 +152,7 @@ _CALIBRATE = ["calibrate", "--high", "in.raw", "--low", "in.raw"]
         "filter-missing-directory", "plan-apply-missing-directory", "phantom-empty-out",
         "plan-n-without-t0", "plan-empty-model", "plan-t0-and-solve-t0", "plan-model-directory",
         "plan-in-directory", "filter-empty-in", "filter-in-directory", "calibrate-high-directory",
-        "calibrate-empty-low"])
+        "calibrate-empty-low", "calibrate-points-is-out"])
 def test_cli_refuses_misused_options_before_any_work(tmp_path, monkeypatch, capsys, argv,
                                                       forbidden, message):
     monkeypatch.chdir(tmp_path)

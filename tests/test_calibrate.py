@@ -1,4 +1,5 @@
 """Local-deviation maps, empirical reduction points, fitting, and regression."""
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -250,50 +251,73 @@ def test_points_shape_mismatch():
         scan_pair(np.zeros((8, 8)), np.zeros((8, 9)))
 
 
-def _calibrated(high, low, half, rows):
-    """Scan, degree-2 fit and regression with ``rows`` per strip and per fit block."""
-    with mock.patch.object(_core_py, "_TILE_ELEMS", rows * low.width):
+def _calibrated(high, low, half, rows, fold, fit_points):
+    """Scan, summary, degree-2 fit and regression with a budget of ``rows``
+    image rows, ``fold``-row regression units and ``fit_points``-point fit units."""
+    with mock.patch.object(_core_py, "_TILE_ELEMS", rows * low.width), \
+            mock.patch.object(calibrate, "_FOLD_ROWS", fold), \
+            mock.patch.object(calibrate, "_FIT_POINTS", fit_points):
         scan = scan_pair(high, low, half)
-    with mock.patch.object(_core_py, "_TILE_ELEMS", rows * 4):  # a degree-2 fold holds 4 columns
-        return scan, fit_polynomial(scan.points, 2), regress_noise(scan)
+        return (scan, summarize_points(scan.points), fit_polynomial(scan.points, 2),
+                regress_noise(scan))
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), h=st.integers(6, 30), w=st.integers(5, 30), half=st.integers(1, 3))
-def test_scan_fit_and_regression_do_not_depend_on_the_strip_height(data, h, w, half):
+@given(data=st.data(), h=st.integers(6, 30), w=st.integers(5, 30), half=st.integers(1, 3),
+       fold=st.integers(1, 4), fit_points=st.sampled_from([7, 64, calibrate._FIT_POINTS]))
+def test_scan_fit_and_regression_do_not_depend_on_the_strip_height(data, h, w, half, fold,
+                                                                   fit_points):
+    # strips hold whole units of `fold` rows, so small pairs still span many
+    # strips; the fit runs under each budget too, so one that read it would differ
     pair = arrays(np.int16, (2, h, w), elements=st.integers(-2000, 2000))
     high, low = (Image(img) for img in data.draw(pair))
     rows = data.draw(st.sampled_from([1, 2, 3]) | st.integers(1, h + 3), label="rows")
     try:
-        scan, fit, reg = _calibrated(high, low, half, h)  # one strip, one block
+        # a budget of h + fold rows makes one strip
+        scan, summary, fit, reg = _calibrated(high, low, half, h + fold, fold, fit_points)
     except DegenerateFitError:
         assume(False)
-    strip_scan, strip_fit, strip_reg = _calibrated(high, low, half, rows)
+    strip_scan, strip_summary, strip_fit, strip_reg = _calibrated(high, low, half, rows, fold,
+                                                                  fit_points)
     assert np.array_equal(strip_scan.points, scan.points)
     assert np.array_equal(strip_scan.noise_r, scan.noise_r)
-    assert strip_fit.coefficients == pytest.approx(fit.coefficients, rel=1e-9)
-    assert strip_fit.r_squared == pytest.approx(fit.r_squared, rel=1e-9, abs=1e-12)
-    for term in ("intercept", "s_l", "f_a"):
-        got, want = getattr(strip_reg, term), getattr(reg, term)
-        assert got.coefficient == pytest.approx(want.coefficient, rel=1e-9)
-        assert got.std_error == pytest.approx(want.std_error, rel=1e-9)
+    for field in dataclasses.fields(summary):
+        assert np.array_equal(getattr(strip_summary, field.name), getattr(summary, field.name))
+    assert strip_fit == fit
+    assert strip_reg == reg
 
 
 def test_regression_r_of_a_wide_pair_does_not_depend_on_the_strip_height():
-    # 48 rows are three 16-row fold units: strips of 48 and 32 rows fold views
-    # of their maps, and 7-row strips gather every unit across strips
+    # 48 rows are three 16-row fold units: budgets of 48, 32 and 16 rows give
+    # strips of 48, 32 and 16 rows, and a 7-row budget rounds up to 16
     rng = np.random.default_rng(30)
     low = synth_phantom_values([40, 300], sigma=30.0, seed=3, size=(48, 2048))
     high = np.round(0.5 * low + rng.normal(scale=3.0, size=low.shape))
     high, low = Image.from_values(high), Image.from_values(low)
     scans = []
-    for rows in (48, 32, 7):
+    for rows in (48, 32, 16, 7):
         with mock.patch.object(_core_py, "_TILE_ELEMS", rows * 2048):
             scans.append(scan_pair(high, low))
     for scan in scans[1:]:
         assert np.array_equal(scan.points, scans[0].points)
         assert np.array_equal(scan.noise_r, scans[0].noise_r)
         assert scan.count == 48 * 2048
+
+
+def test_a_pair_wider_than_the_budget_scans_as_one_strip():
+    # at 6000 wide the budget holds 10 rows, which round up to one 16-row
+    # unit: strips of 16, 16 and 8 rows give the points and R of one strip
+    rng = np.random.default_rng(31)
+    low = synth_phantom_values([40, 300], sigma=30.0, seed=4, size=(40, 6000))
+    high = np.round(0.5 * low + rng.normal(scale=3.0, size=low.shape))
+    high, low = Image.from_values(high), Image.from_values(low)
+    assert _core_py._tile_rows(6000) < calibrate._FOLD_ROWS
+    strips = scan_pair(high, low)
+    with mock.patch.object(_core_py, "_TILE_ELEMS", 48 * 6000):
+        whole = scan_pair(high, low)
+    assert np.array_equal(strips.points, whole.points)
+    assert np.array_equal(strips.noise_r, whole.noise_r)
+    assert strips.count == whole.count == 40 * 6000
 
 
 # --- binned point summary ---------------------------------------------------
@@ -575,7 +599,7 @@ def test_ill_conditioned_fit_matches_the_exact_least_squares_solution(block):
     # alone is off by 1e-12 to 2e-11 relative and the refinement step runs
     t = np.repeat([10.0, 29.999, 30.0], 8)
     pts = np.column_stack([t, np.random.default_rng(3).normal(1.0, 0.5, t.size)])
-    with mock.patch.object(_core_py, "_TILE_ELEMS", 4 * block):  # blocks of `block` points
+    with mock.patch.object(calibrate, "_FIT_POINTS", block):
         fit = fit_polynomial(pts, 2)
     assert fit.coefficients == pytest.approx(_exact_fit(pts, 2), rel=1e-14, abs=0)
 
@@ -606,7 +630,7 @@ def test_fit_does_not_depend_on_the_block_height_far_from_zero(offset):
     pts = np.column_stack([t, ratio])
     fits = []
     for block in (1, 5, 1 << 14):
-        with mock.patch.object(_core_py, "_TILE_ELEMS", 4 * block):  # blocks of `block` points
+        with mock.patch.object(calibrate, "_FIT_POINTS", block):
             fits.append(fit_polynomial(pts, 2))
     for fit in fits[1:]:
         assert fit.coefficients == pytest.approx(fits[0].coefficients, rel=1e-13)
