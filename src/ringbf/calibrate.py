@@ -12,8 +12,10 @@ units, about ``_tile_rows`` image rows.  Each strip yields its windowed maps,
 appends its points to one array and folds its regression rows, one unit at a
 time, into a small R factor (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM
 J. Sci. Comput. 34(1), 2012), so no full-size map or design matrix is ever
-held.  :func:`fit_polynomial` folds its fit basis ``_FIT_POINTS`` points at a
-time through the same centred fold, and both add the intercept back to the R
+held; the command line hands it ``_FileRows``, which read each strip's rows
+from the image files, so it holds neither image either.
+:func:`fit_polynomial` folds its fit basis ``_FIT_POINTS`` points at a time
+through the same centred fold, and both add the intercept back to the R
 factor in the same way.  Every fold unit is counted from the first row or
 point, never from a tile budget, so the points, the R factor and the fit have
 the same bits for any budget.  The report summarizes the points in
@@ -30,11 +32,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ._core_py import _clamped_rows, _tile_rows
-from .errors import DegenerateFitError, NumericalError
+from .errors import DegenerateFitError, FormatError, NumericalError
 from .filter import _as_array
 from .kernel import _integer
 
@@ -195,6 +198,42 @@ def _with_intercept(r: np.ndarray, count: int, mean: np.ndarray) -> np.ndarray:
     return full
 
 
+@dataclass(frozen=True)
+class _FileRows:
+    """A stored 16-bit image that :func:`scan_pair` reads a strip's rows at a time.
+
+    The ``shape`` image's samples start ``offset`` bytes into the file,
+    row-major, each a ``dtype`` (``"<i2"`` or ``">u2"``).  The file has been
+    read and validated whole already; ``extremes`` are its least and
+    greatest sample, which :func:`scan_pair` reads through ``min()`` and
+    ``max()`` as it does an array's.
+    """
+
+    path: Path
+    offset: int
+    dtype: str
+    shape: tuple[int, int]
+    extremes: tuple[int, int]
+
+    def min(self) -> int:
+        return self.extremes[0]
+
+    def max(self) -> int:
+        return self.extremes[1]
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        """The image rows ``rows``, an ascending index array, as ``_clamped_rows`` asks for them.
+
+        Only the rows from ``rows[0]`` to ``rows[-1]`` are read from the file.
+        """
+        first, width = int(rows[0]), self.shape[1]
+        count = (int(rows[-1]) + 1 - first) * width
+        block = np.fromfile(self.path, self.dtype, count, offset=self.offset + 2 * first * width)
+        if block.size != count:
+            raise FormatError(f"{self.path}: the file changed while it was read")
+        return block.reshape(-1, width)[rows - first]
+
+
 @dataclass(frozen=True, eq=False)
 class PairScan:
     """What one pass over a high/low-dose pair keeps.
@@ -214,7 +253,11 @@ class PairScan:
 def scan_pair(high, low, half: int = 2) -> PairScan:
     """Read a pair once, in strips of whole fold units, into its points and regression R.
 
-    A strip holds ``_tile_rows(width)`` rows rounded down to a multiple of
+    Each image is an ``Image``, a 2-D array, or, from the command line, a
+    ``_FileRows`` that reads each strip's rows from its file, so that the
+    scan holds neither image.  All three go through the same row indexing
+    (``_clamped_rows``), and give the same bits for the same pixels.  A
+    strip holds ``_tile_rows(width)`` rows rounded down to a multiple of
     ``_FOLD_ROWS``, and at least ``_FOLD_ROWS``, so every strip starts on a
     unit boundary counted from row 0.  The regression rows go through
     :func:`_fold_centred` one unit at a time, each from views of its strip's
@@ -227,8 +270,7 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
     pair's values raises ``ValueError``.
     """
     _window(half)  # a bad half-size is refused before the pair is read
-    h = _as_array(high)
-    lo = _as_array(low)
+    h, lo = (img if isinstance(img, _FileRows) else _as_array(img) for img in (high, low))
     if h.shape != lo.shape:
         raise ValueError(f"image dimensions differ: {h.shape} vs {lo.shape}")
     height, width = lo.shape

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._core_py import _tile_rows
 from .errors import FormatError, OutOfDomainError
-from .filter import FilterConfig, Image
+from .filter import FilterConfig, Image, quantize_to_int16
 from .kernel import KernelSpec, VFamily, WFamily, _check_seed, _integer
 
 __all__ = [
@@ -134,20 +135,17 @@ def plan_filter(
     )
 
 
-def synth_phantom_values(
-    densities, sigma: float = 0.0, seed: int = 0, size: tuple[int, int] = (512, 512),
-) -> np.ndarray:
-    """Real-valued phantom: piecewise-constant densities plus i.i.d. normal noise.
+def _phantom(densities, sigma: float, seed: int, size: tuple[int, int],
+             dtype: type) -> np.ndarray:
+    """The phantom as ``dtype``: float64 values as they are, or int16 quantized.
 
-    Density ``i`` fills the ``i``-th of equal vertical bands, left to right
-    (column ``c`` of ``w`` is in band ``c * len(densities) // w``); more
-    bands than columns raise ``ValueError``.  The noise reads the seed's
-    Philox stream front to back through numpy's ziggurat Normal sampler
-    (Marsaglia and Tsang, 2000), so it is deterministic per seed and a
-    smaller image's draws are the first draws of a larger one.  The density
-    row is broadcast down the columns and the draws are scaled and shifted
-    in place, so the output is the only full-size array.  A ``sigma`` or
-    density whose noisy values overflow float64 raises ``ValueError``.
+    Both are made a block of ``_tile_rows(width)`` rows at a time, in row
+    order, each block's draws read from one Philox stream: consecutive
+    ``standard_normal`` calls read the stream as one call would, so the
+    values do not depend on the block height.  A float64 result takes its
+    draws in place; an int16 one fills one float64 block buffer and
+    quantizes it into its rows.  So the result and one block are all that
+    is held.
     """
     dens = np.asarray(list(densities), dtype=np.float64)
     if dens.size == 0:
@@ -161,33 +159,64 @@ def synth_phantom_values(
     if dens.size > shape[1]:
         raise ValueError(f"cannot fit {dens.size} vertical bands into {shape[1]} columns")
     row = dens[np.arange(shape[1]) * dens.size // shape[1]]
-    if sigma == 0.0:
-        return np.broadcast_to(row, shape).copy()
-    out = np.random.Generator(np.random.Philox(key=seed)).standard_normal(shape)
-    try:
-        with np.errstate(over="raise"):
-            out *= sigma
-            out += row
-    except FloatingPointError:
-        raise ValueError(f"sigma {sigma} with densities {dens.tolist()} gives noisy values "
-                         "beyond float64") from None
+    out = np.empty(shape, dtype)
+    rows = _tile_rows(shape[1])
+    buf = None if dtype is np.float64 else np.empty((min(rows, shape[0]), shape[1]))
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    for start in range(0, shape[0], rows):
+        stop = min(start + rows, shape[0])
+        block = out[start:stop] if buf is None else buf[: stop - start]
+        if sigma == 0.0:
+            block[:] = row
+        else:
+            gen.standard_normal(out=block)
+            try:
+                with np.errstate(over="raise"):
+                    block *= sigma
+                    block += row
+            except FloatingPointError:
+                raise ValueError(f"sigma {sigma} with densities {dens.tolist()} gives noisy "
+                                 "values beyond float64") from None
+        if buf is not None:
+            out[start:stop] = quantize_to_int16(block)
     return out
+
+
+def synth_phantom_values(
+    densities, sigma: float = 0.0, seed: int = 0, size: tuple[int, int] = (512, 512),
+) -> np.ndarray:
+    """Real-valued phantom: piecewise-constant densities plus i.i.d. normal noise.
+
+    Density ``i`` fills the ``i``-th of equal vertical bands, left to right
+    (column ``c`` of ``w`` is in band ``c * len(densities) // w``); more
+    bands than columns raise ``ValueError``.  The noise reads the seed's
+    Philox stream front to back through numpy's ziggurat Normal sampler
+    (Marsaglia and Tsang, 2000), so it is deterministic per seed and a
+    smaller image's draws are the first draws of a larger one.  The draws
+    are taken into the output a row block at a time and scaled and shifted
+    in place, so the output is the only full-size array.  A ``sigma`` or
+    density whose noisy values overflow float64 raises ``ValueError``.
+    """
+    return _phantom(densities, sigma, seed, size, np.float64)
 
 
 def synth_phantom(
     densities, sigma: float = 0.0, seed: int = 0, size: tuple[int, int] = (512, 512),
 ) -> Image:
-    """Phantom image (int16), quantized from :func:`synth_phantom_values`.
+    """Phantom image (int16): :func:`synth_phantom_values` quantized by ``quantize_to_int16``.
 
-    A density outside the int16 range [-32768, 32767] raises ``ValueError``;
-    noise that carries a pixel past that range is still clipped to it by
-    ``quantize_to_int16``.
+    The values are drawn and quantized a row block at a time, so the int16
+    image and one float64 block are held, never the full-size values; the
+    pixels equal ``quantize_to_int16(synth_phantom_values(...))`` for any
+    block height.  A density outside the int16 range [-32768, 32767] raises
+    ``ValueError``; noise that carries a pixel past that range is still
+    clipped to it.
     """
     dens = [float(d) for d in densities]
     for d in dens:
-        if math.isfinite(d) and not -32768 <= d <= 32767:  # synth_phantom_values refuses the rest
+        if math.isfinite(d) and not -32768 <= d <= 32767:  # _phantom refuses the rest
             raise ValueError(f"density {d} lies outside the int16 range [-32768, 32767]")
-    return Image.from_values(synth_phantom_values(dens, sigma, seed, size))
+    return Image(_phantom(dens, sigma, seed, size, np.int16))
 
 
 def load_dose_model(path) -> DoseNoiseModel:

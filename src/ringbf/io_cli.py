@@ -57,6 +57,7 @@ from .analysis import (
 )
 from .calibrate import (
     _degree,
+    _FileRows,
     _window,
     fit_polynomial,
     format_calibration_report,
@@ -91,6 +92,7 @@ _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 # it: that line end is the one whitespace byte before the samples.
 _PGM_MAXVAL_COMMENT = re.compile(rb"(?:#[^\r\n]*(?=[\r\n]))?")
 _PGM_MAX = 32767  # largest value an int16 pipeline can round-trip
+_SAMPLE = {".raw": "<i2", ".pgm": ">u2"}  # each format's stored sample
 
 
 def _meta_path(raw_path: Path) -> Path:
@@ -160,13 +162,13 @@ def _read_raw(path: Path) -> Image:
             f"{path}: raw data is {len(data)} bytes, expected {expected} "
             f"({width}x{height} 16-bit samples)"
         )
-    pixels = np.frombuffer(data, dtype="<i2").astype(np.int16).reshape(height, width)
+    pixels = np.frombuffer(data, dtype=_SAMPLE[".raw"]).astype(np.int16).reshape(height, width)
     return Image(pixels=pixels)
 
 
 def _write_raw(path: Path, img: Image) -> None:
     _write_files({
-        path: np.ascontiguousarray(img.pixels, dtype="<i2").tobytes(),
+        path: np.ascontiguousarray(img.pixels, dtype=_SAMPLE[".raw"]).tobytes(),
         _meta_path(path): f"width={img.width}\nheight={img.height}\n".encode("ascii"),
     })
 
@@ -213,7 +215,7 @@ def _read_pgm(path: Path) -> Image:
             f"({width}x{height} 16-bit samples)",
             offset=pos,
         )
-    samples = np.frombuffer(body, dtype=">u2")
+    samples = np.frombuffer(body, dtype=_SAMPLE[".pgm"])
     too_big = np.nonzero(samples > _PGM_MAX)[0]
     if too_big.size:
         idx = int(too_big[0])
@@ -234,7 +236,8 @@ def _write_pgm(path: Path, img: Image) -> None:
             f"[0, {_PGM_MAX}] — use the .raw format instead"
         )
     header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
-    _write_files({path: header + np.ascontiguousarray(img.pixels, dtype=">u2").tobytes()})
+    samples = np.ascontiguousarray(img.pixels, dtype=_SAMPLE[".pgm"])
+    _write_files({path: header + samples.tobytes()})
 
 
 def _image_format(path) -> str:
@@ -269,6 +272,18 @@ def _file_path(text: str, role: str = "output", image: bool = False) -> Path:
 def read_image(path) -> Image:
     """Read a ``.raw`` (+ ``.meta`` sidecar) or 16-bit ``.pgm`` image."""
     return (_read_raw if _image_format(path) == ".raw" else _read_pgm)(Path(path))
+
+
+def _file_rows(path: Path) -> _FileRows:
+    """The image at ``path`` as rows that :func:`scan_pair` reads from the file a strip at a time.
+
+    The file is read whole by :func:`read_image` first, so it is validated
+    as any image read is; its extremes are kept and its pixels dropped.  In
+    both formats the samples are the file's last bytes.
+    """
+    pixels = read_image(path).pixels
+    return _FileRows(path, path.stat().st_size - pixels.nbytes, _SAMPLE[_image_format(path)],
+                     pixels.shape, (int(pixels.min()), int(pixels.max())))
 
 
 def write_image(path, img: Image) -> None:
@@ -409,7 +424,7 @@ def _cmd_calibrate(args) -> int:
     if points is not None and points.resolve() == out.resolve():
         raise ValueError(f"--points {args.points!r} and --out {args.out!r} name the same file: "
                          "give two")
-    scan = scan_pair(read_image(high), read_image(low), args.window)
+    scan = scan_pair(_file_rows(high), _file_rows(low), args.window)
     fit = fit_polynomial(scan.points, args.degree)
     report = format_calibration_report(summarize_points(scan.points), fit, regress_noise(scan))
     files = {out: report.encode("ascii")}

@@ -17,8 +17,9 @@ from ringbf.ctmodel import (
     synth_phantom,
     synth_phantom_values,
 )
+from ringbf import _core_py
 from ringbf.errors import FormatError, OutOfDomainError
-from ringbf.filter import Image
+from ringbf.filter import Image, quantize_to_int16
 from ringbf.kernel import VFamily, WFamily
 
 
@@ -281,6 +282,39 @@ def test_phantom_noise_holds_one_output_of_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * vals.nbytes
+
+
+def test_phantom_image_holds_no_full_size_values():
+    # the int16 image is drawn and quantized a row block at a time: beyond
+    # the image it holds block-sized buffers, not a float64 copy of it
+    tracemalloc.start()
+    try:
+        img = synth_phantom([0.0, 100.0], sigma=1.0, seed=3, size=(100_000, 29))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    values_bytes = img.pixels.size * 8
+    assert peak < img.pixels.nbytes + 0.25 * values_bytes
+
+
+@pytest.mark.parametrize("sigma", [0.0, 25.0, 3000.0])
+@pytest.mark.parametrize("size, tile_elems", [((37, 23), None), ((37, 23), 23 * 5),
+                                              ((37, 23), 1), ((5, 4000), None),
+                                              ((2200, 31), None)],
+                         ids=["one-block", "5-row-blocks", "1-row-blocks", "wide", "ragged-last"])
+def test_phantom_image_is_its_values_quantized_for_any_block_height(size, tile_elems, sigma,
+                                                                    monkeypatch):
+    # the reference takes every draw in one call; density +-32000 with sigma
+    # 3000 carries pixels past the int16 range, so the clip is compared too
+    args = ([-32000, 0, 120, 32000], sigma, 9, size)
+    row = np.asarray(args[0], np.float64)[np.arange(size[1]) * 4 // size[1]]
+    noise = np.random.Generator(np.random.Philox(key=9)).standard_normal(size)
+    expected = noise * sigma + row if sigma else np.broadcast_to(row, size)
+    if tile_elems is not None:
+        monkeypatch.setattr(_core_py, "_TILE_ELEMS", tile_elems)
+    values = synth_phantom_values(*args)
+    assert values.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert synth_phantom(*args).pixels.tobytes() == quantize_to_int16(values).tobytes()
 
 
 # --- model config files -----------------------------------------------------

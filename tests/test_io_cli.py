@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from ringbf import _core_py
 from ringbf.calibrate import format_points, scan_pair, summarize_points
 from ringbf.errors import FormatError, RangeError
 from ringbf.filter import Image
-from ringbf.io_cli import (_build_parser, _merge_dash_values, _write_files, cli_dispatch,
-                           read_image, write_image)
+from ringbf.io_cli import (_build_parser, _file_rows, _merge_dash_values, _write_files,
+                           cli_dispatch, read_image, write_image)
 
 
 def _img(rows):
@@ -601,6 +602,80 @@ def test_calibrate_peaks_at_its_points_and_images_plus_blocks(tmp_path, monkeypa
     # beyond those, a summary that sorted a copy of t and held a full-length
     # bin index reached 1.03 point arrays; one byte a point and blocks, 0.44
     assert peak < points_bytes + images_bytes + 0.75 * points_bytes
+
+
+def test_calibrate_scans_file_rows_without_holding_either_image(tmp_path, monkeypatch):
+    for name, sigma, seed in (("high", "10", "1"), ("low", "40", "2")):
+        assert cli_dispatch(["phantom", "--densities", "0,120,400", "--sigma", sigma,
+                             "--size", "512x512", "--seed", seed,
+                             "--out", str(tmp_path / f"{name}.raw")]) == 0
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 32 * 512)  # 32-row strips, as at 2048 wide
+    tracemalloc.start()
+    try:
+        scan = scan_pair(_file_rows(tmp_path / "high.raw"), _file_rows(tmp_path / "low.raw"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points_bytes = 512 * 512 * 2 * 8
+    assert scan.count == 512 * 512
+    # the points array and the strips' blocks read 1.43 point arrays; the two
+    # images, held through the scan, would add 0.25 more
+    assert peak < 1.55 * points_bytes
+
+
+def _pgm_bytes(img, comment=b""):
+    """A 16-bit PGM of ``img``, with ``comment`` lines in its header."""
+    header = b"P5\n" + comment + f"{img.width} {img.height}\n65535\n".encode("ascii")
+    return header + img.pixels.astype(">u2").tobytes()
+
+
+def test_cli_calibrate_reads_pgm_and_mixed_pairs_as_raw_ones(tmp_path, monkeypatch):
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 16 * 70)  # 16-row strips: 6 of them
+    for name, sigma, seed in (("high", "10", "1"), ("low", "40", "2")):
+        raw = tmp_path / f"{name}.raw"
+        assert cli_dispatch(["phantom", "--densities", "300,420,700", "--sigma", sigma,
+                             "--size", "70x96", "--seed", seed, "--out", str(raw)]) == 0
+        # a header comment moves the samples away from a bare header's offset
+        (tmp_path / f"{name}.pgm").write_bytes(_pgm_bytes(read_image(raw), b"# dose\n"))
+    outputs = set()
+    for high, low in (("raw", "raw"), ("pgm", "pgm"), ("pgm", "raw"), ("raw", "pgm")):
+        out = tmp_path / f"{high}-{low}"
+        out.mkdir()
+        assert cli_dispatch(["calibrate", "--high", str(tmp_path / f"high.{high}"),
+                             "--low", str(tmp_path / f"low.{low}"), "--window", "3",
+                             "--out", str(out / "report.txt"),
+                             "--points", str(out / "points.txt")]) == 0
+        outputs.add(((out / "report.txt").read_bytes(), (out / "points.txt").read_bytes()))
+    assert len(outputs) == 1
+    assert next(iter(outputs))[0].endswith(b"samples,6720\ndof,6717\n")
+
+
+def test_cli_calibrate_refuses_a_pgm_sample_past_32767_before_the_scan(tmp_path, monkeypatch,
+                                                                       capsys):
+    high, low = tmp_path / "high.pgm", tmp_path / "low.pgm"
+    img = Image(np.full((40, 30), 500, np.int16))
+    high.write_bytes(_pgm_bytes(img))
+    data = _pgm_bytes(img)
+    low.write_bytes(data[:-2] + (40000).to_bytes(2, "big"))  # the last sample
+    monkeypatch.setattr("ringbf.io_cli.scan_pair", mock.Mock(side_effect=AssertionError))
+    rc = cli_dispatch(["calibrate", "--high", str(high), "--low", str(low),
+                       "--out", str(tmp_path / "report.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {low}: sample 1199 is 40000, beyond the supported range [0, 32767] "
+        f"(at byte offset {len(data) - 2})\n")
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_file_rows_refuse_a_file_cut_short_after_its_read(tmp_path):
+    high, low = tmp_path / "high.raw", tmp_path / "low.raw"
+    for path, seed in ((high, 1), (low, 2)):
+        write_image(path, Image.from_values(
+            np.random.default_rng(seed).normal(100.0, 10.0, (64, 40))))
+    rows = _file_rows(low)
+    low.write_bytes(low.read_bytes()[:-80])
+    with pytest.raises(FormatError, match="changed while it was read"):
+        scan_pair(_file_rows(high), rows)
 
 
 def test_points_are_written_without_holding_their_whole_text(tmp_path):
