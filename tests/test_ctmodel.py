@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ringbf import _core_py
 from ringbf.ctmodel import (
     DEFAULT_DOSE_MODEL,
     DEFAULT_HU_GATE,
@@ -17,7 +18,6 @@ from ringbf.ctmodel import (
     synth_phantom,
     synth_phantom_values,
 )
-from ringbf import _core_py
 from ringbf.errors import FormatError, OutOfDomainError
 from ringbf.filter import Image, quantize_to_int16
 from ringbf.kernel import VFamily, WFamily
