@@ -179,12 +179,13 @@ def filter_values(
     gate: tuple[float, float] | None = None,
     skip: bool = False,
 ) -> np.ndarray:
-    """Ring-separated bilateral filter over int16 pixels or float64 values.
+    """Ring-separated bilateral filter over an image of integer or real values.
 
-    Centers outside the closed interval ``gate`` keep their input value;
-    ``skip`` copies the input over the support's margin, where the clamped
-    (edge-replicated) support would leave the image.  Each strip is one flat
-    frame of its ``_clamped_rows`` block, float32 for int16 pixels.
+    Centers outside the closed interval ``gate``, compared as float64, keep
+    their input value (a NaN is never inside); ``skip`` copies the input over
+    the support's margin, where the clamped (edge-replicated) support would
+    leave the image.  Each strip is one flat frame of its ``_clamped_rows``
+    block, float32 for int16 pixels, else float64.
     Returns the pre-rounding float64 output image, a ``[:, :w]`` view of rows ``w + 2m`` apart.
     """
     h, w = f.shape
@@ -196,6 +197,8 @@ def filter_values(
     dtype = np.float32 if f.dtype == np.int16 else np.float64
     flat = np.empty(h * pitch, dtype=np.float64)  # the output, at the frames' pitch
     out = flat.reshape(h, pitch)[:, :w]
+    if gate is not None:  # (1, 1) arrays, not scalars, so any numpy compares in float64
+        lo, hi = np.array(gate, dtype=np.float64).reshape(2, 1, 1)
     rows = min(_tile_rows(w), h)
     strips = [(y, min(y + rows, h)) for y in range(0, h, rows)]
 
@@ -206,8 +209,8 @@ def filter_values(
             length = (y1 - y0) * pitch - 2 * margin  # through the last center of the strip
             _filter_tile(frame, start, length, shifts, flat[y0 * pitch :][:length], buffers, spec, rings)
             if gate is not None:
-                center = f[y0:y1].astype(np.float64, copy=False)
-                np.copyto(out[y0:y1], center, where=~((center >= gate[0]) & (center <= gate[1])))
+                center = f[y0:y1]
+                np.copyto(out[y0:y1], center, where=~((center >= lo) & (center <= hi)))
 
     workers = min(_WORKERS, len(strips))
     # each worker runs in a copy of the caller's context, so np.errstate holds there too

@@ -226,9 +226,9 @@ class _FileRows:
 
         Only the rows from ``rows[0]`` to ``rows[-1]`` are read from the file.
         """
-        first, width = int(rows[0]), self.shape[1]
+        first, width, itemsize = int(rows[0]), self.shape[1], np.dtype(self.dtype).itemsize
         count = (int(rows[-1]) + 1 - first) * width
-        block = np.fromfile(self.path, self.dtype, count, offset=self.offset + 2 * first * width)
+        block = np.fromfile(self.path, self.dtype, count, offset=self.offset + itemsize * first * width)
         if block.size != count:
             raise FormatError(f"{self.path}: the file changed while it was read")
         return block.reshape(-1, width)[rows - first]

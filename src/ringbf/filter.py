@@ -103,15 +103,15 @@ class FilterConfig:
 
 
 def _as_array(img) -> np.ndarray:
-    """An ``Image``'s int16 pixels as they are, any other image as float64 values.
+    """An ``Image``'s int16 pixels or an integer or real array as they are, else float64 values.
 
     Strips convert only the rows they read (``_clamped_rows``): the filter
-    holds int16 rows as float32, which is exact, and the calibration reads
-    both kinds as float64.
+    holds int16 rows as float32, which is exact, and others as float64; the
+    calibration reads every kind as float64.  Text is refused with ``ValueError``.
     """
-    if isinstance(img, Image):
-        return img.pixels
-    arr = np.asarray(img, dtype=np.float64)
+    arr = img.pixels if isinstance(img, Image) else np.asarray(img)
+    if arr.dtype.kind not in "iuf":
+        arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("image must be a non-empty 2-D array")
     return arr
@@ -163,7 +163,7 @@ def filter_pixel_dense(img, p0: tuple[int, int], cfg: FilterConfig) -> float:
 
 
 def filter_image_values(values, cfg: FilterConfig) -> np.ndarray:
-    """Filter an ``Image`` or float64 values, returning the pre-rounding real output.
+    """Filter an ``Image`` or an array of values, returning the pre-rounding real output.
 
     In-gate centers (original value within ``hu_gate``) are replaced by the
     ring-filtered value; out-of-gate centers are copied through unchanged.

@@ -99,13 +99,14 @@ def _meta_path(raw_path: Path) -> Path:
     return raw_path.with_suffix(".meta")
 
 
-def _write_files(contents: dict[Path, bytes | Iterable[bytes]]) -> None:
-    """Write each path's bytes, or its byte blocks in turn, through a temporary file beside it.
+def _write_files(contents: dict[Path, bytes | Iterable]) -> None:
+    """Write each path's bytes, or its blocks in turn, through a temporary file beside it.
 
     All temporary files are written before any is renamed over its target, so
     a failure while writing them changes no target; the renames then run one
     after another, so one that fails after another has succeeded leaves that
-    target replaced.  No temporary file is left behind.
+    target replaced.  No temporary file is left behind.  A block is any
+    bytes-like object, such as a C-contiguous array, written from its memory.
     """
     staged = {}
     try:
@@ -156,19 +157,22 @@ def _read_raw(path: Path) -> Image:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{meta}: not ASCII text", offset=exc.start) from None
     width, height = _parse_meta(text, meta)
-    expected = width * height * 2
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: raw data is {len(data)} bytes, expected {expected} "
-            f"({width}x{height} 16-bit samples)"
-        )
-    pixels = np.frombuffer(data, dtype=_SAMPLE[".raw"]).astype(np.int16).reshape(height, width)
-    return Image(pixels=pixels)
+    return Image(pixels=_samples(path, data, 0, width, height).astype(np.int16))
+
+
+def _samples(path: Path, data: bytes, start: int, width: int, height: int) -> np.ndarray:
+    """The ``height x width`` samples that fill ``data`` from byte ``start``, a view of it."""
+    dtype = np.dtype(_SAMPLE[_image_format(path)])
+    expected = width * height * dtype.itemsize
+    if len(data) - start != expected:
+        raise FormatError(f"{path}: pixel data is {len(data) - start} bytes, expected {expected} "
+                          f"({width}x{height} 16-bit samples)", offset=start)
+    return np.frombuffer(data, dtype, offset=start).reshape(height, width)
 
 
 def _write_raw(path: Path, img: Image) -> None:
     _write_files({
-        path: np.ascontiguousarray(img.pixels, dtype=_SAMPLE[".raw"]).tobytes(),
+        path: [np.ascontiguousarray(img.pixels, dtype=_SAMPLE[".raw"])],
         _meta_path(path): f"width={img.width}\nheight={img.height}\n".encode("ascii"),
     })
 
@@ -207,25 +211,16 @@ def _read_pgm(path: Path) -> Image:
     if not data[pos:pos + 1].isspace():
         raise FormatError(f"{path}: expected a single whitespace byte after maxval", offset=pos)
     pos += 1
-    expected = width * height * 2
-    body = data[pos:]
-    if len(body) != expected:
-        raise FormatError(
-            f"{path}: pixel data is {len(body)} bytes, expected {expected} "
-            f"({width}x{height} 16-bit samples)",
-            offset=pos,
-        )
-    samples = np.frombuffer(body, dtype=_SAMPLE[".pgm"])
-    too_big = np.nonzero(samples > _PGM_MAX)[0]
+    samples = _samples(path, data, pos, width, height)
+    too_big = np.flatnonzero(samples > _PGM_MAX)
     if too_big.size:
         idx = int(too_big[0])
         raise FormatError(
-            f"{path}: sample {idx} is {int(samples[idx])}, beyond the supported "
+            f"{path}: sample {idx} is {int(samples.flat[idx])}, beyond the supported "
             f"range [0, {_PGM_MAX}]",
-            offset=pos + 2 * idx,
+            offset=pos + samples.itemsize * idx,
         )
-    pixels = samples.astype(np.int16).reshape(height, width)
-    return Image(pixels=pixels)
+    return Image(pixels=samples.astype(np.int16))
 
 
 def _write_pgm(path: Path, img: Image) -> None:
@@ -236,8 +231,7 @@ def _write_pgm(path: Path, img: Image) -> None:
             f"[0, {_PGM_MAX}] — use the .raw format instead"
         )
     header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
-    samples = np.ascontiguousarray(img.pixels, dtype=_SAMPLE[".pgm"])
-    _write_files({path: header + samples.tobytes()})
+    _write_files({path: [header, np.ascontiguousarray(img.pixels, dtype=_SAMPLE[".pgm"])]})
 
 
 def _image_format(path) -> str:

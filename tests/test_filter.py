@@ -1,5 +1,6 @@
 """Image container, quantization, and the bilateral filter itself."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringbf import _core_py
+from ringbf.calibrate import scan_pair
 from ringbf.filter import (
     FilterConfig,
     Image,
+    _as_array,
     filter_image,
     filter_image_values,
     filter_pixel_dense,
@@ -379,3 +382,75 @@ def test_pixel_out_of_bounds():
     for p0 in ((5, 0), (0, -1)):
         with pytest.raises(ValueError):
             filter_pixel_dense(f, p0, _cfg())
+
+
+# --- one intake route for every number array -------------------------------
+
+
+def _copies(pixels):
+    """An int16 image as each kind of input the filter and the calibration take."""
+    return {"int16": pixels, "Image": Image(pixels), "float32": pixels.astype(np.float32),
+            "int64": pixels.astype(np.int64), "float64": pixels.astype(np.float64),
+            "list": pixels.tolist()}
+
+
+@pytest.mark.parametrize("kind", ["int16", "float32", "int64", "float64", "list"])
+def test_every_copy_of_an_image_filters_and_scans_as_its_image(kind, monkeypatch):
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 5 * 37)  # 5-row strips: the gate reads each
+    rng = np.random.default_rng(33)
+    high, low = (rng.normal(100.0, s, (41, 37)).round().astype(np.int16) for s in (10.0, 40.0))
+    # bounds just past integers, which float32 would round onto them
+    gated = _cfg(gate=(80.0000001, 99.9999999))
+    skip = _cfg(v=VFamily.Exp, t=0.03, n=2, border="skip")
+    highs, lows = _copies(high), _copies(low)
+    want, got = highs["Image"], highs[kind]
+    for cfg in (gated, skip):
+        assert filter_image_values(got, cfg).tobytes() == filter_image_values(want, cfg).tobytes()
+    for p0 in ((0, 0), (36, 40), (17, 9)):
+        assert filter_pixel_dense(got, p0, gated) == filter_pixel_dense(want, p0, gated)
+    want_scan, scan = scan_pair(want, lows["Image"]), scan_pair(got, lows[kind])
+    assert scan.points.tobytes() == want_scan.points.tobytes()
+    assert scan.noise_r.tobytes() == want_scan.noise_r.tobytes()
+
+
+def test_integer_and_real_arrays_are_taken_as_they_are():
+    pixels = np.arange(12, dtype=np.int16).reshape(3, 4)
+    for kind, arr in _copies(pixels).items():
+        if kind not in ("Image", "list"):
+            assert _as_array(arr) is arr
+    assert _as_array(Image(pixels)).dtype == np.int16
+    assert _as_array(pixels.tolist()).dtype.kind == "i"  # numpy's default integer, not float64
+    assert _as_array(pixels > 5).dtype == np.float64  # not a number array: converted
+
+
+@pytest.mark.parametrize("text", [[["a", "b"], ["c", "d"]], np.array([["1", "x"]])])
+def test_text_is_refused_as_it_always_was(text):
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        filter_image_values(text, _cfg())
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        filter_pixel_dense(text, (0, 0), _cfg())
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        scan_pair(text, text)
+
+
+# tracemalloc peaks on a 512^2 int16 array, in float64 images (2 MiB), with one worker
+# and 16-row strips.  A whole float64 copy of the input adds 1.0 to each, and scan_pair
+# held two: the filter read 2.39 (its output is 1.01), the dense pixel 1.00 and the scan
+# 4.47 (its points are 2.0); as they read an Image's pixels, 1.33, 0.001 and 2.47.
+@pytest.mark.parametrize("call, bound", [
+    (lambda a, b: filter_image_values(a, _cfg(gate=(0.0, 250.0))), 1.6),
+    (lambda a, b: filter_pixel_dense(a, (3, 3), _cfg()), 0.05),
+    (lambda a, b: scan_pair(a, b), 2.8),
+], ids=["filter_image_values", "filter_pixel_dense", "scan_pair"])
+def test_an_int16_array_is_read_without_a_float64_copy(call, bound, monkeypatch):
+    monkeypatch.setattr(_core_py, "_WORKERS", 1)
+    monkeypatch.setattr(_core_py, "_TILE_ELEMS", 16 * 512)
+    rng = np.random.default_rng(5)
+    high, low = (rng.normal(200.0, s, (512, 512)).round().astype(np.int16) for s in (10.0, 40.0))
+    tracemalloc.start()
+    try:
+        call(high, low)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * high.size * 8

@@ -1,5 +1,6 @@
 """Image container formats and the command-line interface."""
 import errno
+import hashlib
 import io
 import os
 import re
@@ -16,6 +17,7 @@ import pytest
 import ringbf
 from ringbf import _core_py
 from ringbf.calibrate import format_points, scan_pair, summarize_points
+from ringbf.ctmodel import synth_phantom
 from ringbf.errors import FormatError, RangeError
 from ringbf.filter import Image
 from ringbf.io_cli import (_build_parser, _file_rows, _merge_dash_values, _write_files,
@@ -120,8 +122,12 @@ def test_raw_data_size_mismatch(tmp_path):
     path = tmp_path / "img.raw"
     (tmp_path / "img.meta").write_text("width=3\nheight=2\n")
     path.write_bytes(b"\x00" * 8)  # needs 12
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         read_image(path)
+    # one reader decodes both formats: .pgm gives this message too (test_pgm_errors)
+    assert str(err.value) == (f"{path}: pixel data is 8 bytes, expected 12 (3x2 16-bit samples) "
+                              "(at byte offset 0)")
+    assert err.value.offset == 0
 
 
 # --- 16-bit PGM -------------------------------------------------------------
@@ -170,8 +176,11 @@ def test_pgm_errors(tmp_path):
     with pytest.raises(FormatError, match="offset"):
         read_image(path)
     path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 7)  # truncated body
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         read_image(path)
+    assert str(err.value) == (f"{path}: pixel data is 7 bytes, expected 8 (2x2 16-bit samples) "
+                              "(at byte offset 13)")  # the first sample's byte
+    assert err.value.offset == 13
     path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 10)  # trailing junk
     with pytest.raises(FormatError):
         read_image(path)
@@ -199,6 +208,48 @@ def test_pgm_sample_above_int16_range_reports_offset(tmp_path):
     path.write_bytes(header + b"\x00\x01\x80\x00")  # second sample = 32768
     with pytest.raises(FormatError, match=f"offset {len(header) + 2}"):
         read_image(path)
+
+
+# --- the sample codec both formats share ----------------------------------
+
+
+def test_a_fixed_phantom_keeps_its_file_bytes_in_both_formats(tmp_path):
+    img = synth_phantom([300, 700], sigma=40.0, seed=1, size=(48, 64))
+    for name in ("ph.raw", "ph.pgm"):
+        write_image(tmp_path / name, img)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == {
+        "ph.raw": "8689881a054d398c17f66bf71939668d9c34c8a82444e80f12927729fc1fc989",
+        "ph.meta": "bf87f01b865c3c831f341834dc58903b9f3e8fef95ffc989d46354f71342d9bb",
+        "ph.pgm": "455d8c1679db6c074f44167be590094dcc7364ae4b37211d0da9ec5720fa84c5",
+    }
+
+
+# tracemalloc peaks at 512^2, in int16 images.  A .pgm read holds the file's bytes
+# and the pixels (2.0); a copy of its body read 3.0.  The writers pass their samples
+# as arrays: .raw writes the pixels as they are (0.01), .pgm a byte-swapped copy
+# (1.01); a bytes copy of the samples, and the .pgm header joined to it, read 1.01
+# and 3.0.
+@pytest.mark.parametrize("name, call, bound", [
+    ("img.pgm", "read", 2.5),
+    ("img.raw", "write", 0.25),
+    ("img.pgm", "write", 1.5),
+])
+def test_the_codec_holds_no_bytes_copy_of_the_samples(tmp_path, name, call, bound):
+    img = Image(np.random.default_rng(3).integers(0, 32768, (512, 512)).astype(np.int16))
+    path = tmp_path / name
+    if call == "read":
+        write_image(path, img)
+    tracemalloc.start()
+    try:
+        back = read_image(path) if call == "read" else write_image(path, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * img.pixels.nbytes
+    assert np.array_equal(read_image(path).pixels, img.pixels)
+    if call == "read":
+        assert back.pixels.flags.writeable  # the pixels are the image's own, not the file's bytes
 
 
 def test_unsupported_extension(tmp_path):
