@@ -20,7 +20,9 @@ of buffers through ``out=`` ufuncs:
 - ``ensemble_filter`` reads the ``(trials, 1 + support size)`` array in
   Fortran order, as the Monte-Carlo draws are laid out, so the raveled draws
   are a frame in which column ``j`` is shift ``j * trials``.  It walks the
-  trials in chunks of ``_tile_rows(1)`` on the calling thread.
+  trials in chunks of ``_tile_rows(1)`` on the calling thread, in work
+  buffers the caller may pass: the Monte-Carlo estimator makes one set and
+  reuses it for every group of draws and every probe.
 
 Every pixel or trial keeps a pinned operation sequence, so results do not
 depend on the layout, the tiling or the thread count:
@@ -228,7 +230,7 @@ def filter_values(
     return out
 
 
-def ensemble_filter(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def ensemble_filter(vals: np.ndarray, spec: KernelSpec, buffers: tuple | None = None) -> np.ndarray:
     """Filter the center of each trial row.
 
     ``vals`` has one row per trial: column 0 is the center value, the
@@ -236,6 +238,9 @@ def ensemble_filter(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
     filtered center per trial (float64).  The rows are read in Fortran
     order (copied into it if need be) and raveled, so column ``j`` of a
     chunk is the contiguous run ``j * trials`` values past its center.
+    ``buffers`` are work buffers from ``_buffers`` of at least
+    ``min(_tile_rows(1), trials)`` values, for a caller that filters many
+    sets; without them the call makes its own.
     """
     rings = build_rings(spec.n, spec.w)
     vals = np.asfortranarray(vals, dtype=np.float64)
@@ -246,7 +251,8 @@ def ensemble_filter(vals: np.ndarray, spec: KernelSpec) -> np.ndarray:
     shifts = [j * n_trials for j in range(1, 1 + rings.size)]
     out = np.empty(n_trials, dtype=np.float64)
     chunk = _tile_rows(1)
-    buffers = _buffers(min(chunk, n_trials))
+    if buffers is None:
+        buffers = _buffers(min(chunk, n_trials))
     for start in range(0, n_trials, chunk):
         length = min(chunk, n_trials - start)
         _filter_tile(frame, start, length, shifts, out[start : start + length], buffers, spec, rings)

@@ -16,11 +16,19 @@ realization.  The threshold K(t0) = target is solved by the ITP method
 probe and on these curves takes 9 to 12 probes where bisection took 18.
 
 Estimates aggregate over batches of trials: k_hat is the mean of per-batch
-deviation ratios and std_err the standard error of that mean.  One estimator
-per draw set (``_estimator``) serves ``estimate_K``, ``compute_curve`` and
-``solve_threshold``: it draws the set and computes the batch deviations of
-its raw centers (which do not depend on t) once, then estimates K at every t
-asked of it.
+deviation ratios and std_err the standard error of that mean.  Each lattice
+batch is needed only for its own ratio, so the draws are made and used one
+*group* of whole batches at a time (``_draw_groups``): at most
+``_GROUP_ELEMS`` values (eight tiles of ``_core_py._TILE_ELEMS``), at least
+one batch.  One route (``_estimates``) serves ``estimate_K``,
+``compute_curve`` and ``solve_threshold``: for each group it takes the batch
+deviations of the raw centers (which do not depend on t) and then of the
+filtered centers at every t asked of it, and forms the ratios over all
+batches at the end.  ``compute_curve`` and ``estimate_K`` pass the groups as a
+generator, so they hold one group at a time at any trial count;
+``solve_threshold``, whose ITP probes each depend on the one before, holds
+the whole set.  The draws, the kernel and the batch deviations are all per
+batch or per trial, so no result depends on the group size, bit for bit.
 
 Trial rows are randomized quasi-Monte Carlo (``_lattice_draws``): each batch
 is one rank-1 lattice of ``_LATTICE_POINTS`` (N = 2003) points with a
@@ -79,6 +87,7 @@ _LN2 = 0.6931471805599453
 _ATANH_TERMS = tuple(1.0 / (2 * k + 1) for k in range(11))  # atanh(s) / s = sum of s**2k / (2k + 1)
 _MAX_ITERATIONS = 80  # probes inside the bracket
 _ITP_K1, _ITP_K2, _ITP_N0 = 0.01, 2.0, 1
+_GROUP_ELEMS = 8 * _core_py._TILE_ELEMS  # values per group of lattice batches (at least one batch)
 
 
 class NoiseDistribution(enum.Enum):
@@ -139,10 +148,18 @@ def _log(x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _lattice_draws(dist: NoiseDistribution, seed: int, trials: int, width: int) -> np.ndarray:
-    """(batches · N, width) unit-scale draws of Q in Fortran order, ``N = _LATTICE_POINTS``:
-    one randomly shifted rank-1 lattice per batch of N trial rows, ``trials / N``
-    rounded to the nearest whole number of batches, at least two.
+def _batches(trials: int) -> int:
+    """``trials`` (an integer, at least 100) rounded to the nearest whole number of lattice
+    batches, at least two."""
+    return max(2, round(_integer(trials, "trials", 100) / _LATTICE_POINTS))
+
+
+def _lattice_draws(dist: NoiseDistribution, seed: int, trials: int, width: int,
+                   batches: slice = slice(None)) -> np.ndarray:
+    """Unit-scale draws of Q in Fortran order, ``width`` values a row: the rows of the lattice
+    batches ``batches`` (all by default) of the draw set of ``trials`` rows, ``N =
+    _LATTICE_POINTS`` rows a batch.  The set holds one randomly shifted rank-1 lattice per
+    batch, ``trials / N`` rounded to the nearest whole number of batches, at least two.
 
     The lattice's point ``i`` in dimension ``j`` is ``i g_j / N`` modulo 1,
     with the Korobov vector ``g_j = a**j mod N`` (``a = _LATTICE_MULTIPLIER``);
@@ -151,21 +168,25 @@ def _lattice_draws(dist: NoiseDistribution, seed: int, trials: int, width: int) 
     on (0, 1].  Uniform maps ``u`` to ``sqrt(3) (2u - 1)``, one dimension
     per column (``d = width``); Normal maps dimensions ``2k`` and ``2k + 1``
     to columns ``2k`` and ``2k + 1`` by Box-Muller, ``d`` being ``width``
-    rounded up to even.  Each column is written straight into the output;
-    the temporaries are a few columns.
+    rounded up to even.  Every shift vector of the set is drawn (a few KB)
+    and the range's are sliced out; each value depends only on its batch's
+    shift and its point, so a range's rows are the same bits as those rows
+    of the whole set.  Each column is written straight into the output; the
+    temporaries are a few columns.
     """
     n = _LATTICE_POINTS
-    batches = max(2, round(_integer(trials, "trials", 100) / n))
+    count = _batches(trials)
     _check_seed(seed)
     normal = dist is NoiseDistribution.Normal
     dims = width + (width % 2 if normal else 0)
-    shifts = (np.random.Philox(key=seed).random_raw((batches, dims)) >> np.uint64(11)) * 2.0 ** -53
+    shifts = ((np.random.Philox(key=seed).random_raw((count, dims)) >> np.uint64(11)) * 2.0 ** -53)[batches]
+    rows = len(shifts) * n
     points = np.arange(n)
-    out = np.empty((batches * n, width), order="F")
+    out = np.empty((rows, width), order="F")
 
     def column(j: int) -> np.ndarray:
-        u = out[:, j] if j < width else np.empty(batches * n)
-        grid = u.reshape(batches, n)
+        u = out[:, j] if j < width else np.empty(rows)
+        grid = u.reshape(len(shifts), n)
         np.add(shifts[:, j, None], points * pow(_LATTICE_MULTIPLIER, j, n) % n / n, out=grid)
         grid -= np.floor(grid)
         np.subtract(1.0, grid, out=grid)
@@ -196,28 +217,58 @@ def _batch_deviations(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, _LATTICE_POINTS).std(axis=1, ddof=1)
 
 
-def _estimator(spec: KernelSpec, dist: NoiseDistribution, trials: int, seed: int):
-    """``estimate(t) -> KEstimate``: K at t for the spec's V/W/n on one set of draws, ``trials``
-    rounded to whole lattice batches (at least two).
+def _draw_groups(spec: KernelSpec, dist: NoiseDistribution, trials: int, seed: int):
+    """The draw set for the spec's n, ``trials`` rounded to whole lattice batches (at least
+    two), as a generator of ``(rows, raw)`` pairs, one group of whole batches at a time.
 
-    Checks ``trials`` and ``seed``, then draws the set at once, with the batch
-    deviations of its raw centers, the ratios' denominators; every t reuses
-    both (common random numbers).  Callers check their other arguments
-    first.  A zero denominator raises ``NumericalError``.
+    ``rows`` are the group's ``_lattice_draws`` (center, then support) and
+    ``raw`` the batch deviations of their raw centers, the denominators of
+    the group's ratios.  A group holds at most ``_GROUP_ELEMS`` values, at
+    least one batch.  ``trials`` and ``seed`` are checked at the call, before
+    any draw; a zero denominator raises ``NumericalError`` when its group is
+    drawn.
     """
-    vals = _lattice_draws(dist, seed, trials, 1 + build_rings(spec.n, spec.w).size)
-    trials = len(vals)
-    raw_dev = _batch_deviations(vals[:, 0])
-    if not raw_dev.all():
-        raise NumericalError("degenerate trial batch: zero deviation in the raw draws")
+    count = _batches(trials)
+    _check_seed(seed)
+    width = 1 + build_rings(spec.n, spec.w).size
+    step = max(1, _GROUP_ELEMS // (_LATTICE_POINTS * width))
 
-    def estimate(t: float) -> KEstimate:
-        probe = spec.with_t(t)
-        ratios = _batch_deviations(_core_py.ensemble_filter(vals, probe)) / raw_dev
+    def group(first: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = _lattice_draws(dist, seed, trials, width, slice(first, first + step))
+        raw = _batch_deviations(rows[:, 0])
+        if not raw.all():
+            raise NumericalError("degenerate trial batch: zero deviation in the raw draws")
+        return rows, raw
+
+    return (group(first) for first in range(0, count, step))
+
+
+def _estimates(groups, spec: KernelSpec, ts, buffers=None) -> list[KEstimate]:
+    """K at each t of ``ts`` for the spec's V/W/n, over the ``(rows, raw)`` groups of one draw
+    set (common random numbers; the spec's own t is ignored).
+
+    The groups are read once, in order, each filtered at every t, so a
+    generator of them is held one group at a time.  ``buffers``
+    (``_core_py._buffers`` of ``_core_py._tile_rows(1)`` values) are the
+    kernel's work buffers; without them one set is made for this call.
+    """
+    probes = [spec.with_t(t) for t in ts]
+    if buffers is None:
+        buffers = _core_py._buffers(_core_py._tile_rows(1))
+    raw, filtered = [], [[] for _ in probes]
+    for rows, group_raw in groups:
+        raw.append(group_raw)
+        for probe, devs in zip(probes, filtered):
+            devs.append(_batch_deviations(_core_py.ensemble_filter(rows, probe, buffers)))
+        del rows  # so the next group is drawn in this one's place
+    raw = np.concatenate(raw)
+    trials = raw.size * _LATTICE_POINTS
+    estimates = []
+    for t, devs in zip(ts, filtered):
+        ratios = np.concatenate(devs) / raw
         std_err = float(ratios.std(ddof=1) / math.sqrt(len(ratios)))
-        return KEstimate(t=float(t), k_hat=float(ratios.mean()), std_err=std_err, trials=trials)
-
-    return estimate
+        estimates.append(KEstimate(t=float(t), k_hat=float(ratios.mean()), std_err=std_err, trials=trials))
+    return estimates
 
 
 def estimate_K(
@@ -254,7 +305,9 @@ def compute_curve(
 ) -> KCurve:
     """One KEstimate per grid point, sharing draws across the grid (CRN).
 
-    The spec supplies V, W and n; its own t field is ignored.
+    The spec supplies V, W and n; its own t field is ignored.  The draws are
+    made, filtered at every grid point and dropped one group of lattice
+    batches at a time, so the memory held does not grow with ``trials``.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -263,8 +316,7 @@ def compute_curve(
         raise ValueError("t grid must be strictly ascending")
     for t in grid:  # an unusable t is refused before the draws
         spec.with_t(t)
-    estimate = _estimator(spec, dist, trials, seed)
-    return KCurve(points=tuple(estimate(t) for t in grid))
+    return KCurve(points=tuple(_estimates(_draw_groups(spec, dist, trials, seed), spec, grid)))
 
 
 def _itp_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
@@ -320,7 +372,7 @@ def solve_threshold(
     The spec supplies V, W and n; its own t field is ignored.  The estimated
     K rises through the target as t grows, so the bracket must satisfy
     K(t_lo) < target < K(t_hi) on this realization; all probes reuse the same
-    draws, making the solved function deterministic.  A target at or below
+    draws, held whole, making the solved function deterministic.  A target at or below
     the exact K(0) (``linear_k0``) raises ``BracketError`` before any draw,
     whatever the seed: the estimate near t = 0 is K(0) plus noise, so such a
     target would straddle at some seeds and not at others.  ``tol`` must lie
@@ -343,14 +395,19 @@ def solve_threshold(
     if target <= k0:
         raise BracketError(f"target {target} is at or below K(0) = {k0:.9g}, where K starts "
                            "at t = 0: choose a target above K(0)")
-    estimate = _estimator(spec, dist, trials, seed)
-    k_lo, k_hi = estimate(t_lo).k_hat, estimate(t_hi).k_hat
+    groups = list(_draw_groups(spec, dist, trials, seed))  # every probe reads the whole set
+    buffers = _core_py._buffers(_core_py._tile_rows(1))
+
+    def k_hat(t: float) -> float:
+        return _estimates(groups, spec, [t], buffers)[0].k_hat
+
+    k_lo, k_hi = k_hat(t_lo), k_hat(t_hi)
     if not (k_lo < target < k_hi):
         raise BracketError(
             f"bracket [{t_lo}, {t_hi}] does not straddle target {target}: "
             f"K({t_lo}) = {k_lo:.4f}, K({t_hi}) = {k_hi:.4f}"
         )
-    return _itp_root(lambda t: estimate(t).k_hat - target, t_lo, t_hi, k_lo - target, k_hi - target, tol)
+    return _itp_root(lambda t: k_hat(t) - target, t_lo, t_hi, k_lo - target, k_hi - target, tol)
 
 
 def curve_to_csv(curve: KCurve) -> str:

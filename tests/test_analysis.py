@@ -22,7 +22,7 @@ from ringbf.analysis import (
     solve_threshold,
 )
 from ringbf.errors import BracketError, ConvergenceError, NumericalError
-from ringbf.kernel import KernelSpec, VFamily, WFamily
+from ringbf.kernel import KernelSpec, VFamily, WFamily, build_rings
 
 NORMAL = NoiseDistribution.Normal
 UNIFORM = NoiseDistribution.Uniform
@@ -226,8 +226,6 @@ def test_linear_k0_closed_form_against_direct_sum():
     for n in (1, 4):
         w = WFamily.gaussian(1.5)
         weights = []
-        from ringbf.kernel import build_rings
-
         for ring in build_rings(n, w).rings:
             weights += [ring.weight] * len(ring.offsets)
         weights = np.array(weights)
@@ -307,10 +305,86 @@ def test_heavier_tails_keep_smoothing_at_large_scale():
 def test_degenerate_batch_raises(monkeypatch):
     # no unit-deviation draw set has a zero denominator; construct one: two
     # lattice batches of zeros, whose batch deviations of the raw centers are zero
+    draws, starts = analysis._lattice_draws, []
     monkeypatch.setattr(analysis, "_lattice_draws",
-                        lambda dist, seed, trials, width: np.zeros((2 * 2003, width)))
+                        lambda dist, seed, trials, width, batches=slice(None): np.zeros((2 * 2003, width)))
     with pytest.raises(NumericalError, match="degenerate trial batch"):
         estimate_K(_spec(), 0.0, NORMAL, trials=1000, seed=0)
+
+    # three one-batch groups whose last batch is zeros: the zero denominator is
+    # found when its group is drawn, after the first two were filtered
+    def last_batch_zero(dist, seed, trials, width, batches=slice(None)):
+        starts.append(batches.start)
+        vals = draws(dist, seed, trials, width, batches)
+        if batches.start == 2:
+            vals[:] = 0.0
+        return vals
+
+    monkeypatch.setattr(analysis, "_lattice_draws", last_batch_zero)
+    monkeypatch.setattr(analysis, "_GROUP_ELEMS", 1)
+    for run in (lambda: estimate_K(_spec(), 1.0, NORMAL, trials=3 * 2003, seed=0),
+                lambda: compute_curve(_spec(), [0.5, 1.0], NORMAL, trials=3 * 2003, seed=0),
+                lambda: solve_threshold(_spec(), NORMAL, trials=3 * 2003, seed=0)):
+        starts.clear()
+        with pytest.raises(NumericalError, match="degenerate trial batch"):
+            run()
+        assert starts == [0, 1, 2]
+
+
+def _outcome(run):
+    """``run()``'s result, or the type and message of what it raised."""
+    try:
+        return run()
+    except (BracketError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dist=st.sampled_from([NORMAL, UNIFORM]), n=st.integers(1, 5), v=st.sampled_from(list(VFamily)),
+       batches=st.integers(2, 7), seed=st.integers(0, 2**64 - 1))
+def test_results_do_not_depend_on_the_group_of_batches(dist, n, v, batches, seed):
+    # groups of one batch, of three, and the whole set in one group give the same
+    # estimates, curve and threshold, bit for bit
+    spec = _spec(v=v, n=n)
+    width = 1 + build_rings(n, spec.w).size
+    results, calls = [], []
+    ensemble_filter = _core_py.ensemble_filter
+
+    def counted(vals, spec, *args):
+        calls[-1].add(len(vals))
+        return ensemble_filter(vals, spec, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_core_py, "ensemble_filter", counted)
+        for group in (1, 3 * 2003 * width, 1 << 40):
+            mp.setattr(analysis, "_GROUP_ELEMS", group)
+            calls.append(set())
+            results.append((
+                estimate_K(spec, 1.3, dist, trials=batches * 2003, seed=seed),
+                compute_curve(spec, [0.0, 0.4, 2.0, 9.0], dist, trials=batches * 2003, seed=seed),
+                _outcome(lambda: solve_threshold(spec, dist, trials=batches * 2003, seed=seed, tol=1e-2)),
+            ))
+    assert results[1] == results[0] and results[2] == results[0]
+    assert calls[0] == {2003} and max(calls[1]) == min(3, batches) * 2003 and calls[2] == {batches * 2003}
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: estimate_K(spec, 15.0, NORMAL, trials=100_000, seed=0),
+    lambda spec: compute_curve(spec, [1.0, 15.0, 30.0], NORMAL, trials=100_000, seed=0),
+], ids=["estimate_K", "compute_curve"])
+def test_draws_are_held_one_group_at_a_time(run):
+    # 50 batches at n = 5 are 23.2 MB of rows, and the whole set used to be held
+    # (a 29.4 MB peak); a group holds nine batches, 4.2 MB, beside the kernel's
+    # 2.9 MB of work buffers
+    spec = _spec(v=VFamily.Abs, n=5)
+    group_bytes = 9 * 2003 * 29 * 8  # nine batches of rows of 29 values
+    tracemalloc.start()
+    try:
+        run(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * group_bytes
 
 
 # --- curves ----------------------------------------------------------------
@@ -392,19 +466,19 @@ BISECTION_T0 = {
 
 
 def test_acceptance_solves_take_at_most_12_probes_within_tol_of_bisection(monkeypatch):
-    shapes = []
+    rows = {}  # probe t -> trial rows filtered at it, over however many kernel calls
     ensemble_filter = _core_py.ensemble_filter
 
-    def counted(vals, spec):
-        shapes.append(vals.shape)
-        return ensemble_filter(vals, spec)
+    def counted(vals, spec, *args):
+        rows[spec.t] = rows.get(spec.t, 0) + len(vals)
+        return ensemble_filter(vals, spec, *args)
 
     monkeypatch.setattr(_core_py, "ensemble_filter", counted)
     for v, t_bisection in BISECTION_T0.items():
-        shapes.clear()
+        rows.clear()
         t0 = solve_threshold(_spec(v), NORMAL, trials=200_000, seed=0)
-        assert len(shapes) <= 12, v
-        assert set(shapes) == {(100 * 2003, 13)}  # one whole draw set per probe
+        assert len(rows) <= 12, v  # probes are distinct t values
+        assert set(rows.values()) == {100 * 2003}  # each probe reads the whole draw set
         assert abs(t0 - t_bisection) <= 1e-3, v
 
 
