@@ -76,7 +76,7 @@ def _clamped_rows(f: np.ndarray, start: int, stop: int, before: int, after: int,
     """Rows ``start .. stop + before + after - 1`` of ``f`` edge-padded by ``(before, after)``
     on both axes, as ``dtype``; only the rows read are converted.
 
-    The calibration's window sums read float64 blocks; the filter reads an
+    The calibration's window sums read int64 blocks; the filter reads an
     int16 image's strips as float32, which holds every int16 value exactly.
     """
     read = np.clip(np.arange(start - before, stop + after), 0, f.shape[0] - 1)

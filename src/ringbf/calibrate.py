@@ -13,7 +13,10 @@ appends its points to one array and folds its regression rows, one unit at a
 time, into a small R factor (TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM
 J. Sci. Comput. 34(1), 2012), so no full-size map or design matrix is ever
 held; the command line hands it ``_FileRows``, which read each strip's rows
-from the image files, so it holds neither image either.
+from the image files, so it holds neither image either.  The pixels must
+cast safely to int16, and the window sums are exact int64 sums, so the maps
+are the same for any strip; windows up to 303x303 keep them exact at full
+int16 range, whatever the pixels hold.
 :func:`fit_polynomial` folds its fit basis ``_FIT_POINTS`` points at a time
 through the same centred fold, and both add the intercept back to the R
 factor in the same way.  Every fold unit is counted from the first row or
@@ -73,31 +76,33 @@ def _window(half: int) -> int:
     return 2 * _integer(half, "window half-size", 1) + 1
 
 
-def _window_sums(f: np.ndarray, half: int, start: int = 0,
+def _window_sums(f, half: int, start: int = 0,
                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of f and of f^2 over (2*half+1)^2 windows, edge-clamped, for rows start..stop-1.
+    """Int64 sums of f and of f^2 over (2*half+1)^2 windows, edge-clamped, for rows start..stop-1.
 
-    The strip reads the ``half`` rows around it through ``_clamped_rows``, as
-    the filter's strips do, so its sums are the same rows of the whole image's.
-    Each axis takes running sums and differences them ``size`` apart, so the
-    cost does not grow with the window.  Down the rows it takes one in-order
-    ``np.add`` per row: the additions of ``np.cumsum(axis=0)`` in the same
-    order, hence its bits for any input, at about a third of its time on
-    2048-wide strips.  For an integer-valued image every running sum is an
-    integer below 2**53, hence exact and independent of the strip, while
-    ``(width + size) * size * m^2`` and ``(stop - start + size) * m^2`` stay
-    below 2**53, m bounding the values' magnitude (see ``_check_window``).
+    ``f`` is a 2-D array or a ``_FileRows`` whose values cast safely to
+    int16; any other dtype is refused with ``ValueError``, so no value is
+    ever truncated.  The strip reads the ``half`` rows around it as int64,
+    through ``_clamped_rows`` as the filter's strips do.  Each axis takes
+    running sums and differences them ``size`` apart, so the cost does not
+    grow with the window; down the rows it takes one ``np.add`` per row, about
+    a third of ``np.cumsum(axis=0)``'s time on 2048-wide strips.  Every sum is
+    an exact integer, hence independent of the strip, while ``(width + size) *
+    size * m^2`` and ``(stop - start + size) * m^2`` stay below 2**63, with
+    m = 2**15 the largest int16 magnitude (see ``_check_window``).
     """
+    if not np.can_cast(f.dtype, np.int16):
+        raise ValueError(f"calibration takes pixels that cast safely to int16, got {f.dtype}")
     size = _window(half)
     stop = f.shape[0] if stop is None else stop
     # one leading zero row and column, so each window sum is a difference of two running sums
-    s1 = _clamped_rows(f, start, stop, half + 1, half)
-    s1[0] = 0.0
-    s1[:, 0] = 0.0
+    s1 = _clamped_rows(f, start, stop, half + 1, half, np.int64)
+    s1[0] = 0
+    s1[:, 0] = 0
     s2 = s1 * s1
     sums = []
     for p in (s1, s2):
-        for i in range(1, p.shape[0]):  # np.cumsum(axis=0)'s additions, in its order
+        for i in range(1, p.shape[0]):
             np.add(p[i - 1], p[i], out=p[i])
         rows = p[size:] - p[:-size]
         np.cumsum(rows, axis=1, out=rows)
@@ -106,47 +111,43 @@ def _window_sums(f: np.ndarray, half: int, start: int = 0,
 
 
 def _deviation(s1: np.ndarray, s2: np.ndarray, half: int) -> np.ndarray:
-    """Population deviation from window sums: sqrt(k*S2 - S1^2) / k, k pixels a window.
+    """Population deviation from int64 window sums: sqrt(k*S2 - S1^2) / k, k pixels a window.
 
-    The numerator is exact for integer-valued images while ``(k * m)^2`` is
-    below 2**53, m bounding the values' magnitude: windows up to 53x53 at
-    full int16 range.  The clamp at 0 only absorbs rounding on real-valued input.
+    The numerator is formed in int64, so it is exact and never negative
+    while ``(k * m)^2`` stays below 2**63 (see ``_check_window``); it rounds
+    to float64 once, as the square root reads it.
     """
-    k = float(_window(half) ** 2)
-    var = s2 * k
-    var -= s1 * s1
-    np.maximum(var, 0.0, out=var)
-    np.sqrt(var, out=var)
-    var /= k
-    return var
+    k = _window(half) ** 2
+    num = s2 * k
+    num -= s1 * s1
+    dev = np.sqrt(num)
+    dev /= k
+    return dev
 
 
-def _check_window(half: int, width: int, rows: int, peak: float) -> None:
-    """Refuse a window whose sums over a ``width``-wide image would not stay exact.
+def _check_window(half: int, width: int, rows: int) -> None:
+    """Refuse a window whose int64 sums over a ``width``-wide image could overflow.
 
-    With ``m = max(1, ceil(peak))`` and ``k`` pixels a window, ``_deviation``
-    needs ``(k * m)^2`` and ``_window_sums`` needs ``(width + size) * size *
-    m^2`` and ``(rows + size) * m^2`` below 2**53, for strips of ``rows``
-    rows.  They are checked in integers, before anything is allocated.
+    Int16 values have magnitude at most m = 2**15.  With ``k`` pixels a
+    window, ``_deviation`` needs ``(k * m)^2`` and ``_window_sums`` needs
+    ``(width + size) * size * m^2`` and ``(rows + size) * m^2`` below 2**63,
+    for strips of ``rows`` rows: windows up to 303x303 (half 151).  They are
+    checked in integers, before anything is allocated or any pixel is read.
     """
     size = _window(half)
-    if not math.isfinite(peak):
-        raise ValueError(f"image values must be finite, got a value of magnitude {peak}")
-    m = max(1, math.ceil(peak))
-    if max((size * size) ** 2, (width + size) * size, rows + size) * m * m >= 2 ** 53:
+    if max((size * size) ** 2, (width + size) * size, rows + size) * (1 << 15) ** 2 >= 2 ** 63:
         raise ValueError(
-            f"window half-size {half} is too large for exact local deviations of values up to "
-            f"{m} in rows of {width}: the sums would pass 2**53"
+            f"window half-size {half} is too large for exact local deviations of int16 values "
+            f"in rows of {width}: the sums would pass 2**63"
         )
 
 
 def _strip_maps(high: np.ndarray, low: np.ndarray, half: int, start: int,
                 stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows start..stop-1 of s_H and s_L (local deviations) and f_a (low-dose local mean)."""
+    s_h = _deviation(*_window_sums(high, half, start, stop), half)
     s1, s2 = _window_sums(low, half, start, stop)
-    s_l = _deviation(s1, s2, half)
-    s1 /= _window(half) ** 2
-    return _deviation(*_window_sums(high, half, start, stop), half), s_l, s1
+    return s_h, _deviation(s1, s2, half), s1 / _window(half) ** 2
 
 
 def _fold_centred(r: np.ndarray, count: int, mean: np.ndarray,
@@ -203,23 +204,16 @@ class _FileRows:
     """A stored 16-bit image that :func:`scan_pair` reads a strip's rows at a time.
 
     The ``shape`` image's samples start ``offset`` bytes into the file,
-    row-major, each a ``dtype`` (``"<i2"`` or ``">u2"``).  The file has been
-    read and validated whole already; ``extremes`` are its least and
-    greatest sample, which :func:`scan_pair` reads through ``min()`` and
-    ``max()`` as it does an array's.
+    row-major, each a ``dtype`` that casts safely to int16 (``"<i2"``, or
+    ``">i2"`` for a ``.pgm``'s ``">u2"`` samples, which read the same once
+    validated to be at most 32767).  The file has been read and validated
+    whole already.
     """
 
     path: Path
     offset: int
     dtype: str
     shape: tuple[int, int]
-    extremes: tuple[int, int]
-
-    def min(self) -> int:
-        return self.extremes[0]
-
-    def max(self) -> int:
-        return self.extremes[1]
 
     def __getitem__(self, rows: np.ndarray) -> np.ndarray:
         """The image rows ``rows``, an ascending index array, as ``_clamped_rows`` asks for them.
@@ -253,21 +247,23 @@ class PairScan:
 def scan_pair(high, low, half: int = 2) -> PairScan:
     """Read a pair once, in strips of whole fold units, into its points and regression R.
 
-    Each image is an ``Image``, a 2-D array, or, from the command line, a
+    Each image is an ``Image``, a 2-D array whose dtype casts safely to
+    int16 (int16, int8 or uint8), or, from the command line, a
     ``_FileRows`` that reads each strip's rows from its file, so that the
     scan holds neither image.  All three go through the same row indexing
-    (``_clamped_rows``), and give the same bits for the same pixels.  A
+    (``_clamped_rows``), and give the same bits for the same pixels; real
+    and wider integer arrays are refused with ``ValueError``.  A
     strip holds ``_tile_rows(width)`` rows rounded down to a multiple of
     ``_FOLD_ROWS``, and at least ``_FOLD_ROWS``, so every strip starts on a
     unit boundary counted from row 0.  The regression rows go through
     :func:`_fold_centred` one unit at a time, each from views of its strip's
-    maps; only the image's last unit can be short.  For int16 images neither
-    the points nor the R factor depend on the tile budget, bit for bit: the
-    window sums are exact integers, and the units are fixed by image rows,
-    not by strips.  The points are held column-major, so
-    ``points[:, 0]`` (t) and ``points[:, 1]`` (ratio) are each contiguous for
-    the summary and the fit.  A window too large for exact sums over the
-    pair's values raises ``ValueError``.
+    maps; only the image's last unit can be short.  Neither the points nor
+    the R factor depend on the tile budget, bit for bit: the window sums are
+    exact integers, and the units are fixed by image rows, not by strips.
+    The points are held column-major, so ``points[:, 0]`` (t) and
+    ``points[:, 1]`` (ratio) are each contiguous for the summary and the
+    fit.  A window too large for exact int64 sums at full int16 range
+    raises ``ValueError`` from the pair's shape alone (``_check_window``).
     """
     _window(half)  # a bad half-size is refused before the pair is read
     h, lo = (img if isinstance(img, _FileRows) else _as_array(img) for img in (high, low))
@@ -275,8 +271,7 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
         raise ValueError(f"image dimensions differ: {h.shape} vs {lo.shape}")
     height, width = lo.shape
     rows = _FOLD_ROWS * max(1, _tile_rows(width) // _FOLD_ROWS)  # whole fold units a strip
-    extremes = np.array([h.min(), h.max(), lo.min(), lo.max()], dtype=np.float64)
-    _check_window(half, width, min(rows, height), float(np.abs(extremes).max()))
+    _check_window(half, width, min(rows, height))
     points = np.empty((2, height * width)).T  # column-major: t and ratio are each contiguous
     n = 0
     r, count, mean = np.empty((0, 3)), 0, np.zeros(3)

@@ -107,7 +107,8 @@ def _as_array(img) -> np.ndarray:
 
     Strips convert only the rows they read (``_clamped_rows``): the filter
     holds int16 rows as float32, which is exact, and others as float64; the
-    calibration reads every kind as float64.  Text is refused with ``ValueError``.
+    calibration reads those that cast safely to int16 as int64 and refuses
+    the rest.  Text is refused with ``ValueError``.
     """
     arr = img.pixels if isinstance(img, Image) else np.asarray(img)
     if arr.dtype.kind not in "iuf":

@@ -272,12 +272,13 @@ def _file_rows(path: Path) -> _FileRows:
     """The image at ``path`` as rows that :func:`scan_pair` reads from the file a strip at a time.
 
     The file is read whole by :func:`read_image` first, so it is validated
-    as any image read is; its extremes are kept and its pixels dropped.  In
-    both formats the samples are the file's last bytes.
+    as any image read is; then its pixels are dropped.  In both formats the
+    samples are the file's last bytes.  A ``.pgm``'s ``">u2"`` samples are
+    read as ``">i2"``: validated to be at most 32767, they have the same bits.
     """
     pixels = read_image(path).pixels
-    return _FileRows(path, path.stat().st_size - pixels.nbytes, _SAMPLE[_image_format(path)],
-                     pixels.shape, (int(pixels.min()), int(pixels.max())))
+    return _FileRows(path, path.stat().st_size - pixels.nbytes,
+                     _SAMPLE[_image_format(path)].replace("u", "i"), pixels.shape)
 
 
 def write_image(path, img: Image) -> None:

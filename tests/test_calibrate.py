@@ -26,9 +26,9 @@ from ringbf.calibrate import (
     scan_pair,
     summarize_points,
 )
-from ringbf.ctmodel import synth_phantom_values
+from ringbf.ctmodel import synth_phantom, synth_phantom_values
 from ringbf.errors import DegenerateFitError
-from ringbf.filter import Image
+from ringbf.filter import Image, quantize_to_int16
 
 
 # --- local statistics maps --------------------------------------------------
@@ -38,14 +38,14 @@ from ringbf.filter import Image
 @given(value=st.integers(-32768, 32767), h=st.integers(1, 30), w=st.integers(1, 30),
        half=st.integers(1, 10))
 def test_constant_image_has_zero_deviation(value, h, w, half):
-    img = np.full((h, w), float(value))
+    img = np.full((h, w), value, np.int16)
     assert np.array_equal(_std_map(img, half), np.zeros((h, w)))
     assert np.array_equal(_whole_maps(img, img, half)[2], img)
 
 
 def test_checkerboard_interior_deviation_closed_form():
     y, x = np.indices((16, 16))
-    board = np.where((y + x) % 2 == 0, 1.0, -1.0)
+    board = np.where((y + x) % 2 == 0, 1, -1).astype(np.int16)
     s = _std_map(board, half=1)
     # 3x3 window: five of one sign, four of the other -> mean 1/9, E[x^2] = 1
     expected = math.sqrt(80.0) / 9.0
@@ -53,16 +53,17 @@ def test_checkerboard_interior_deviation_closed_form():
 
 
 def test_std_map_shift_invariance_and_scaling():
-    rng = np.random.default_rng(0)
-    img = rng.normal(size=(20, 20)) * 10
+    # the numerator k*S2 - S1^2 is an exact integer: a shift leaves it as it
+    # is, and doubling quadruples it, which doubles its square root exactly
+    img = np.random.default_rng(0).integers(-300, 300, (20, 20)).astype(np.int16)
     base = _std_map(img)
-    assert np.allclose(_std_map(img + 500.0), base, atol=1e-9)
-    assert np.allclose(_std_map(img * 2.0), 2.0 * base, rtol=1e-12)
+    assert np.array_equal(_std_map(img + 500), base)
+    assert np.array_equal(_std_map(img * 2), 2.0 * base)
 
 
 def test_mean_map_window_oracle():
-    img = np.zeros((9, 9))
-    img[4, 4] = 25.0
+    img = np.zeros((9, 9), np.int16)
+    img[4, 4] = 25
     m = _whole_maps(img, img, half=2)[2]
     assert m[4, 4] == pytest.approx(1.0, rel=1e-15)  # 25 / (5*5)
     assert m[4, 1] == 0.0
@@ -75,26 +76,48 @@ def test_maps_accept_image_objects():
 
 def test_map_validation():
     with pytest.raises(ValueError):
-        scan_pair(np.zeros((8, 8)), np.zeros((8, 8)), half=0)
+        scan_pair(*np.zeros((2, 8, 8), np.int16), half=0)
     with pytest.raises(ValueError):
-        scan_pair(np.zeros((8, 8)), np.zeros((8, 8)), half=-1)
+        scan_pair(*np.zeros((2, 8, 8), np.int16), half=-1)
     with pytest.raises(ValueError):
-        scan_pair(np.zeros(8), np.zeros(8))
+        scan_pair(*np.zeros((2, 8), np.int16))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scan_refuses_non_finite_values_in_either_image(bad):
+    # only a real array holds them, and the scan takes int16 pixels
     for which in (0, 1):
-        pair = [np.zeros((8, 8)), np.zeros((8, 8))]
+        pair = [np.zeros((8, 8), np.int16), np.zeros((8, 8), np.int16)]
+        pair[which] = pair[which].astype(np.float64)
         pair[which][3, 5] = bad
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="cast safely to int16, got float64"):
             scan_pair(*pair)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32, np.uint16, np.int32])
+def test_scan_and_strip_maps_refuse_arrays_that_do_not_cast_safely_to_int16(dtype):
+    # the values fit int16; the dtype alone is refused, so no value can be truncated
+    ok = np.arange(64, dtype=np.int16).reshape(8, 8)
+    for pair in ((ok.astype(dtype), ok), (ok, ok.astype(dtype))):
+        with pytest.raises(ValueError, match=f"cast safely to int16, got {np.dtype(dtype)}"):
+            scan_pair(*pair)
+        with pytest.raises(ValueError, match=f"cast safely to int16, got {np.dtype(dtype)}"):
+            calibrate._strip_maps(*pair, 2, 0, 8)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_narrower_integer_arrays_scan_as_their_int16_copy(dtype):
+    high, low = (np.random.default_rng(seed).integers(0, 100, (19, 23)).astype(dtype)
+                 for seed in (1, 2))
+    want, got = scan_pair(high.astype(np.int16), low.astype(np.int16)), scan_pair(high, low)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.noise_r.tobytes() == want.noise_r.tobytes()
 
 
 def test_pair_maps_equal_separate_maps_bitwise():
     rng = np.random.default_rng(4)
-    high = rng.integers(-300, 300, (23, 31)).astype(np.float64)
-    low = rng.integers(-900, 900, (23, 31)).astype(np.float64)
+    high = rng.integers(-300, 300, (23, 31)).astype(np.int16)
+    low = rng.integers(-900, 900, (23, 31)).astype(np.int16)
     for half in (1, 2, 3):
         s_h, s_l, f_a = _whole_maps(high, low, half)
         assert np.array_equal(s_h, _std_map(high, half))
@@ -114,7 +137,8 @@ def _std_map(img, half=2):
 
 
 def _clamped_window_sum(f, half):
-    """Window sums by direct indexing, edge-clamped: exact for small integer images."""
+    """Window sums by direct indexing, edge-clamped, in int64: exact for int16 images."""
+    f = np.asarray(f, np.int64)
     ys, xs = np.indices(f.shape)
     h, w = f.shape
     return sum(f[np.clip(ys + dy, 0, h - 1), np.clip(xs + dx, 0, w - 1)]
@@ -142,40 +166,12 @@ def test_window_sums_match_uniform_filter(img, half):
                        atol=1e-6 * max(1.0, np.abs(f).max()))
 
 
-def _cumsum_window_sums(f, half, start, stop):
-    """``_window_sums`` with both running sums taken by ``np.cumsum``."""
-    size = 2 * half + 1
-    padded = _core_py._clamped_rows(f, start, stop, half + 1, half)
-    padded[0] = 0.0
-    padded[:, 0] = 0.0
-    sums = []
-    for p in (padded, padded * padded):
-        p = np.cumsum(p, axis=0)
-        rows = np.cumsum(p[size:] - p[:-size], axis=1)
-        sums.append(rows[:, size:] - rows[:, :-size])
-    return sums
-
-
-@pytest.mark.parametrize("width", [9, 64, 700])
-@pytest.mark.parametrize("half", [1, 2, 3])
-def test_window_sums_equal_cumsum_bit_for_bit_on_real_values(width, half):
-    # real values round in every addition, so only the same additions in the
-    # same order give the same bits; the strips run from one row to 90, both
-    # wider and taller than they are wide
-    rng = np.random.default_rng(half)
-    f = rng.normal(scale=1e3, size=(90, width)) * rng.uniform(1e-3, 1e3, (90, 1))
-    for start, stop in ((0, 90), (0, 7), (13, 29), (40, 81), (89, 90)):
-        got = calibrate._window_sums(f, half, start, stop)
-        for g, want in zip(got, _cumsum_window_sums(f, half, start, stop)):
-            assert g.tobytes() == want.tobytes()
-
-
 @settings(max_examples=100, deadline=None)
 @given(img=_int16_images, half=st.integers(1, 26))
 def test_window_sums_of_integer_images_are_exact(img, half):
-    # up to 53x53 windows, where the deviation's numerator k*S2 - S1^2 is exact too
-    f = img.astype(np.float64)
+    f = img.astype(np.int64)
     s1, s2 = calibrate._window_sums(img, half)
+    assert s1.dtype == s2.dtype == np.int64
     assert np.array_equal(s1, _clamped_window_sum(f, half))
     assert np.array_equal(s2, _clamped_window_sum(f * f, half))
 
@@ -187,47 +183,50 @@ def _full_range_pair(shape=(64, 64)):
 
 
 def test_window_past_the_exact_range_is_refused():
-    # 55x55 windows at full int16 range: (k * m)^2 = (3025 * 32768)^2 > 2**53
+    # 305x305 windows at full int16 range: (k * m)^2 = (93025 * 32768)^2 > 2**63
     high, low = _full_range_pair()
-    with pytest.raises(ValueError, match="half-size 27 is too large"):
-        scan_pair(high, low, 27)
+    with pytest.raises(ValueError, match="half-size 152 is too large"):
+        scan_pair(high, low, 152)
 
 
 def test_widest_exact_window_matches_an_integer_reference():
-    # 53x53 windows at full int16 range: (k * m)^2 = (2809 * 32768)^2 < 2**53
+    # 303x303 windows at full int16 range: (k * m)^2 = (91809 * 32768)^2 < 2**63
     high, low = _full_range_pair()
-    half, size = 26, 53
-    g = np.pad(low.pixels.astype(np.int64), half, mode="edge")
+    half, size = 151, 303
+    g = np.pad(low.pixels, half, mode="edge").astype(object)  # Python integers: no overflow
     running = [np.pad(p.cumsum(0).cumsum(1), ((1, 0), (1, 0))) for p in (g, g * g)]
     s1, s2 = (c[size:, size:] - c[:-size, size:] - c[size:, :-size] + c[:-size, :-size]
               for c in running)
     k = size * size
-    numerator = k * s2 - s1 * s1  # int64, exact: at most (k * m)^2 < 2**53
-    assert 0 <= numerator.min() and numerator.max() < 2 ** 53
+    numerator = k * s2 - s1 * s1
+    # past 2**53, where float64 sums would round; still below int64's 2**63
+    assert 0 <= numerator.min() and 2 ** 53 < numerator.max() < 2 ** 63
     expected = np.sqrt(numerator.astype(np.float64)) / k
     s_l = calibrate._strip_maps(high.pixels, low.pixels, half, 0, 64)[1]
     assert s_l.tobytes() == expected.tobytes()
     assert np.array_equal(scan_pair(high, low, half).points[:, 0], expected[expected > S_L_FLOOR])
 
 
-@pytest.mark.parametrize("shape, tile_elems", [((1, 2_800_000), None), ((1 << 23, 1), 1 << 24)],
+_ROW_LIMIT = (2 ** 33 - 1) // 3 - 3  # the widest image whose row sums stay exact at half 1
+
+
+@pytest.mark.parametrize("fits, past", [((_ROW_LIMIT, 1), (_ROW_LIMIT + 1, 1)),
+                                        ((1, 2 ** 33 - 4), (1, 2 ** 33 - 3))],
                          ids=["wide-rows", "tall-strips"])
-def test_window_sums_past_2_53_along_a_row_or_a_strip_are_refused(shape, tile_elems, monkeypatch):
-    # at full int16 range, the running sums along (width + 3) * 3 values of a
-    # row, or down rows + 3 values of a strip, pass 2**53 at half 1
-    img = np.zeros(shape, np.int16)
-    img.flat[0] = -32768
-    if tile_elems is not None:
-        monkeypatch.setattr(_core_py, "_TILE_ELEMS", tile_elems)
+def test_window_sums_past_2_63_along_a_row_or_a_strip_are_refused(fits, past):
+    # at full int16 range, m^2 = 2**30: the running sums along (width + 3) * 3
+    # values of a row, or down rows + 3 values of a strip, must stay below
+    # 2**63 at half 1; the bound reads only the shape, so no image is made
+    calibrate._check_window(1, *fits)
     with pytest.raises(ValueError, match="half-size 1 is too large"):
-        scan_pair(Image(img), Image(img), 1)
+        calibrate._check_window(1, *past)
 
 
 # --- empirical reduction points ---------------------------------------------
 
 
 def test_equal_images_give_unit_ratio():
-    img = synth_phantom_values([100], sigma=20.0, seed=1, size=(24, 24))
+    img = synth_phantom([100], sigma=20.0, seed=1, size=(24, 24))
     pts = scan_pair(img, img).points
     assert pts.shape == (24 * 24, 2)
     assert np.allclose(pts[:, 1], 1.0, rtol=1e-12)
@@ -235,14 +234,15 @@ def test_equal_images_give_unit_ratio():
 
 
 def test_halved_image_gives_half_ratio():
-    low = synth_phantom_values([0], sigma=40.0, seed=2, size=(20, 20))
-    pts = scan_pair(0.5 * low, low).points
-    assert np.allclose(pts[:, 1], 0.5, rtol=1e-12)
+    high = synth_phantom([0], sigma=40.0, seed=2, size=(20, 20)).pixels
+    pts = scan_pair(high, 2 * high).points
+    # doubling the pixels quadruples the exact numerator, so the ratio is 0.5 exactly
+    assert pts.shape == (20 * 20, 2) and np.all(pts[:, 1] == 0.5)
 
 
 def test_flat_regions_are_excluded():
-    low = np.full((16, 16), 100.0)
-    high = low + np.random.default_rng(0).normal(size=(16, 16))
+    low = np.full((16, 16), 100, np.int16)
+    high = Image.from_values(low + np.random.default_rng(0).normal(size=(16, 16)))
     assert scan_pair(high, low).points.shape == (0, 2)
 
 
@@ -648,9 +648,9 @@ def test_fit_does_not_depend_on_the_block_height_far_from_zero(offset):
 
 
 def _dose_pair(seed=7, size=(32, 32)):
-    low = synth_phantom_values([80, 160], sigma=30.0, seed=seed, size=size)
-    high = 0.5 * low
-    return high, low
+    """An int16 pair whose high-dose image is exactly half its low-dose one."""
+    high = synth_phantom([40, 80], sigma=15.0, seed=seed, size=size).pixels
+    return high, 2 * high
 
 
 def test_regression_finds_deviation_coupling():
@@ -667,8 +667,8 @@ def test_regression_finds_deviation_coupling():
 def test_regression_p_values_match_reference_distribution():
     stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(11)
-    low = synth_phantom_values([100], sigma=25.0, seed=3, size=(32, 32))
-    high = 0.5 * low + rng.normal(scale=1.0, size=(32, 32))
+    low = synth_phantom([100], sigma=25.0, seed=3, size=(32, 32))
+    high = Image.from_values(0.5 * low.pixels + rng.normal(scale=1.0, size=(32, 32)))
     report = regress_noise(scan_pair(high, low))
     for s in (report.intercept, report.s_l, report.f_a):
         if math.isfinite(s.t_stat):
@@ -707,16 +707,16 @@ def test_t_p_value_edges():
 
 
 def test_regression_degenerate_design():
-    low = np.full((16, 16), 50.0)  # zero deviation everywhere
-    high = np.full((16, 16), 25.0)
+    low = np.full((16, 16), 50, np.int16)  # zero deviation everywhere
+    high = np.full((16, 16), 25, np.int16)
     with pytest.raises(DegenerateFitError):
         regress_noise(scan_pair(high, low))
 
 
 def test_regression_matches_lstsq_on_the_whole_image_design():
     rng = np.random.default_rng(12)
-    low = synth_phantom_values([40, 300], sigma=30.0, seed=6, size=(70, 45))
-    high = np.round(0.5 * low + rng.normal(scale=3.0, size=low.shape))
+    low = synth_phantom([40, 300], sigma=30.0, seed=6, size=(70, 45)).pixels
+    high = quantize_to_int16(0.5 * low + rng.normal(scale=3.0, size=low.shape))
     report = regress_noise(scan_pair(high, low))  # 70 rows: strips of 32, 32 and 6
     s_h, s_l, f_a = _whole_maps(high, low, 2)
     design = np.column_stack([np.ones(s_l.size), s_l.ravel(), f_a.ravel()])
@@ -730,7 +730,7 @@ def test_regression_matches_lstsq_on_the_whole_image_design():
 
 def test_regression_validation():
     with pytest.raises(ValueError):
-        regress_noise(scan_pair(np.zeros((5, 5)), np.zeros((5, 5))))  # 25 pixels < 30
+        regress_noise(scan_pair(*np.zeros((2, 5, 5), np.int16)))  # 25 pixels < 30
 
 
 # --- report formatting ------------------------------------------------------

@@ -202,6 +202,20 @@ def test_cli_non_digit_header_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o.pgm").exists()
 
 
+@pytest.mark.parametrize("header, name, offset", [(b"P5\n0 2\n65535\n", "width", 3),
+                                                  (b"P5\n2  0\n65535\n", "height", 6)],
+                         ids=["width", "height"])
+def test_cli_pgm_with_a_zero_dimension_exits_two(tmp_path, capsys, header, name, offset):
+    inp = tmp_path / "in.pgm"
+    inp.write_bytes(header)
+    rc = cli_dispatch(["filter", "--in", str(inp), "--out", str(tmp_path / "o.pgm"),
+                       "--v", "frac", "--t", "1", "--n", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {inp}: {name} must be positive, got 0 (at byte offset {offset})\n")
+    assert not (tmp_path / "o.pgm").exists()
+
+
 def test_pgm_sample_above_int16_range_reports_offset(tmp_path):
     path = tmp_path / "img.pgm"
     header = b"P5\n2 1\n65535\n"
@@ -951,24 +965,27 @@ def test_cli_phantom_density_outside_int16_exits_one(tmp_path, capsys, densities
 
 
 def test_cli_calibrate_window_past_its_exact_range_exits_one(tmp_path, capsys):
-    # half 100000 once asked for 298 GiB on this pair; it is refused before any allocation
+    # half 152 is the first past the int64 sums' range, and half 100000 once
+    # asked for 298 GiB on this pair; both are refused before any allocation
     for name, sigma, seed in (("low", "40", "1"), ("high", "10", "2")):
         assert cli_dispatch(["phantom", "--densities", "0,400", "--sigma", sigma, "--size", "64x64",
                              "--seed", seed, "--out", str(tmp_path / f"{name}.raw")]) == 0
     report = tmp_path / "report.txt"
-    tracemalloc.start()
-    try:
-        rc = cli_dispatch(["calibrate", "--high", str(tmp_path / "high.raw"),
-                           "--low", str(tmp_path / "low.raw"), "--window", "100000",
-                           "--out", str(report)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: window half-size 100000 is too large") and err.count("\n") == 1
-    assert peak < 1 << 20
-    assert not report.exists()
+    for window in ("152", "100000"):
+        tracemalloc.start()
+        try:
+            rc = cli_dispatch(["calibrate", "--high", str(tmp_path / "high.raw"),
+                               "--low", str(tmp_path / "low.raw"), "--window", window,
+                               "--out", str(report)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: window half-size {window} is too large")
+        assert err.count("\n") == 1
+        assert peak < 1 << 20
+        assert not report.exists()
 
 
 def test_cli_outputs_do_not_depend_on_the_tile_budget(tmp_path, capsys, monkeypatch):
