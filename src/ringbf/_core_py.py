@@ -13,10 +13,10 @@ of buffers through ``out=`` ufuncs:
   ``p = width + 2m`` and offset ``(dx, dy)`` is shift ``dy*p + dx``.  The
   output has pitch ``p`` too, so each tile writes its centers in place, as
   one flat run of the output, and nothing is read back; the caller gets a
-  ``[:, :width]`` view.  Int16 pixels are held as float32, which is exact, so
-  a strip takes half the memory traffic of a float64 one.  The strips run on
-  a pool of one thread per available core (capped at the strip count); numpy
-  releases the GIL inside each ufunc, and every strip writes its own rows.
+  ``[:, :width]`` view.  Every frame is float64, whatever the pixels' dtype,
+  as the trial frames are.  The strips run on a pool of one thread per
+  available core (capped at the strip count); numpy releases the GIL inside
+  each ufunc, and every strip writes its own rows.
 - ``ensemble_filter`` reads the ``(trials, 1 + support size)`` array in
   Fortran order, as the Monte-Carlo draws are laid out, so the raveled draws
   are a frame in which column ``j`` is shift ``j * trials``.  It walks the
@@ -27,10 +27,10 @@ of buffers through ``out=`` ufuncs:
 Every pixel or trial keeps a pinned operation sequence, so results do not
 depend on the layout, the tiling or the thread count:
 
-- intensity differences are formed in the frame's dtype (exact for int16
-  values held in float32), reduced to float32, scaled by float32(t), and the
-  photometric family is evaluated in float32; a scaled difference that
-  overflows float32 saturates to weight 0, without a warning;
+- intensity differences are formed in float64, rounded once to float32,
+  scaled by float32(t), and the photometric family is evaluated in float32;
+  a scaled difference that overflows float32 saturates to weight 0, without
+  a warning;
 - spatial weights and all accumulation are float64, including the product
   of a weight and its support value;
 - accumulation order is rings ascending, offsets in declaration order, with
@@ -74,13 +74,13 @@ def _tile_rows(width: int) -> int:
 def _clamped_rows(f: np.ndarray, start: int, stop: int, before: int, after: int,
                   dtype=np.float64) -> np.ndarray:
     """Rows ``start .. stop + before + after - 1`` of ``f`` edge-padded by ``(before, after)``
-    on both axes, as ``dtype``; only the rows read are converted.
+    on both axes, as ``dtype``: the filter's strips are float64, the calibration's int64.
 
-    The calibration's window sums read int64 blocks; the filter reads an
-    int16 image's strips as float32, which holds every int16 value exactly.
+    The rows read are padded in their own dtype and converted once, so a
+    strip makes one ``dtype`` copy of its block.
     """
     read = np.clip(np.arange(start - before, stop + after), 0, f.shape[0] - 1)
-    return np.pad(f[read].astype(dtype, copy=False), ((0, 0), (before, after)), mode="edge")
+    return np.pad(f[read], ((0, 0), (before, after)), mode="edge").astype(dtype, copy=False)
 
 
 def _v_in_place(u: np.ndarray, v: VFamily) -> np.ndarray:
@@ -159,7 +159,7 @@ def _filter_tile(frame, start, length, shifts, out, buffers, spec: KernelSpec,
                         pending[-k] = field
                     wv = field[k : k + length] if k > 0 else field[:length]
                 np.add(sv, wv, out=sv)
-                np.multiply(wv, nb, out=tmp, dtype=np.float64)
+                np.multiply(wv, nb, out=tmp)
                 np.add(sfv, tmp, out=sfv)
             j += len(ring.offsets)
             np.multiply(sfv, ring.weight, out=tmp)
@@ -186,8 +186,8 @@ def filter_values(
     Centers outside the closed interval ``gate``, compared as float64, keep
     their input value (a NaN is never inside); ``skip`` copies the input over
     the support's margin, where the clamped (edge-replicated) support would
-    leave the image.  Each strip is one flat frame of its ``_clamped_rows``
-    block, float32 for int16 pixels, else float64.
+    leave the image.  Each strip is one flat frame of its float64
+    ``_clamped_rows`` block.
     Returns the pre-rounding float64 output image, a ``[:, :w]`` view of rows ``w + 2m`` apart.
     """
     h, w = f.shape
@@ -196,7 +196,6 @@ def filter_values(
     pitch = w + 2 * margin
     shifts = [dy * pitch + dx for dx, dy in rings.all_offsets()]
     start = margin * pitch + margin  # the strip's first center in its frame
-    dtype = np.float32 if f.dtype == np.int16 else np.float64
     flat = np.empty(h * pitch, dtype=np.float64)  # the output, at the frames' pitch
     out = flat.reshape(h, pitch)[:, :w]
     if gate is not None:  # (1, 1) arrays, not scalars, so any numpy compares in float64
@@ -207,7 +206,7 @@ def filter_values(
     def run(part):
         buffers = _buffers(rows * pitch, max(map(abs, shifts)))
         for y0, y1 in part:
-            frame = _clamped_rows(f, y0, y1, margin, margin, dtype).ravel()
+            frame = _clamped_rows(f, y0, y1, margin, margin).ravel()
             length = (y1 - y0) * pitch - 2 * margin  # through the last center of the strip
             _filter_tile(frame, start, length, shifts, flat[y0 * pitch :][:length], buffers, spec, rings)
             if gate is not None:

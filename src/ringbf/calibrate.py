@@ -50,7 +50,6 @@ __all__ = [
     "PolyFit",
     "PredictorStats",
     "RegressionReport",
-    "S_L_FLOOR",
     "SUMMARY_BINS",
     "scan_pair",
     "summarize_points",
@@ -60,7 +59,6 @@ __all__ = [
     "format_calibration_report",
 ]
 
-S_L_FLOOR = 1e-6  # HU; below this a local deviation is treated as zero
 SUMMARY_BINS = 32  # equal-count bins over t in the calibration report
 _CELLS = 1 << 16  # equal t cells of the summary's histogram and bin table
 _REFINE_COND = 1e3  # fits whose R is worse conditioned are refined; 2048^2 pairs read 150-320
@@ -233,9 +231,9 @@ class PairScan:
     """What one pass over a high/low-dose pair keeps.
 
     ``points`` holds the (t, ratio) points, t = s_L and ratio = s_H / s_L, in
-    row-major pixel order; pixels whose low-dose deviation falls below
-    ``S_L_FLOOR`` are excluded.  ``noise_r`` is the 4x4 R factor of the
-    ``count`` rows ``[1, s_L, f_a | s_H]``, one per pixel, which is all that
+    row-major pixel order; pixels whose low-dose window is flat are excluded.
+    ``noise_r`` is the 4x4 R factor of the ``count`` rows
+    ``[1, s_L, f_a | s_H]``, one per pixel, which is all that
     :func:`regress_noise` needs.
     """
 
@@ -277,7 +275,7 @@ def scan_pair(high, low, half: int = 2) -> PairScan:
     r, count, mean = np.empty((0, 3)), 0, np.zeros(3)
     for start in range(0, height, rows):
         s_h, s_l, f_a = _strip_maps(h, lo, half, start, min(start + rows, height))
-        mask = s_l > S_L_FLOOR
+        mask = s_l > 0  # 0 for a flat window, else at least sqrt(k - 1) / k
         t = s_l[mask]
         np.divide(s_h[mask], t, out=points[n : n + t.size, 1])
         points[n : n + t.size, 0] = t

@@ -121,8 +121,8 @@ def plan_filter(
         if (spec.v, spec.n) not in REFERENCE_THRESHOLDS:
             raise ValueError(f"no reference t0 for {spec.v.name} at n={spec.n}; pass t0")
         t0 = REFERENCE_THRESHOLDS[spec.v, spec.n]
-    if not t0 > 0:
-        raise ValueError(f"threshold t0 must be positive, got {t0}")
+    if not 0 < t0 < math.inf:
+        raise ValueError(f"threshold t0 must be positive and finite, got {t0}")
     sigma = noise_sigma(model, x)
     t = t0 / sigma
     return FilterPlan(

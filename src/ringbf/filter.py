@@ -106,9 +106,9 @@ def _as_array(img) -> np.ndarray:
     """An ``Image``'s int16 pixels or an integer or real array as they are, else float64 values.
 
     Strips convert only the rows they read (``_clamped_rows``): the filter
-    holds int16 rows as float32, which is exact, and others as float64; the
-    calibration reads those that cast safely to int16 as int64 and refuses
-    the rest.  Text is refused with ``ValueError``.
+    reads every dtype as float64; the calibration reads those that cast
+    safely to int16 as int64 and refuses the rest.  Text is refused with
+    ``ValueError``.
     """
     arr = img.pixels if isinstance(img, Image) else np.asarray(img)
     if arr.dtype.kind not in "iuf":

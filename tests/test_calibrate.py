@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import arrays
 import ringbf.calibrate as calibrate
 from ringbf import _core_py
 from ringbf.calibrate import (
-    S_L_FLOOR,
     SUMMARY_BINS,
     PolyFit,
     PredictorStats,
@@ -204,7 +203,7 @@ def test_widest_exact_window_matches_an_integer_reference():
     expected = np.sqrt(numerator.astype(np.float64)) / k
     s_l = calibrate._strip_maps(high.pixels, low.pixels, half, 0, 64)[1]
     assert s_l.tobytes() == expected.tobytes()
-    assert np.array_equal(scan_pair(high, low, half).points[:, 0], expected[expected > S_L_FLOOR])
+    assert np.array_equal(scan_pair(high, low, half).points[:, 0], expected[expected > 0])
 
 
 _ROW_LIMIT = (2 ** 33 - 1) // 3 - 3  # the widest image whose row sums stay exact at half 1

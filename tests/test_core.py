@@ -135,11 +135,11 @@ def test_output_is_independent_of_strip_size_and_worker_count(case):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), dtypes=st.sampled_from([(np.int16, None), (np.float64, None),
-                                               (np.int16, np.float32)]))
+                                               (np.int16, np.int64)]))
 def test_clamped_rows_are_rows_of_the_edge_padded_image(data, dtypes):
     # the one border rule of the filter's strips and the calibration's window sums;
     # before and after reach up to 3 rows past the far edge of the image.  Strips
-    # are float64 unless asked for, and the filter reads int16 pixels as float32
+    # are float64 unless asked for, and the calibration reads int16 pixels as int64
     dtype, held = dtypes
     h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
     f = data.draw(arrays(dtype, (h, w)))
@@ -212,7 +212,7 @@ def image_and_trial_cases(draw):
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))  # down to less than a margin
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        f = rng.integers(-32768, 32768, (h, w)).astype(np.int16)  # read as float32 strips
+        f = rng.integers(-32768, 32768, (h, w)).astype(np.int16)  # full int16 range
     else:
         f = rng.normal(0.0, draw(st.sampled_from([1.0, 150.0, 1e4])), (h, w))
     spec = KernelSpec(v=draw(st.sampled_from(list(VFamily))),
@@ -263,7 +263,7 @@ def test_filter_values_output_is_pinned(v):
 
 
 # sha256 of filter_values on a full-range int16 image (n=5, clamp, no gate), taken
-# from the kernel that read int16 strips as float64; int16 strips are now float32
+# from a kernel that read int16 strips as float64, as this one does
 PINNED_INT16_DIGESTS = {
     (VFamily.Abs, 2e-4): "8003d4f8338a8aa2330ae8d9c2a79c4e47f5a48e33e7a3461a4856bee8422ab3",
     (VFamily.Abs, 0.02): "4cb9171b56d6e4d87e38177b95f1ebf82b3ecd390f1877e73411673bee96f56d",

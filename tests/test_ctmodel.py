@@ -135,8 +135,9 @@ def test_plan_config_carries_gate_and_clamp_border():
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        plan_filter(1.0, t0=0.0)
+    for t0 in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="threshold t0 must be positive and finite"):
+            plan_filter(1.0, t0=t0)
     with pytest.raises(OutOfDomainError):
         plan_filter(0.1)
 

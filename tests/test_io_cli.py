@@ -493,6 +493,15 @@ def test_cli_plan_prints_each_kernels_reference_t0(capsys, v, t0):
     assert f"\nt0={t0}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("t0", ["nan", "inf", "0"])
+def test_cli_plan_t0_not_positive_and_finite_exits_one(capsys, t0):
+    # refused by name, not later as the scale t = t0 / sigma that inf would give
+    assert cli_dispatch(["plan", "--dose-fraction", "0.5", "--t0", t0]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: threshold t0 must be positive and finite, got {float(t0)}\n"
+
+
 def test_cli_target_at_k0_is_refused_before_any_draw_at_every_seed(monkeypatch, capsys):
     # at n = 1 the four weights are equal, so K(0) = 0.5 is the default target;
     # whether the estimate at t = 0.01 fell above or below it used to pick the exit code
@@ -962,6 +971,17 @@ def test_cli_phantom_density_outside_int16_exits_one(tmp_path, capsys, densities
     err = capsys.readouterr().err
     assert err.startswith("error: density ") and "int16 range" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_phantom_pgm_that_cannot_hold_its_pixels_exits_two(tmp_path, capsys):
+    # a negative pixel is a RangeError, a FormatError: exit 2, and no file is left
+    rc = cli_dispatch(["phantom", "--densities", "-5,5", "--size", "8x8",
+                       "--out", str(tmp_path / "neg.pgm")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "is negative" in captured.err and "use the .raw format instead" in captured.err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_calibrate_window_past_its_exact_range_exits_one(tmp_path, capsys):
